@@ -35,7 +35,7 @@ from typing import Callable, Optional, Union
 
 from .rationals import ONE, ZERO, Rational, pow2_neg, parse_rational
 from .streams import AdversarySuite, ApproxStream, EngineView, StreamError
-from .trace import CheckResult, TraceEvent, VerificationReport, fmt
+from .trace import CheckResult, TraceEvent, VerificationReport, check_final_stage, fmt
 
 SuiteOrFactory = Union[AdversarySuite, Callable[["ExpansionEngine"], AdversarySuite]]
 
@@ -278,14 +278,15 @@ def _stage_table(events: list[TraceEvent], kind: str) -> dict[int, Rational]:
 def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
-    V1 total below one; V2 per-index contribution cap; V3 restraint bound on
-    lower-priority growth; V4 pacing along expansionary stages; V5
-    stabilization statistics.  The pacing comparison is >= (the construction
+    V0 the final snapshot's stage is the trace's last; V1 total below one;
+    V2 per-index contribution cap; V3 restraint bound on lower-priority
+    growth; V4 pacing along expansionary stages; V5 stabilization
+    statistics.  The pacing comparison is >= (the construction
     yields equality whenever a single requirement carries the whole
     increment between consecutive expansionary stages).
     """
     report = VerificationReport()
-    T = final["stage"]
+    T = check_final_stage(report, "V0 final stage is the last traced stage", events, final)
     alpha_by = _stage_table(events, "alpha")
     eta_by = _stage_table(events, "eta")
     beta_by = _stage_table(events, "beta")

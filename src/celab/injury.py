@@ -15,6 +15,15 @@ assigned so far and every live restraint) or acts: the bit is enumerated,
 a restraint param+3 is recorded, and every strictly lower-priority
 requirement is initialized (all parameters undefined).  Exactly one
 requirement is served per stage.
+
+The positions with a defined parameter always form a prefix [0, u): a
+define serves the least undefined position u, and an act at p < u
+undefines every position above p, so after serving position p the prefix
+is [0, p + 1).  Every undefined position requires attention, so the served
+position is the first adversary-backed position p < u whose gap test holds,
+else u itself.  A stage therefore makes at most n gap tests for n
+adversaries, and a run of T stages costs O(T * n) tests instead of the
+O(T^2) of scanning every position 0..2s+1.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Callable, Optional, Union
 
 from .rationals import ONE, ZERO, Rational, pow2_neg, parse_rational
 from .streams import AdversarySuite, ApproxStream
-from .trace import TraceEvent, VerificationReport, fmt
+from .trace import TraceEvent, VerificationReport, check_final_stage, fmt
 
 SuiteOrFactory = Union[AdversarySuite, Callable[["InjuryEngine"], AdversarySuite]]
 
@@ -85,6 +94,14 @@ class InjuryEngine:
         self.l: dict[int, Optional[int]] = {}
         self.r: dict[int, Optional[int]] = {}
         self.used_values: set[int] = set()
+        self._max_used = -1  # max(used_values); bounds every live restraint
+        self._undefined = 0  # u: parameters are defined exactly on [0, u)
+        # (position, stream) for every adversary, in priority order
+        self._backed = sorted(
+            [(2 * i, self.suite.gamma(i)) for i in self.suite.gamma_indices]
+            + [(2 * i + 1, self.suite.delta(i)) for i in self.suite.delta_indices],
+            key=lambda entry: entry[0],
+        )
         self.events: list[TraceEvent] = []
         self._log(0, "alpha", None, None, fmt(ZERO))
         self._log(0, "beta", None, None, fmt(ZERO))
@@ -101,7 +118,8 @@ class InjuryEngine:
     def requires_attention(self, position: int, s_next: int) -> bool:
         """Does the requirement at the given priority position require
         attention at stage s_next?  Uses the pre-stage difference and the
-        adversary value at s_next."""
+        adversary value at s_next.  The reference predicate: the engine
+        itself serves through the equivalent `_least_attention`."""
         i, is_l = divmod(position, 2)[0], position % 2 == 0
         param = self.c.get(i) if is_l else self.d.get(i)
         if param is None:
@@ -126,9 +144,7 @@ class InjuryEngine:
             if i <= self.s:
                 self._log(s1, "delta", i, None, fmt(self.suite.delta(i).value(s1)))
 
-        served = self._least_attention(s1)
-        if served is not None:
-            self._serve(served, s1)
+        self._serve(self._least_attention(s1), s1)
 
         self.alpha_hist.append(self.alpha)
         self.beta_hist.append(self.beta)
@@ -136,29 +152,38 @@ class InjuryEngine:
         self._log(s1, "beta", None, fmt(self.beta_hist[-2]), fmt(self.beta))
         self.s = s1
 
-    def _least_attention(self, s1: int) -> Optional[int]:
-        for i in range(self.s + 1):
-            if self.requires_attention(2 * i, s1):
-                return 2 * i
-            if self.requires_attention(2 * i + 1, s1):
-                return 2 * i + 1
-        return None
+    def _least_attention(self, s1: int) -> int:
+        """Least position requiring attention at stage s1.  Positions below
+        u are defined, so only the backed ones among them can require
+        attention; u itself always does, and u <= s keeps it inside the
+        scanned range 0..2s+1.  Gap tests run in the order a scan of
+        `requires_attention` over 0..2s+1 would make them."""
+        u = self._undefined
+        diff = self.alpha_hist[s1 - 1] - self.beta_hist[s1 - 1]
+        for position, stream in self._backed:
+            if position >= u:
+                break
+            i, parity = divmod(position, 2)
+            param = (self.d if parity else self.c)[i]
+            if abs(diff - stream.value(s1)) < pow2_neg(param + 3):
+                return position
+        return u
 
     def _fresh_value(self, column: int) -> int:
-        bound = max(self.used_values, default=-1)
-        for table in (self.l, self.r):
-            for value in table.values():
-                if value is not None:
-                    bound = max(bound, value)
-        return least_in_column_above(column, bound)
+        return least_in_column_above(column, self._max_used)
+
+    def _use(self, value: int) -> None:
+        self.used_values.add(value)
+        self._max_used = max(self._max_used, value)
 
     def _serve(self, position: int, s1: int) -> None:
         i, is_l = position // 2, position % 2 == 0
         params = self.c if is_l else self.d
+        self._undefined = position + 1
         if params.get(i) is None:
             value = self._fresh_value(2 * i if is_l else 2 * i + 1)
             params[i] = value
-            self.used_values.add(value)
+            self._use(value)
             self._log(s1, "define", position, None, str(value))
             return
         bit = params[i]
@@ -174,7 +199,7 @@ class InjuryEngine:
             self.alpha += bit_weight(bit)
             self.r[i] = restraint
             self._log(s1, "enumerate_A", position, None, str(bit))
-        self.used_values.add(restraint)
+        self._use(restraint)
         self._log(s1, "restraint", position, None, str(restraint))
         self._initialize_below(position, s1)
 
@@ -342,13 +367,14 @@ class _Fold:
 def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
-    W1 one act per initialization segment, with no attention after a served
-    act; W2 separation margin after an un-initialized act; W3 restraint
-    obedience; W4 injury and act counts bounded by priority position; W5
-    column discipline, freshness, and disjoint enumerations.
+    W0 the final snapshot's stage is the trace's last; W1 one act per
+    initialization segment, with no attention after a served act; W2
+    separation margin after an un-initialized act; W3 restraint obedience;
+    W4 injury and act counts bounded by priority position; W5 column
+    discipline, freshness, and disjoint enumerations.
     """
     report = VerificationReport()
-    T = final["stage"]
+    T = check_final_stage(report, "W0 final stage is the last traced stage", events, final)
     fold = _Fold(events, T)
 
     def attention(position: int, t: int, param: int) -> Optional[bool]:

@@ -151,3 +151,15 @@ class VerificationReport:
             ],
             "stats": self.stats,
         }
+
+
+def check_final_stage(report: VerificationReport, name: str,
+                      events: list[TraceEvent], final: dict) -> int:
+    """Check that the final snapshot's stage is the last stage the events
+    record, and return that last stage: a verifier folds the trace as
+    recorded, whatever stage the snapshot claims."""
+    last = max((ev.stage for ev in events), default=0)
+    check = report.check(name)
+    if final.get("stage") != last:
+        check.fail(f"final stage {final.get('stage')!r}, but the events end at stage {last}")
+    return last

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from celab.cli import EXIT_OK, main
+from celab.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from celab.expansion import ExpansionConfig, run_expansion, verify_expansion
 from celab.injury import InjuryConfig, run_injury, verify_injury
 from celab.rationals import parse_rational as R
@@ -125,3 +125,33 @@ class TestGoldenFilesStillVerify:
         h, evs, final = read_trace(DATA / "golden_prop3.trace.jsonl")
         clean = {k: v for k, v in final.items() if k != "record"}
         assert verify_injury(evs, clean).all_green
+
+
+class TestAlteredFinalStage:
+    """A final snapshot whose stage is not the trace's last fails a named
+    check; the verifiers fold the trace as recorded and never raise."""
+
+    CASES = [("golden_lemma2", verify_expansion, "V0"),
+             ("golden_prop3", verify_injury, "W0")]
+
+    @pytest.mark.parametrize("name, verify, tag", CASES)
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_verifier_fails_named_check(self, name, verify, tag, delta):
+        _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
+        final = {k: v for k, v in final.items() if k != "record"}
+        final["stage"] += delta
+        report = verify(evs, final)
+        assert not report.all_green
+        assert report.first_failure().startswith(f"{tag} final stage")
+        assert [c.name[:2] for c in report.checks if not c.passed] == [tag]
+
+    @pytest.mark.parametrize("name, tag", [(name, tag) for name, _, tag in CASES])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_cli_verify_exits_check_failed(self, name, tag, delta, tmp_path, capsys):
+        lines = (DATA / f"{name}.trace.jsonl").read_text().splitlines()
+        final = json.loads(lines[-1])
+        final["stage"] += delta
+        trace = tmp_path / f"{name}.trace.jsonl"
+        trace.write_text("\n".join(lines[:-1] + [json.dumps(final)]) + "\n")
+        assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
+        assert f"first violated invariant: {tag} final stage" in capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Finite-injury engine: pairing, hand-audited serves, injuries, replay."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celab.injury import (
     InjuryConfig,
@@ -120,14 +122,16 @@ class TestHandAuditedServes:
             assert not engine.requires_attention(0, s)
 
 
-def slow_approach(offset, start_exp=1):
-    """Increasing stream creeping up to offset + 2^-40 from below."""
-    target = R(str(offset)) + pow2_neg(40)
+def slow_approach(offset, direction=INC):
+    """Monotone stream creeping to offset -/+ 2^-40, from below when
+    increasing and from above when decreasing; not unit-interval bound."""
+    sign = 1 if direction is INC else -1
+    target = R(offset) + sign * pow2_neg(40)
 
     def gen(s, _p):
-        return target - pow2_neg(min(s + start_exp, 39))
+        return target - sign * pow2_neg(min(s + 1, 39))
 
-    return ApproxStream(INC, gen, unit_interval=False, label="slow")
+    return ApproxStream(direction, gen, unit_interval=False, label="slow")
 
 
 class TestInjuryCascade:
@@ -243,3 +247,100 @@ class TestVerifyAndReplay:
         report = verify_injury(events, engine.snapshot())
         assert not report.all_green
         assert "W1" in report.first_failure()
+
+
+# --------------------------------------------------------------------------
+# least attention: the O(n) serve against the brute-force scan
+# --------------------------------------------------------------------------
+
+LIMITS = [R(f"{k}/16") for k in range(1, 16)]
+RATES = [R("1/2"), R("1/3"), R("2/3"), R("3/4")]
+OFFSETS = ["-1/2", "-1/4", "0", "1/4", "1/2"]
+
+
+def suite_from(specs):
+    """Engine-adaptive suite factory from (index, role, kind, choice) specs."""
+    def factory(engine):
+        entries = []
+        for index, role, kind, choice in specs:
+            direction = INC if role == "L" else DEC
+            if kind == "constant":
+                stream = make_constant_target(
+                    LIMITS[choice % len(LIMITS)], direction, RATES[choice % len(RATES)])
+            elif kind == "tracker":
+                start = R("1/32") if role == "L" else R("31/32")
+                stream = make_tracker(engine, direction, lag=choice % 4, start=start)
+            else:
+                stream = slow_approach(OFFSETS[choice % len(OFFSETS)], direction)
+            entries.append(SuiteEntry(index, role, stream))
+        return AdversarySuite(entries)
+
+    return factory
+
+
+def defined_positions(engine):
+    return ({2 * i for i, v in engine.c.items() if v is not None}
+            | {2 * i + 1 for i, v in engine.d.items() if v is not None})
+
+
+class TestLeastAttention:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        specs=st.lists(
+            st.tuples(st.integers(0, 3), st.sampled_from("LR"),
+                      st.sampled_from(["constant", "tracker", "slow"]),
+                      st.integers(0, 59)),
+            max_size=6,
+            unique_by=lambda spec: spec[:2],
+        ),
+        stages=st.integers(1, 300),
+    )
+    def test_serve_matches_brute_force_scan(self, specs, stages):
+        engine = InjuryEngine(InjuryConfig(suite_from(specs), stages))
+        while engine.s < stages:
+            s1 = engine.s + 1
+            expected = next(p for p in range(2 * engine.s + 2)
+                            if engine.requires_attention(p, s1))
+            live = [v for t in (engine.l, engine.r) for v in t.values() if v is not None]
+            bound = max([*engine.used_values, *live], default=-1)
+            logged = len(engine.events)
+            engine.step()
+            served = [ev for ev in engine.events[logged:] if ev.kind in ("define", "act")]
+            assert [ev.requirement for ev in served] == [expected]
+            if served[0].kind == "define":  # position p draws from column p
+                assert served[0].new_int() == least_in_column_above(expected, bound)
+            # parameters are defined exactly on the prefix [0, expected + 1)
+            assert defined_positions(engine) == set(range(expected + 1))
+
+    def test_gap_tests_per_stage_bounded_by_adversaries(self):
+        specs = [(0, "L", "slow", 2), (0, "R", "constant", 13),
+                 (1, "L", "tracker", 0), (1, "R", "slow", 3),
+                 (2, "L", "constant", 5), (3, "R", "tracker", 1)]
+        calls = {}
+
+        def counting(factory):
+            def wrapped(engine):
+                suite = factory(engine)
+                for entry in suite.entries:
+                    original = entry.stream.value
+
+                    def value(s, original=original):
+                        calls[s] = calls.get(s, 0) + 1
+                        return original(s)
+
+                    entry.stream.value = value
+                return suite
+            return wrapped
+
+        stages = 1000
+        engine = run_injury(InjuryConfig(counting(suite_from(specs)), stages))
+        logged = {}
+        for ev in engine.events:
+            if ev.kind in ("gamma", "delta"):
+                logged[ev.stage] = logged.get(ev.stage, 0) + 1
+        # every stream value read at stage s is either logged or a gap test
+        gap_tests = [calls.get(s, 0) - logged.get(s, 0) for s in range(1, stages + 1)]
+        assert max(gap_tests) <= len(specs)
+        # the late stages test every adversary, no more: cost flat in T
+        assert max(gap_tests[-100:]) == len(specs)
+        assert sum(gap_tests) <= len(specs) * stages
