@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import expansion, injury
 from .config import ConfigError, build_stream, build_suite, load_config
-from .omega import OmegaEnumeration
+from .omega import MachineDefinitionError, OmegaEnumeration
 from .rationals import format_rational, parse_rational
 from .solovay import (
     SolovayWitness,
@@ -137,9 +137,16 @@ def cmd_omega_enumerate(args) -> int:
     from .config import _load_machine  # shares bundled/file resolution
 
     machine = _load_machine({"machine": args.machine})
+    if args.length < 1:
+        raise ConfigError(f"--length must be >= 1, got {args.length}")
+    if args.stages < 0:
+        raise ConfigError(f"--stages must be >= 0, got {args.stages}")
     enum = OmegaEnumeration(machine, args.length)
-    for s in range(args.stages + 1):
-        print(f"{s}\t{format_rational(enum.omega(s))}")
+    try:
+        for s in range(args.stages + 1):
+            print(f"{s}\t{format_rational(enum.omega(s))}")
+    except MachineDefinitionError as e:
+        raise ConfigError(f"machine {args.machine}: {e}") from None
     return EXIT_OK
 
 

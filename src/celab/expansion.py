@@ -287,7 +287,6 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     """
     report = VerificationReport()
     T = check_final_stage(report, "V0 final stage is the last traced stage", events, final)
-    alpha_by = _stage_table(events, "alpha")
     eta_by = _stage_table(events, "eta")
     beta_by = _stage_table(events, "beta")
     c_bumps: dict[int, list[int]] = {}
@@ -317,12 +316,15 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         v1.fail(f"beta_T = {beta_T} >= 1")
 
     v2 = report.check("V2 contribution cap 2^-(i+1) * eta")
-    eta_T = eta_by[T]
-    for key, text in final["beta_i"].items():
-        i = int(key)
-        contribution = parse_rational(text)
-        if not contribution <= pow2_neg(i + 1) * eta_T:
-            v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
+    eta_T = eta_by.get(T)
+    if eta_T is None:
+        v2.fail(f"no eta record at final stage {T}")
+    else:
+        for key, text in final["beta_i"].items():
+            i = int(key)
+            contribution = parse_rational(text)
+            if not contribution <= pow2_neg(i + 1) * eta_T:
+                v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
 
     v3 = report.check("V3 restraint bound on lower-priority growth")
     relevant = sorted(set(d_bumps) | {j for incs in incr_by_stage.values() for j in incs})
@@ -338,6 +340,12 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     v4 = report.check("V4 pacing along expansionary stages")
     for i, stages in sorted(c_bumps.items()):
         for t1, t2 in zip(stages, stages[1:]):
+            gaps = [f"{kind} record at stage {t}"
+                    for kind, table in (("beta", beta_by), ("eta", eta_by))
+                    for t in (t1, t2) if t not in table]
+            if gaps:
+                v4.fail(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
+                continue
             lhs = beta_by[t2] - beta_by[t1]
             rhs = q_at(i, t2) * (eta_by[t2] - eta_by[t1])
             if not lhs >= rhs:

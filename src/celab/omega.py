@@ -160,6 +160,14 @@ class ToyMachine:
         return sub.run(tail, budget)
 
 
+# A counter body spells opcode n as its 3-bit big-endian binary form.
+_OPCODE_BITS = tuple(format(n, "03b") for n in range(8))
+
+
+def _length_then_bits(entry: tuple) -> tuple[int, str]:
+    return (len(entry[0]), entry[0])
+
+
 class MachineDefinitionError(Exception):
     """The machine violates prefix-freeness over its enumerated halts."""
 
@@ -170,6 +178,11 @@ class OmegaEnumeration:
     Stage s runs every program for bound(s) = s steps; omega(s) is the exact
     Kraft sum over halts discovered so far.  Simulation is incremental: each
     still-live program advances one step per stage.
+
+    Seeding builds the decodable programs straight from the dispatch table,
+    so it costs O(valid programs), not O(2^L).  The Kraft sum is kept as a
+    running integer numerator over 2^L, so a stage costs O(live programs)
+    plus O(1) for omega, however many programs have halted.
     """
 
     def __init__(self, machine: ToyMachine, max_length: int):
@@ -178,26 +191,32 @@ class OmegaEnumeration:
         self.machine = machine
         self.max_length = max_length
         self.halted: dict[str, int] = {}  # program -> halting time
+        self._kraft = 0  # omega = _kraft / 2**max_length
         self._omega_by_stage: list[Rational] = [ZERO]  # omega(0) = 0
         self._live: list[tuple[str, SubMachine, ExecState]] = []
         self._trivial_pending: list[tuple[str, SubMachine]] = []
         self._seed_pool()
 
     def _seed_pool(self) -> None:
-        for length in range(1, self.max_length + 1):
-            for bits in product("01", repeat=length):
-                program = "".join(bits)
-                routed = self.machine.route(program)
-                if routed is None:
-                    continue
-                sub, tail = routed
-                decoded = sub.decode(tail)
-                if decoded is None:
-                    continue
-                if sub.trivial:
-                    self._trivial_pending.append((program, sub))
-                else:
-                    self._live.append((program, sub, ExecState(decoded)))
+        """Seed every program of length <= L that decodes: a trivial sub's
+        code itself, and for a counter sub code + 1^k 0 + body for every
+        3k-bit body.  Both lists are sorted by (length, bits), the order of
+        a scan over all bit strings of length 1..L."""
+        L = self.max_length
+        for code, sub in self.machine.dispatch:
+            if sub.trivial:
+                if len(code) <= L:
+                    self._trivial_pending.append((code, sub))
+                continue
+            k = 0
+            while len(code) + 4 * k + 1 <= L:
+                head = code + "1" * k + "0"
+                for ops in product(range(8), repeat=k):
+                    body = "".join(_OPCODE_BITS[op] for op in ops)
+                    self._live.append((head + body, sub, ExecState(list(ops))))
+                k += 1
+        self._trivial_pending.sort(key=_length_then_bits)
+        self._live.sort(key=_length_then_bits)
 
     def advance_to(self, s: int) -> None:
         while len(self._omega_by_stage) <= s:
@@ -216,9 +235,7 @@ class OmegaEnumeration:
             elif not exec_state.dead:
                 survivors.append((program, sub, exec_state))
         self._live = survivors
-        omega = sum(
-            (Rational(1, 1 << len(p)) for p in self.halted), start=ZERO
-        )
+        omega = Rational(self._kraft, 1 << self.max_length)
         if omega >= ONE:
             raise MachineDefinitionError(f"Kraft sum reached {omega}")
         self._omega_by_stage.append(omega)
@@ -230,6 +247,7 @@ class OmegaEnumeration:
                     f"halting programs not prefix-free: {program!r} vs {other!r}"
                 )
         self.halted[program] = len(self._omega_by_stage)
+        self._kraft += 1 << (self.max_length - len(program))
 
     def omega(self, s: int) -> Rational:
         self.advance_to(s)

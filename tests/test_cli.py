@@ -192,3 +192,25 @@ class TestOmegaCommand:
     def test_unknown_machine_is_config_error(self):
         assert main(["omega", "enumerate", "--machine", "ghost",
                      "--length", "6", "--stages", "2"]) == EXIT_CONFIG_ERROR
+
+    @pytest.mark.parametrize("flags, fragment", [
+        (["--length", "0", "--stages", "3"], "--length must be >= 1"),
+        (["--length", "6", "--stages", "-3"], "--stages must be >= 0"),
+    ], ids=["length-0", "negative-stages"])
+    def test_bad_bounds_are_config_errors(self, flags, fragment, capsys):
+        rc = main(["omega", "enumerate", "--machine", "pair", *flags])
+        assert rc == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and fragment in captured.err
+
+    def test_kraft_sum_one_is_config_error(self, tmp_path, capsys):
+        # the two trivial codes 0 and 1 both halt at stage 1: 1/2 + 1/2 = 1
+        machine = tmp_path / "full.machine"
+        machine.write_text("sub unit trivial\ndispatch 0 unit\ndispatch 1 unit\n")
+        rc = main(["omega", "enumerate", "--machine", str(machine),
+                   "--length", "4", "--stages", "3"])
+        assert rc == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "0\t0/1\n"
+        assert captured.err == f"config error: machine {machine}: Kraft sum reached 1\n"

@@ -155,3 +155,40 @@ class TestAlteredFinalStage:
         trace.write_text("\n".join(lines[:-1] + [json.dumps(final)]) + "\n")
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         assert f"first violated invariant: {tag} final stage" in capsys.readouterr().out
+
+
+class TestDeletedLemma2Record:
+    """Deleting a stage record the lemma2 verifier reads fails the check
+    that reads it, naming the record and its stage, instead of raising."""
+
+    FINAL_ETA = '{"stage":50,"event_kind":"eta"'
+    BUMP_BETA = '{"stage":2,"event_kind":"beta"'
+    CASES = [
+        (FINAL_ETA, "V2", "no eta record at final stage 50"),
+        (BUMP_BETA, "V4", "req 0, stages 1->2: no beta record at stage 2"),
+    ]
+    IDS = ["final-eta", "bump-beta"]
+
+    @staticmethod
+    def trace_without(prefix, tmp_path):
+        lines = (DATA / "golden_lemma2.trace.jsonl").read_text().splitlines()
+        kept = [line for line in lines if not line.startswith(prefix)]
+        assert len(kept) == len(lines) - 1
+        trace = tmp_path / "lemma2.trace.jsonl"
+        trace.write_text("\n".join(kept) + "\n")
+        return trace
+
+    @pytest.mark.parametrize("prefix, tag, message", CASES, ids=IDS)
+    def test_verifier_fails_named_check(self, prefix, tag, message, tmp_path):
+        _, evs, final = read_trace(self.trace_without(prefix, tmp_path))
+        final = {k: v for k, v in final.items() if k != "record"}
+        report = verify_expansion(evs, final)
+        assert [c.name[:2] for c in report.checks if not c.passed] == [tag]
+        assert report.first_failure().endswith(message)
+
+    @pytest.mark.parametrize("prefix, tag, message", CASES, ids=IDS)
+    def test_cli_verify_exits_check_failed(self, prefix, tag, message, tmp_path, capsys):
+        trace = self.trace_without(prefix, tmp_path)
+        assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr().out
+        assert f"first violated invariant: {tag} " in out and message in out

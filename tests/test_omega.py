@@ -245,3 +245,80 @@ class TestParseMachine:
     def test_malformed_rejected(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
             parse_machine(text)
+
+
+def scanned_pool(machine, max_length):
+    """The seed pool as a route-and-decode scan over all 2^1..2^L bit
+    strings builds it: trivial programs, and counter programs with their
+    decoded opcode lists, both in (length, bits) order."""
+    trivial, live = [], []
+    for length in range(1, max_length + 1):
+        for bits in product("01", repeat=length):
+            program = "".join(bits)
+            routed = machine.route(program)
+            if routed is None:
+                continue
+            sub, tail = routed
+            decoded = sub.decode(tail)
+            if decoded is None:
+                continue
+            if sub.trivial:
+                trivial.append((program, sub))
+            else:
+                live.append((program, sub, decoded))
+    return trivial, live
+
+
+class TestSeedPool:
+    """Seeding from the dispatch table matches the scan over all strings,
+    in content and in order."""
+
+    # a trivial code of length 4 and one of length 9, a counter code of
+    # length 4 (it contributes nothing until L = 5)
+    EDGES = """
+    sub a halt inc0 inc1 inc2 djz0 djz1 jmp nop
+    sub b nop inc0 inc1 djz0 halt djz1 jmp inc2
+    sub u trivial
+    dispatch 0 a
+    dispatch 1100 u
+    dispatch 1110 b
+    dispatch 10 a
+    dispatch 111100000 u
+    """
+
+    @staticmethod
+    def assert_same_pool(machine, max_length):
+        trivial, live = scanned_pool(machine, max_length)
+        enum = OmegaEnumeration(machine, max_length)
+        assert enum._trivial_pending == trivial
+        assert [(p, sub, st.program) for p, sub, st in enum._live] == live
+
+    @pytest.mark.parametrize("name", sorted(bundled_machines()))
+    def test_bundled_machines(self, name):
+        for max_length in range(1, 15):
+            self.assert_same_pool(bundled_machines()[name], max_length)
+
+    @pytest.mark.parametrize("max_length", range(1, 13))
+    def test_code_lengths_around_the_bound(self, max_length):
+        self.assert_same_pool(parse_machine(self.EDGES), max_length)
+
+
+class TestRunningKraftSum:
+    @pytest.mark.parametrize("name, max_length", [("pair", 16), ("mini", 18)])
+    def test_matches_resum_over_halts(self, name, max_length):
+        enum = OmegaEnumeration(bundled_machines()[name], max_length)
+        enum.advance_to(300)
+        assert enum.halted
+        for s in range(301):
+            want = sum(
+                (Rational(1, 1 << len(p)) for p, t in enum.halted.items() if t <= s),
+                start=ZERO,
+            )
+            assert enum.omega(s) == want
+
+    def test_guard_fires_when_sum_reaches_one(self):
+        machine = parse_machine("sub u trivial\ndispatch 0 u\ndispatch 1 u")
+        enum = OmegaEnumeration(machine, 4)
+        assert enum.omega(0) == ZERO
+        with pytest.raises(MachineDefinitionError, match=r"^Kraft sum reached 1$"):
+            enum.omega(1)
