@@ -3,7 +3,7 @@ approximations — monotone rational streams, difference arithmetic,
 domination witnesses, two stage-based priority engines, and a toy
 prefix-free machine with a dovetailed halting-probability enumeration."""
 
-from .rationals import Rational, arith, cmp, format_rational, parse_rational, pow2_neg, rat
+from .rationals import Rational, format_rational, parse_rational, pow2_neg
 from .streams import (
     AdversarySuite,
     ApproxStream,
@@ -12,7 +12,6 @@ from .streams import (
     OutOfUnitInterval,
     StreamError,
     SuiteEntry,
-    advance,
     make_constant_target,
     make_tracker,
 )

@@ -15,8 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import expansion, injury
-from .config import ConfigError, build_stream, build_suite, load_config
+from .config import ENGINES, ConfigError, Engine, _load_machine, build_stream, load_config
 from .omega import MachineDefinitionError, OmegaEnumeration
 from .rationals import format_rational, parse_rational
 from .solovay import (
@@ -26,7 +25,7 @@ from .solovay import (
     check_clause_c,
     speedup,
 )
-from .streams import Direction
+from .streams import ApproxStream, Direction
 from .trace import read_trace, write_trace, TraceFormatError
 
 EXIT_OK = 0
@@ -41,67 +40,43 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _write_reports(out: Path, name: str, report) -> None:
-    (out / f"{name}.report.txt").write_text(report.render_text() + "\n")
-    (out / f"{name}.report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n"
-    )
-
-
-def _stream_spec_arg(text: str) -> dict:
+def _stream_arg(text: str, label: str) -> ApproxStream:
     try:
-        return json.loads(text)
+        spec = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"bad stream spec {text!r}: {e}") from None
+    return build_stream(spec, Direction.INCREASING, label=label)
 
 
-def cmd_run_lemma2(args) -> int:
+def _at_least(value: int, low: int, flag: str) -> None:
+    if value < low:
+        raise ConfigError(f"{flag} must be >= {low}, got {value}")
+
+
+def cmd_run(args) -> int:
     rc = load_config(args.config)
-    if rc.engine != "lemma2":
-        raise ConfigError(f"config engine is {rc.engine!r}, expected 'lemma2'")
-    alpha = build_stream(rc.alpha_spec, Direction.INCREASING, label="alpha")
-    eta = build_stream(rc.eta_spec, Direction.INCREASING, label="eta")
-    cfg = expansion.ExpansionConfig(
-        alpha=alpha,
-        eta=eta,
-        suite=lambda view: build_suite(rc.suite_specs, view),
-        stages=rc.stages,
-    )
-    engine = expansion.run_expansion(cfg)
+    if rc.engine != args.engine:
+        raise ConfigError(f"config engine is {rc.engine!r}, expected {args.engine!r}")
+    entry = ENGINES[rc.engine]
+    engine = entry.run(entry.build(rc))
+    snapshot = engine.snapshot()
     out = _out_dir(args)
-    trace_path = out / "lemma2.trace.jsonl"
-    write_trace(trace_path, {"engine": "lemma2", "stages": rc.stages},
-                engine.events, engine.snapshot())
-    report = expansion.verify_expansion(engine.events, engine.snapshot())
-    _write_reports(out, "lemma2", report)
-    print(report.render_text())
-    print(f"trace: {trace_path}")
-    return EXIT_OK if report.all_green else EXIT_CHECK_FAILED
-
-
-def cmd_run_prop3(args) -> int:
-    rc = load_config(args.config)
-    if rc.engine != "prop3":
-        raise ConfigError(f"config engine is {rc.engine!r}, expected 'prop3'")
-    cfg = injury.InjuryConfig(
-        suite=lambda view: build_suite(rc.suite_specs, view),
-        stages=rc.stages,
+    trace_path = out / f"{rc.engine}.trace.jsonl"
+    write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
+                engine.events, snapshot)
+    report = entry.verify(engine.events, snapshot)
+    (out / f"{rc.engine}.report.txt").write_text(report.render_text() + "\n")
+    (out / f"{rc.engine}.report.json").write_text(
+        json.dumps(report.to_dict(), indent=2) + "\n"
     )
-    engine = injury.run_injury(cfg)
-    out = _out_dir(args)
-    trace_path = out / "prop3.trace.jsonl"
-    write_trace(trace_path, {"engine": "prop3", "stages": rc.stages},
-                engine.events, engine.snapshot())
-    report = injury.verify_injury(engine.events, engine.snapshot())
-    _write_reports(out, "prop3", report)
     print(report.render_text())
     print(f"trace: {trace_path}")
     return EXIT_OK if report.all_green else EXIT_CHECK_FAILED
 
 
 def cmd_solovay_check(args) -> int:
-    alpha = build_stream(_stream_spec_arg(args.alpha), Direction.INCREASING, label="alpha")
-    beta = build_stream(_stream_spec_arg(args.beta), Direction.INCREASING, label="beta")
+    _at_least(args.stages, 0, "--stages")
+    alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
     try:
         w = SolovayWitness(parse_rational(args.q), args.clause, alpha, beta)
     except ValueError as e:
@@ -122,8 +97,8 @@ def cmd_solovay_check(args) -> int:
 
 
 def cmd_solovay_speedup(args) -> int:
-    alpha = build_stream(_stream_spec_arg(args.alpha), Direction.INCREASING, label="alpha")
-    beta = build_stream(_stream_spec_arg(args.beta), Direction.INCREASING, label="beta")
+    _at_least(args.stages, 0, "--stages")
+    alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
     try:
         gamma = speedup(alpha, beta, parse_rational(args.p))
     except ValueError as e:
@@ -134,18 +109,14 @@ def cmd_solovay_speedup(args) -> int:
 
 
 def cmd_omega_enumerate(args) -> int:
-    from .config import _load_machine  # shares bundled/file resolution
-
     machine = _load_machine({"machine": args.machine})
-    if args.length < 1:
-        raise ConfigError(f"--length must be >= 1, got {args.length}")
-    if args.stages < 0:
-        raise ConfigError(f"--stages must be >= 0, got {args.stages}")
-    enum = OmegaEnumeration(machine, args.length)
+    _at_least(args.length, 1, "--length")
+    _at_least(args.stages, 0, "--stages")
     try:
+        enum = OmegaEnumeration(machine, args.length)  # refuses an oversized pool
         for s in range(args.stages + 1):
             print(f"{s}\t{format_rational(enum.omega(s))}")
-    except MachineDefinitionError as e:
+    except (ValueError, MachineDefinitionError) as e:
         raise ConfigError(f"machine {args.machine}: {e}") from None
     return EXIT_OK
 
@@ -157,15 +128,16 @@ def _load_trace(path: str):
         raise ConfigError(f"cannot read trace {path}: {e}") from None
 
 
+def _traced_engine(header: dict) -> Engine:
+    name = header.get("engine")
+    if not isinstance(name, str) or name not in ENGINES:
+        raise ConfigError(f"trace header names unknown engine {name!r}")
+    return ENGINES[name]
+
+
 def cmd_verify(args) -> int:
     header, events, final = _load_trace(args.trace)
-    engine = header.get("engine")
-    if engine == "lemma2":
-        report = expansion.verify_expansion(events, final)
-    elif engine == "prop3":
-        report = injury.verify_injury(events, final)
-    else:
-        raise ConfigError(f"trace header names unknown engine {engine!r}")
+    report = _traced_engine(header).verify(events, final)
     print(report.render_text())
     if report.all_green:
         return EXIT_OK
@@ -175,13 +147,7 @@ def cmd_verify(args) -> int:
 
 def cmd_replay(args) -> int:
     header, events, final = _load_trace(args.trace)
-    engine = header.get("engine")
-    if engine == "lemma2":
-        rebuilt = expansion.replay_expansion(events)
-    elif engine == "prop3":
-        rebuilt = injury.replay_injury(events)
-    else:
-        raise ConfigError(f"trace header names unknown engine {engine!r}")
+    rebuilt = _traced_engine(header).replay(events)
     recorded = {k: v for k, v in final.items() if k != "record"}
     if rebuilt == recorded:
         print("replay: final state reproduced bit-exactly")
@@ -201,15 +167,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run-lemma2", help="run the paced-growth engine from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_run_lemma2)
-
-    p = sub.add_parser("run-prop3", help="run the finite-injury engine from a config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=cmd_run_prop3)
+    for name in ENGINES:
+        p = sub.add_parser(f"run-{name}", help=f"run the {name} engine from a config")
+        p.add_argument("--config", required=True)
+        p.add_argument("--out-dir", default=None)
+        p.set_defaults(func=cmd_run, engine=name)
 
     p = sub.add_parser("solovay", help="domination witness checks and speed-up")
     ssub = p.add_subparsers(dest="solovay_command", required=True)

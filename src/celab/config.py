@@ -10,15 +10,20 @@ Stream spec (a JSON object); rationals are "p/q" strings:
 
 The direction is implied by where the spec is used: alpha and eta are
 increasing; a suite entry with role "L" is increasing, role "R" decreasing.
+
+A run config is {"engine": name, "stages": T <= HARD_CAP, "suite": [...]}
+plus the stream specs its engine needs.  ENGINES, at the end of this
+module, is the one table of engines; a new engine registers there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
+from . import expansion, injury
 from .rationals import Rational, parse_rational
 from .streams import (
     AdversarySuite,
@@ -31,9 +36,7 @@ from .streams import (
 )
 from .omega import bundled_machines, omega_stream, parse_machine, translate_omega
 
-DEFAULT_HARD_CAP = 10_000
-
-ENGINES = ("lemma2", "prop3")
+HARD_CAP = 10_000
 
 
 class ConfigError(Exception):
@@ -47,18 +50,16 @@ class RunConfig:
     suite_specs: list[dict]
     alpha_spec: Optional[dict] = None
     eta_spec: Optional[dict] = None
-    hard_cap: int = DEFAULT_HARD_CAP
 
     def __post_init__(self):
         if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {ENGINES}")
-        if not (1 <= self.stages <= self.hard_cap):
-            raise ConfigError(
-                f"stage budget {self.stages} outside 1..{self.hard_cap}"
-            )
-        if self.engine == "lemma2":
-            if self.alpha_spec is None or self.eta_spec is None:
-                raise ConfigError("engine lemma2 needs 'alpha' and 'eta' stream specs")
+            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {tuple(ENGINES)}")
+        if not (1 <= self.stages <= HARD_CAP):
+            raise ConfigError(f"stage budget {self.stages} outside 1..{HARD_CAP}")
+        needs = ENGINES[self.engine].needs
+        if any(getattr(self, f"{name}_spec") is None for name in needs):
+            named = " and ".join(f"'{name}'" for name in needs)
+            raise ConfigError(f"engine {self.engine} needs {named} stream specs")
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -72,13 +73,14 @@ def load_config(path: Path | str) -> RunConfig:
 
 def config_from_dict(raw: dict) -> RunConfig:
     try:
+        if "hard_cap" in raw:
+            raise ConfigError(f"'hard_cap' is not a config key; stages are capped at {HARD_CAP}")
         return RunConfig(
             engine=raw["engine"],
             stages=int(raw["stages"]),
             suite_specs=list(raw.get("suite", [])),
             alpha_spec=raw.get("alpha"),
             eta_spec=raw.get("eta"),
-            hard_cap=int(raw.get("hard_cap", DEFAULT_HARD_CAP)),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad config: {e}") from None
@@ -114,30 +116,32 @@ def build_stream(
     view: Optional[EngineView] = None,
     label: str = "",
 ) -> ApproxStream:
+    try:
+        return _stream(spec, direction, view, label)
+    except ValueError as e:  # a stream constructor refused its parameters
+        raise ConfigError(str(e)) from None
+
+
+def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
+            label: str) -> ApproxStream:
     kind = spec.get("kind")
     if kind == "constant_target":
-        try:
-            return make_constant_target(
-                _rational_field(spec, "limit"),
-                direction,
-                _rational_field(spec, "rate"),
-                label=label,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        return make_constant_target(
+            _rational_field(spec, "limit"),
+            direction,
+            _rational_field(spec, "rate"),
+            label=label,
+        )
     if kind == "tracker":
         if view is None:
             raise ConfigError("tracker streams are only valid inside an engine run")
-        try:
-            return make_tracker(
-                view,
-                direction,
-                int(spec.get("lag", 0)),
-                _rational_field(spec, "start"),
-                label=label,
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        return make_tracker(
+            view,
+            direction,
+            int(spec.get("lag", 0)),
+            _rational_field(spec, "start"),
+            label=label,
+        )
     if kind == "omega":
         machine = _load_machine(spec)
         if direction is Direction.INCREASING:
@@ -146,12 +150,9 @@ def build_stream(
         else:
             offset = _rational_field(spec, "offset", "3/4")
             scale = _rational_field(spec, "scale", "-1/2")
-        try:
-            stream = omega_stream(
-                machine, int(spec.get("max_length", 8)), offset, scale, label=label
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        stream = omega_stream(
+            machine, int(spec.get("max_length", 8)), offset, scale, label=label
+        )
         if stream.direction is not direction:
             raise ConfigError(
                 f"omega spec {spec} has scale of the wrong sign for a "
@@ -166,10 +167,7 @@ def build_stream(
                 Direction.INCREASING,
                 _rational_field(plus, "rate", "1/2"),
             )
-            try:
-                stream = translate_omega(stream, extra, label=label)
-            except ValueError as e:
-                raise ConfigError(str(e)) from None
+            stream = translate_omega(stream, extra, label=label)
         return stream
     raise ConfigError(f"unknown stream kind {kind!r}")
 
@@ -185,12 +183,43 @@ def build_suite(specs: list[dict], view: EngineView) -> AdversarySuite:
             raise ConfigError(f"suite entry {n}: bad index {index!r}")
         direction = Direction.INCREASING if role == "L" else Direction.DECREASING
         stream = build_stream(spec, direction, view, label=f"suite[{index}/{role}]")
-        try:
-            entries.append(SuiteEntry(index, role, stream,
-                                      provenance=spec.get("kind", "")))
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        entries.append(SuiteEntry(index, role, stream))
     try:
         return AdversarySuite(entries)
     except ValueError as e:
         raise ConfigError(str(e)) from None
+
+
+class Engine(NamedTuple):
+    """An engine as the CLI drives it: the top-level stream specs its config
+    needs, `build` from a RunConfig to its engine config, and its run,
+    verify and replay functions."""
+
+    needs: tuple[str, ...]
+    build: Callable[[RunConfig], object]
+    run: Callable
+    verify: Callable
+    replay: Callable
+
+
+def _build_expansion(rc: RunConfig) -> expansion.ExpansionConfig:
+    return expansion.ExpansionConfig(
+        alpha=build_stream(rc.alpha_spec, Direction.INCREASING, label="alpha"),
+        eta=build_stream(rc.eta_spec, Direction.INCREASING, label="eta"),
+        suite=lambda view: build_suite(rc.suite_specs, view),
+        stages=rc.stages,
+    )
+
+
+def _build_injury(rc: RunConfig) -> injury.InjuryConfig:
+    return injury.InjuryConfig(lambda view: build_suite(rc.suite_specs, view), rc.stages)
+
+
+# engine name (a config's "engine", `celab run-<name>`, a trace header's
+# "engine") -> Engine; a new engine registers here and nowhere else
+ENGINES: dict[str, Engine] = {
+    "lemma2": Engine(("alpha", "eta"), _build_expansion, expansion.run_expansion,
+                     expansion.verify_expansion, expansion.replay_expansion),
+    "prop3": Engine((), _build_injury, injury.run_injury,
+                    injury.verify_injury, injury.replay_injury),
+}

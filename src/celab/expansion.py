@@ -31,13 +31,10 @@ is bit-exactly replayable from its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
 
-from .rationals import ONE, ZERO, Rational, pow2_neg, parse_rational
-from .streams import AdversarySuite, ApproxStream, EngineView, StreamError
-from .trace import CheckResult, TraceEvent, VerificationReport, check_final_stage, fmt
-
-SuiteOrFactory = Union[AdversarySuite, Callable[["ExpansionEngine"], AdversarySuite]]
+from .rationals import ONE, ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
+from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
+from .trace import TraceEvent, VerificationReport, check_final_stage
 
 
 @dataclass
@@ -47,20 +44,14 @@ class ExpansionConfig:
     suite: SuiteOrFactory
     stages: int
 
-    def __post_init__(self):
-        if self.stages < 0:
-            raise ValueError(f"stage budget must be >= 0, got {self.stages}")
 
-
-class ExpansionEngine:
+class ExpansionEngine(StageEngine):
     """One run of the construction; single-threaded, deterministic."""
 
     def __init__(self, config: ExpansionConfig):
-        self.config = config
+        super().__init__(config)
         self.alpha = config.alpha
         self.eta = config.eta
-        self.suite = config.suite(self) if callable(config.suite) else config.suite
-        self.s = 0
         self.c: dict[int, int] = {}
         self.d: dict[int, int] = {}
         self.beta_i: dict[int, Rational] = {}
@@ -70,7 +61,6 @@ class ExpansionEngine:
         self.alpha_hist: list[Rational] = []
         self.eta_hist: list[Rational] = []
         self.beta_hist: list[Rational] = []
-        self.events: list[TraceEvent] = []
         self._logged_q: dict[int, Rational] = {}
 
         a0 = self._guarded(self.alpha, 0, "alpha")
@@ -81,15 +71,6 @@ class ExpansionEngine:
         self._log(0, "alpha", None, None, fmt(a0))
         self._log(0, "eta", None, None, fmt(e0))
         self._log(0, "beta", None, None, fmt(ZERO))
-
-    # -- read-only view for adaptive adversaries -------------------------
-
-    @property
-    def stage(self) -> int:
-        return self.s
-
-    def difference(self, s: int) -> Rational:
-        return self.alpha_hist[s] - self.beta_hist[s]
 
     # -- parameter accessors (inert indices have the uniform defaults) ---
 
@@ -137,10 +118,7 @@ class ExpansionEngine:
 
     # -- the stage function ----------------------------------------------
 
-    def step(self) -> None:
-        s1 = self.s + 1
-        if s1 > self.config.stages:
-            raise ValueError(f"stage budget {self.config.stages} exhausted")
+    def _stage(self, s1: int) -> None:
         a_new = self._guarded(self.alpha, s1, "alpha")
         e_new = self._guarded(self.eta, s1, "eta")
         self._log(s1, "alpha", None, fmt(self.alpha_hist[-1]), fmt(a_new))
@@ -193,11 +171,6 @@ class ExpansionEngine:
         self.alpha_hist.append(a_new)
         self.eta_hist.append(e_new)
         self.beta_hist.append(self.beta)
-        self.s = s1
-
-    def run(self) -> None:
-        while self.s < self.config.stages:
-            self.step()
 
     # -- helpers -----------------------------------------------------------
 
@@ -206,9 +179,6 @@ class ExpansionEngine:
         if not (ZERO <= v < ONE):
             raise StreamError(f"{name} value {v} at stage {s} not in [0,1)")
         return v
-
-    def _log(self, stage, kind, req, old, new) -> None:
-        self.events.append(TraceEvent(stage, kind, req, old, new))
 
     def snapshot(self) -> dict:
         return {

@@ -30,13 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Optional, Union
+from typing import Optional
 
-from .rationals import ONE, ZERO, Rational, pow2_neg, parse_rational
-from .streams import AdversarySuite, ApproxStream
-from .trace import TraceEvent, VerificationReport, check_final_stage, fmt
-
-SuiteOrFactory = Union[AdversarySuite, Callable[["InjuryEngine"], AdversarySuite]]
+from .rationals import ZERO, Rational, format_rational as fmt, pow2_neg
+from .streams import StageEngine, SuiteOrFactory
+from .trace import TraceEvent, VerificationReport, check_final_stage
 
 
 def pair(k: int, n: int) -> int:
@@ -65,23 +63,23 @@ def bit_weight(n: int) -> Rational:
     return pow2_neg(n + 1)
 
 
+def _table(t: dict[int, Optional[int]]) -> dict[str, int]:
+    """A parameter or restraint table as a snapshot records it: the defined
+    entries, keyed by requirement index as text."""
+    return {str(i): v for i, v in sorted(t.items()) if v is not None}
+
+
 @dataclass
 class InjuryConfig:
     suite: SuiteOrFactory
     stages: int
 
-    def __post_init__(self):
-        if self.stages < 0:
-            raise ValueError(f"stage budget must be >= 0, got {self.stages}")
 
-
-class InjuryEngine:
+class InjuryEngine(StageEngine):
     """One deterministic run of the construction."""
 
     def __init__(self, config: InjuryConfig):
-        self.config = config
-        self.suite = config.suite(self) if callable(config.suite) else config.suite
-        self.s = 0
+        super().__init__(config)
         self.a_bits: set[int] = set()
         self.b_bits: set[int] = set()
         self.alpha = ZERO
@@ -102,16 +100,8 @@ class InjuryEngine:
             + [(2 * i + 1, self.suite.delta(i)) for i in self.suite.delta_indices],
             key=lambda entry: entry[0],
         )
-        self.events: list[TraceEvent] = []
         self._log(0, "alpha", None, None, fmt(ZERO))
         self._log(0, "beta", None, None, fmt(ZERO))
-
-    @property
-    def stage(self) -> int:
-        return self.s
-
-    def difference(self, s: int) -> Rational:
-        return self.alpha_hist[s] - self.beta_hist[s]
 
     # -- attention ---------------------------------------------------------
 
@@ -133,10 +123,7 @@ class InjuryEngine:
 
     # -- the stage function --------------------------------------------------
 
-    def step(self) -> None:
-        s1 = self.s + 1
-        if s1 > self.config.stages:
-            raise ValueError(f"stage budget {self.config.stages} exhausted")
+    def _stage(self, s1: int) -> None:
         for i in self.suite.gamma_indices:
             if i <= self.s:
                 self._log(s1, "gamma", i, None, fmt(self.suite.gamma(i).value(s1)))
@@ -150,7 +137,6 @@ class InjuryEngine:
         self.beta_hist.append(self.beta)
         self._log(s1, "alpha", None, fmt(self.alpha_hist[-2]), fmt(self.alpha))
         self._log(s1, "beta", None, fmt(self.beta_hist[-2]), fmt(self.beta))
-        self.s = s1
 
     def _least_attention(self, s1: int) -> int:
         """Least position requiring attention at stage s1.  Positions below
@@ -219,17 +205,7 @@ class InjuryEngine:
                 restraint_table[i] = None
                 self._log(s1, "initialize", p, None, None)
 
-    def run(self) -> None:
-        while self.s < self.config.stages:
-            self.step()
-
-    def _log(self, stage, kind, req, old, new) -> None:
-        self.events.append(TraceEvent(stage, kind, req, old, new))
-
     def snapshot(self) -> dict:
-        def table(t: dict[int, Optional[int]]) -> dict[str, int]:
-            return {str(i): v for i, v in sorted(t.items()) if v is not None}
-
         return {
             "engine": "prop3",
             "stage": self.s,
@@ -237,10 +213,10 @@ class InjuryEngine:
             "B": sorted(self.b_bits),
             "alpha": fmt(self.alpha),
             "beta": fmt(self.beta),
-            "c": table(self.c),
-            "d": table(self.d),
-            "l": table(self.l),
-            "r": table(self.r),
+            "c": _table(self.c),
+            "d": _table(self.d),
+            "l": _table(self.l),
+            "r": _table(self.r),
             "used_values": sorted(self.used_values),
         }
 
@@ -285,9 +261,6 @@ def replay_injury(events: list[TraceEvent]) -> dict:
             (c if parity == 0 else d)[i] = None
             (l if parity == 0 else r)[i] = None
 
-    def table(t: dict[int, Optional[int]]) -> dict[str, int]:
-        return {str(i): v for i, v in sorted(t.items()) if v is not None}
-
     return {
         "engine": "prop3",
         "stage": stage,
@@ -295,10 +268,10 @@ def replay_injury(events: list[TraceEvent]) -> dict:
         "B": sorted(b_bits),
         "alpha": alpha,
         "beta": beta,
-        "c": table(c),
-        "d": table(d),
-        "l": table(l),
-        "r": table(r),
+        "c": _table(c),
+        "d": _table(d),
+        "l": _table(l),
+        "r": _table(r),
         "used_values": sorted(used),
     }
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
 from .streams import ApproxStream, Direction
@@ -168,6 +168,11 @@ def _length_then_bits(entry: tuple) -> tuple[int, str]:
     return (len(entry[0]), entry[0])
 
 
+# The most decodable programs an enumeration seeds; a counter sub alone
+# seeds 8^k programs for each k with len(code) + 4k + 1 <= L.
+MAX_POOL = 1 << 20
+
+
 class MachineDefinitionError(Exception):
     """The machine violates prefix-freeness over its enumerated halts."""
 
@@ -193,29 +198,29 @@ class OmegaEnumeration:
         self.halted: dict[str, int] = {}  # program -> halting time
         self._kraft = 0  # omega = _kraft / 2**max_length
         self._omega_by_stage: list[Rational] = [ZERO]  # omega(0) = 0
-        self._live: list[tuple[str, SubMachine, ExecState]] = []
-        self._trivial_pending: list[tuple[str, SubMachine]] = []
         self._seed_pool()
 
     def _seed_pool(self) -> None:
         """Seed every program of length <= L that decodes: a trivial sub's
         code itself, and for a counter sub code + 1^k 0 + body for every
-        3k-bit body.  Both lists are sorted by (length, bits), the order of
-        a scan over all bit strings of length 1..L."""
+        3k-bit body.  The programs are counted first and refused above
+        MAX_POOL.  Both lists are sorted by (length, bits), the order of a
+        scan over all bit strings of length 1..L."""
         L = self.max_length
-        for code, sub in self.machine.dispatch:
-            if sub.trivial:
-                if len(code) <= L:
-                    self._trivial_pending.append((code, sub))
-                continue
-            k = 0
-            while len(code) + 4 * k + 1 <= L:
-                head = code + "1" * k + "0"
-                for ops in product(range(8), repeat=k):
-                    body = "".join(_OPCODE_BITS[op] for op in ops)
-                    self._live.append((head + body, sub, ExecState(list(ops))))
-                k += 1
-        self._trivial_pending.sort(key=_length_then_bits)
+        trivial = [(code, sub) for code, sub in self.machine.dispatch
+                   if sub.trivial and len(code) <= L]
+        shapes = [(code, sub, k) for code, sub in self.machine.dispatch if not sub.trivial
+                  for k in range((L - len(code) - 1) // 4 + 1)]
+        pool = len(trivial) + sum(8**k for _, _, k in shapes)
+        if pool > MAX_POOL:
+            raise ValueError(f"max_length {L} gives {pool} programs, more than {MAX_POOL}")
+        self._trivial_pending = sorted(trivial, key=_length_then_bits)
+        self._live: list[tuple[str, SubMachine, ExecState]] = []
+        for code, sub, k in shapes:
+            head = code + "1" * k + "0"
+            for ops in product(range(8), repeat=k):
+                body = "".join(_OPCODE_BITS[op] for op in ops)
+                self._live.append((head + body, sub, ExecState(list(ops))))
         self._live.sort(key=_length_then_bits)
 
     def advance_to(self, s: int) -> None:

@@ -16,39 +16,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
-_OPS = {"+", "-", "*"}
-
-
-def rat(numerator: int, denominator: int = 1) -> Rational:
-    """Build a rational in canonical form."""
-    return Fraction(numerator, denominator)
-
 
 def pow2_neg(n: int) -> Rational:
     """Exactly 1/2**n for n >= 0 (the ubiquitous dyadic threshold)."""
     if n < 0:
         raise ValueError(f"negative exponent: {n}")
     return Fraction(1, 1 << n)
-
-
-def arith(a: Rational, b: Rational, op: str) -> Rational:
-    """Apply one of {+, -, *} exactly; the result is canonical."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown op {op!r}, expected one of {_OPS}")
-
-
-def cmp(a: Rational, b: Rational) -> int:
-    """Three-way comparison: -1, 0 or 1."""
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def format_rational(x: Rational) -> str:

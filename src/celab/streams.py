@@ -1,4 +1,5 @@
-"""Monotone rational approximation streams and adversary suites.
+"""Monotone rational approximation streams, adversary suites, and the
+skeleton of the stage engines that play against them.
 
 An increasing stream is the computational stand-in for a left-c.e. real,
 a decreasing one for a right-c.e. real.  Streams are materialized stage by
@@ -12,12 +13,13 @@ engine view) so that every run is bit-exact reproducible.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational
+from .trace import TraceEvent
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +48,7 @@ Generator = Callable[[int, Sequence[Rational]], Rational]
 class ApproxStream:
     """A monotone computable sequence of rationals, cached per stage.
 
-    Re-querying a stage always returns the identical Rational.  Advancing
-    past the next unmaterialized stage is a precondition error.
+    Re-querying a stage always returns the identical Rational.
     """
 
     def __init__(
@@ -83,15 +84,6 @@ class ApproxStream:
             self._materialize_next()
         return self._prefix[s]
 
-    def advance(self, s: int) -> Rational:
-        """Materialize and return value(s); stages < s must exist already."""
-        if s > len(self._prefix):
-            raise StreamError(
-                f"{self.label or 'stream'}: advance({s}) with only "
-                f"{len(self._prefix)} stages materialized"
-            )
-        return self.value(s)
-
     def record_fault(self, message: str) -> None:
         self.faults.append(message)
         log.debug("stream %s fault: %s", self.label, message)
@@ -114,22 +106,6 @@ class ApproxStream:
         if self.unit_interval and not (ZERO < v < ONE):
             raise OutOfUnitInterval(f"{self.label}: value({s}) = {v} not in (0,1)")
         self._prefix.append(v)
-
-
-def advance(stream: ApproxStream, s: int) -> Rational:
-    """Module-level alias for ApproxStream.advance."""
-    return stream.advance(s)
-
-
-class EngineView(Protocol):
-    """Read-only handle a running engine exposes to adaptive adversaries."""
-
-    @property
-    def stage(self) -> int: ...
-
-    def difference(self, s: int) -> Rational:
-        """alpha_s - beta_s for a completed stage s."""
-        ...
 
 
 def make_constant_target(
@@ -227,17 +203,6 @@ def make_tracker(
     return stream
 
 
-def constant_stream(value: Rational, direction: Direction = Direction.INCREASING,
-                    label: str = "") -> ApproxStream:
-    """A stream that is constant at `value` (not unit-interval flagged)."""
-    return ApproxStream(
-        direction,
-        lambda s, _p: value,
-        unit_interval=False,
-        label=label or f"const({value})",
-    )
-
-
 @dataclass(frozen=True)
 class SuiteEntry:
     """One adversary: role "L" plays an increasing stream against requirement
@@ -246,7 +211,6 @@ class SuiteEntry:
     index: int
     role: str  # "L" or "R"
     stream: ApproxStream
-    provenance: str = ""
 
     def __post_init__(self):
         if self.role not in ("L", "R"):
@@ -294,11 +258,56 @@ class AdversarySuite:
     def delta_indices(self) -> tuple[int, ...]:
         return tuple(sorted(self._delta))
 
+
+class EngineView(Protocol):
+    """Read-only handle a running engine exposes to adaptive adversaries."""
+
     @property
-    def max_index(self) -> int:
-        if not self.entries:
-            return -1
-        return max(e.index for e in self.entries)
+    def stage(self) -> int: ...
+
+    def difference(self, s: int) -> Rational:
+        """alpha_s - beta_s for a completed stage s."""
+        ...
 
 
-EMPTY_SUITE = AdversarySuite(())
+# An engine config's suite: built already, or built from the running engine.
+SuiteOrFactory = Union[AdversarySuite, Callable[[EngineView], AdversarySuite]]
+
+
+class StageEngine:
+    """The skeleton of a stage engine, and its EngineView.
+
+    A subclass keeps `alpha_hist` and `beta_hist` (one value per completed
+    stage) and builds stage s1 in `_stage(s1)` from the state through stage
+    s1 - 1; the stage counter moves only after `_stage` returns.  Its config
+    carries a `suite` (or suite factory) and a `stages` budget.
+    """
+
+    def __init__(self, config):
+        if config.stages < 0:
+            raise ValueError(f"stage budget must be >= 0, got {config.stages}")
+        self.config = config
+        self.suite = config.suite(self) if callable(config.suite) else config.suite
+        self.s = 0
+        self.events: list[TraceEvent] = []
+
+    @property
+    def stage(self) -> int:
+        return self.s
+
+    def difference(self, s: int) -> Rational:
+        return self.alpha_hist[s] - self.beta_hist[s]
+
+    def step(self) -> None:
+        s1 = self.s + 1
+        if s1 > self.config.stages:
+            raise ValueError(f"stage budget {self.config.stages} exhausted")
+        self._stage(s1)
+        self.s = s1
+
+    def run(self) -> None:
+        while self.s < self.config.stages:
+            self.step()
+
+    def _log(self, stage, kind, req, old, new) -> None:
+        self.events.append(TraceEvent(stage, kind, req, old, new))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .rationals import Rational, format_rational, parse_rational
+from .rationals import Rational, parse_rational
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class TraceEvent:
     def new_int(self) -> int:
         assert self.new is not None
         return int(self.new)
-
-
-def fmt(x: Rational) -> str:
-    return format_rational(x)
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:

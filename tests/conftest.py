@@ -1,4 +1,13 @@
-"""Shared pytest hooks: per-criterion summary lines for the acceptance suite."""
+"""Shared pytest hooks: per-criterion summary lines for the acceptance suite;
+and `constant`, a stream helper the test modules import."""
+
+from celab.streams import ApproxStream, Direction
+
+
+def constant(value, direction=Direction.INCREASING):
+    """A stream pinned at `value` at every stage (not unit-interval flagged)."""
+    return ApproxStream(direction, lambda s, _p: value, unit_interval=False)
+
 
 ACCEPTANCE_LABELS = {
     "test_criterion_1_expansion_invariants":

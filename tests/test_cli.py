@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, exit codes, verify and replay."""
 
 import json
+import time
 
 import pytest
 
@@ -64,10 +65,34 @@ class TestEngineRuns:
         assert main(["run-prop3", "--config", cfg]) == EXIT_OK
         assert (dest / "prop3.trace.jsonl").exists()
 
-    def test_engine_config_mismatch_is_config_error(self, tmp_path):
-        cfg = write_config(tmp_path, PROP3_CONFIG)
-        assert main(["run-lemma2", "--config", cfg,
+    def test_engine_config_mismatch_is_config_error(self, tmp_path, capsys):
+        for payload, command in ((PROP3_CONFIG, "run-lemma2"),
+                                 (LEMMA2_CONFIG, "run-prop3")):
+            cfg = write_config(tmp_path, payload)
+            assert main([command, "--config", cfg,
+                         "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith("config error: config engine is ")
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+
+    def test_hard_cap_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(PROP3_CONFIG, stages=20_000,
+                                          hard_cap=50_000))
+        assert main(["run-prop3", "--config", cfg,
                      "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "hard_cap" in err
+        assert "Traceback" not in err
+
+    def test_cli_names_no_engine(self):
+        # every engine reaches the CLI through the one table in config.py
+        from pathlib import Path
+
+        from celab import cli
+        from celab.config import ENGINES
+
+        source = Path(cli.__file__).read_text()
+        assert [name for name in ENGINES if name in source] == []
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["run-lemma2", "--config", str(tmp_path / "ghost.json"),
@@ -142,6 +167,21 @@ class TestVerifyAndReplay:
         assert main(["verify", "--trace",
                      str(tmp_path / "ghost.jsonl")]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("command", ["verify", "replay"])
+    @pytest.mark.parametrize("header", [
+        {"record": "header", "engine": "lemma5", "stages": 1},
+        {"record": "header", "stages": 1},
+    ], ids=["unknown-engine", "no-engine"])
+    def test_unknown_trace_engine_is_config_error(self, tmp_path, capsys,
+                                                  command, header):
+        trace = tmp_path / "odd.trace.jsonl"
+        trace.write_text(json.dumps(header) + "\n"
+                         + json.dumps({"record": "final", "stage": 0}) + "\n")
+        assert main([command, "--trace", str(trace)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: trace header names unknown engine")
+
 
 class TestSolovayCommands:
     ALPHA = json.dumps({"kind": "constant_target", "limit": "1/2", "rate": "1/2"})
@@ -178,6 +218,20 @@ class TestSolovayCommands:
                      "--alpha", self.ALPHA, "--beta", self.BETA]) == EXIT_CONFIG_ERROR
 
 
+@pytest.mark.parametrize("argv", [
+    ["omega", "enumerate", "--machine", "pair", "--length", "6"],
+    ["solovay", "check", "--clause", "a", "--q", "1/1",
+     "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+    ["solovay", "speedup", "--p", "2/1",
+     "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+], ids=["omega-enumerate", "solovay-check", "solovay-speedup"])
+def test_negative_stages_is_config_error(argv, capsys):
+    assert main([*argv, "--stages", "-3"]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --stages must be >= 0, got -3\n"
+
+
 class TestOmegaCommand:
     def test_enumerate_prints_tab_separated(self, capsys):
         rc = main(["omega", "enumerate", "--machine", "pair",
@@ -203,6 +257,18 @@ class TestOmegaCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and fragment in captured.err
+
+    def test_oversized_pool_is_config_error(self, capsys):
+        # silent at L=40 would seed about 8^9 programs; the count is refused
+        # before any is built
+        start = time.perf_counter()
+        rc = main(["omega", "enumerate", "--machine", "silent",
+                   "--length", "40", "--stages", "3"])
+        assert time.perf_counter() - start < 5
+        assert rc == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: machine silent: max_length 40 gives ")
 
     def test_kraft_sum_one_is_config_error(self, tmp_path, capsys):
         # the two trivial codes 0 and 1 both halt at stage 1: 1/2 + 1/2 = 1

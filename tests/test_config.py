@@ -5,12 +5,15 @@ import json
 import pytest
 
 from celab.config import (
+    ENGINES,
     ConfigError,
     build_stream,
     build_suite,
     config_from_dict,
     load_config,
 )
+from celab.expansion import ExpansionConfig
+from celab.injury import InjuryConfig
 from celab.rationals import parse_rational
 from celab.streams import Direction
 
@@ -40,10 +43,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             config_from_dict({"engine": "prop3", "stages": stages})
 
-    def test_hard_cap_overridable(self):
-        rc = config_from_dict({"engine": "prop3", "stages": 20_000,
-                               "hard_cap": 50_000})
-        assert rc.stages == 20_000
+    def test_hard_cap_rejected(self):
+        # a config cannot lift the stage cap: the key itself is an error
+        for raw in ({"engine": "prop3", "stages": 20_000, "hard_cap": 50_000},
+                    {"engine": "prop3", "stages": 10, "hard_cap": 50_000}):
+            with pytest.raises(ConfigError, match="hard_cap"):
+                config_from_dict(raw)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "run.json"
@@ -53,6 +58,33 @@ class TestRunConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "ghost.json")
+
+
+class TestEngineTable:
+    CONFIGS = {
+        "lemma2": {"engine": "lemma2", "stages": 7,
+                   "alpha": {"kind": "constant_target", "limit": "2/3", "rate": "1/2"},
+                   "eta": {"kind": "constant_target", "limit": "1/2", "rate": "1/2"}},
+        "prop3": {"engine": "prop3", "stages": 7},
+    }
+
+    def test_one_entry_per_engine(self):
+        assert sorted(ENGINES) == sorted(self.CONFIGS)
+
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_build_then_run(self, name):
+        entry = ENGINES[name]
+        engine = entry.run(entry.build(config_from_dict(self.CONFIGS[name])))
+        snapshot = engine.snapshot()
+        assert snapshot["engine"] == name and snapshot["stage"] == 7
+        assert entry.verify(engine.events, snapshot).all_green
+        assert entry.replay(engine.events) == snapshot
+
+    def test_build_types(self):
+        lemma2 = ENGINES["lemma2"].build(config_from_dict(self.CONFIGS["lemma2"]))
+        prop3 = ENGINES["prop3"].build(config_from_dict(self.CONFIGS["prop3"]))
+        assert isinstance(lemma2, ExpansionConfig) and lemma2.stages == 7
+        assert isinstance(prop3, InjuryConfig) and prop3.stages == 7
 
 
 class TestBuildStream:
@@ -98,11 +130,23 @@ class TestBuildStream:
         for s in range(6):
             assert st.value(s) > base.value(s)  # the geometric part moves
 
+    def test_omega_plus_bad_limit_rejected(self):
+        # the geometric part's own parameter check, not a raw ValueError
+        spec = {"kind": "omega", "machine": "pair", "max_length": 8,
+                "plus": {"limit": "2"}}
+        with pytest.raises(ConfigError, match="limit 2 not in"):
+            build_stream(spec, INC)
+
     def test_omega_plus_rejected_for_decreasing(self):
         spec = {"kind": "omega", "machine": "pair", "max_length": 8,
                 "plus": {"limit": "1/8"}}
         with pytest.raises(ConfigError):
             build_stream(spec, DEC)
+
+    def test_oversized_omega_pool_rejected(self):
+        with pytest.raises(ConfigError, match="max_length 40 gives"):
+            build_stream({"kind": "omega", "machine": "silent",
+                          "max_length": 40}, INC)
 
     def test_unknown_machine_rejected(self):
         with pytest.raises(ConfigError):

@@ -6,7 +6,8 @@ import pytest
 
 from celab.dce import DcReal, dc_add, dc_mul, dc_neg, dc_sub, dc_zero
 from celab.rationals import HALF, ZERO, Rational, parse_rational
-from celab.streams import Direction, StreamError, constant_stream, make_constant_target
+from celab.streams import Direction, StreamError, make_constant_target
+from conftest import constant
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -85,7 +86,7 @@ class TestOperations:
             assert sq.value_at(stage) == target("2/3").value(stage) ** 2
 
     def test_mul_rejects_components_outside_unit(self):
-        big = constant_stream(Rational(2), INC)
+        big = constant(Rational(2), INC)
         x = DcReal(big, dc_zero().right)
         y = dc("1/2", "1/3")
         with pytest.raises(StreamError):

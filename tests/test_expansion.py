@@ -11,7 +11,6 @@ from celab.expansion import (
 )
 from celab.rationals import ZERO, Rational, parse_rational
 from celab.streams import (
-    EMPTY_SUITE,
     AdversarySuite,
     Direction,
     SuiteEntry,
@@ -144,7 +143,7 @@ class TestEngineBasics:
         cfg = ExpansionConfig(
             alpha=make_constant_target(R("2/3"), INC, R("1/2")),
             eta=make_constant_target(R("1/2"), INC, R("1/2")),
-            suite=EMPTY_SUITE,
+            suite=AdversarySuite(()),
             stages=30,
         )
         engine = run_expansion(cfg)

@@ -17,15 +17,14 @@ from celab.injury import (
 )
 from celab.rationals import ZERO, Rational, parse_rational, pow2_neg
 from celab.streams import (
-    EMPTY_SUITE,
     AdversarySuite,
     ApproxStream,
     Direction,
     SuiteEntry,
-    constant_stream,
     make_constant_target,
     make_tracker,
 )
+from conftest import constant
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -140,7 +139,7 @@ class TestInjuryCascade:
         # difference 0); L_1 creeps toward the post-act difference -1/2 and
         # fires later, once lower-priority positions hold parameters.
         suite = AdversarySuite([
-            SuiteEntry(0, "L", constant_stream(pow2_neg(40), INC)),
+            SuiteEntry(0, "L", constant(pow2_neg(40), INC)),
             SuiteEntry(1, "L", slow_approach("-1/2")),
         ])
         return run_injury(InjuryConfig(suite, stages))
@@ -193,7 +192,7 @@ class TestInjuryCascade:
 
 class TestEngineBasics:
     def test_empty_suite_only_defines(self):
-        engine = run_injury(InjuryConfig(EMPTY_SUITE, stages=20))
+        engine = run_injury(InjuryConfig(AdversarySuite(()), stages=20))
         kinds = {ev.kind for ev in engine.events}
         assert "act" not in kinds and "initialize" not in kinds
         assert engine.alpha == ZERO and engine.beta == ZERO
@@ -202,9 +201,13 @@ class TestEngineBasics:
         assert defines == sorted(defines)
 
     def test_stage_budget_enforced(self):
-        engine = run_injury(InjuryConfig(EMPTY_SUITE, stages=2))
+        engine = run_injury(InjuryConfig(AdversarySuite(()), stages=2))
         with pytest.raises(ValueError):
             engine.step()
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="stage budget must be >= 0"):
+            InjuryEngine(InjuryConfig(AdversarySuite(()), stages=-1))
 
     def test_determinism(self):
         a = run_injury(InjuryConfig(audit_suite(), stages=50))

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from celab import omega
 from celab.omega import (
     HALTED,
     INVALID,
@@ -301,6 +302,31 @@ class TestSeedPool:
     @pytest.mark.parametrize("max_length", range(1, 13))
     def test_code_lengths_around_the_bound(self, max_length):
         self.assert_same_pool(parse_machine(self.EDGES), max_length)
+
+
+class TestPoolBound:
+    def test_count_refused_before_seeding(self):
+        # silent at L=40 holds (8^10 - 1)/7 programs; counting them is O(L)
+        with pytest.raises(ValueError, match="max_length 40 gives 153391689 programs"):
+            OmegaEnumeration(bundled_machines()["silent"], 40)
+
+    def test_bound_is_inclusive(self, monkeypatch):
+        # silent seeds 1 + 8 + 64 + 512 programs for L = 14..17, and 8^4
+        # more at L = 18
+        monkeypatch.setattr(omega, "MAX_POOL", 585)
+        silent = bundled_machines()["silent"]
+        assert len(OmegaEnumeration(silent, 17)._live) == 585
+        with pytest.raises(ValueError, match="gives 4681 programs, more than 585"):
+            OmegaEnumeration(silent, 18)
+
+    def test_count_matches_seeding(self, monkeypatch):
+        # pair at L=18 is the largest pool the benchmark seeds
+        monkeypatch.setattr(omega, "MAX_POOL", 5267)
+        enum = OmegaEnumeration(bundled_machines()["pair"], 18)
+        assert len(enum._trivial_pending) + len(enum._live) == 5267
+        monkeypatch.setattr(omega, "MAX_POOL", 5266)
+        with pytest.raises(ValueError, match="max_length 18 gives 5267 programs"):
+            OmegaEnumeration(bundled_machines()["pair"], 18)
 
 
 class TestRunningKraftSum:

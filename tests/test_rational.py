@@ -1,4 +1,4 @@
-"""Exact-rational helpers: construction, arithmetic, comparison, formatting."""
+"""Exact-rational helpers: parsing, dyadic powers, formatting."""
 
 import random
 
@@ -9,20 +9,13 @@ from celab.rationals import (
     ONE,
     ZERO,
     Rational,
-    arith,
-    cmp,
     format_rational,
     parse_rational,
     pow2_neg,
-    rat,
 )
 
 
 class TestConstruction:
-    def test_rat_from_ints(self):
-        assert rat(3, 4) == Rational(3, 4)
-        assert rat(6, 8) == Rational(3, 4)  # normalized
-
     def test_parse_from_string(self):
         assert parse_rational("3/4") == Rational(3, 4)
         assert parse_rational("5") == Rational(5)
@@ -35,7 +28,7 @@ class TestConstruction:
 
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            rat(1, 0)
+            parse_rational("1/0")
 
 
 class TestPow2Neg:
@@ -56,53 +49,6 @@ class TestPow2Neg:
     def test_halving_law(self):
         for n in range(50):
             assert pow2_neg(n + 1) * 2 == pow2_neg(n)
-
-
-class TestArith:
-    # [DERIVED] cross-checked by hand against integer cross-multiplication
-    @pytest.mark.parametrize("a,b,op,expect", [
-        ("1/3", "1/6", "+", "1/2"),
-        ("1/3", "1/6", "-", "1/6"),
-        ("2/3", "3/4", "*", "1/2"),
-        ("7/10", "7/10", "-", "0/1"),
-    ])
-    def test_examples(self, a, b, op, expect):
-        assert arith(parse_rational(a), parse_rational(b), op) == parse_rational(expect)
-
-    def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            arith(ONE, ONE, "/")
-
-    def test_field_laws_random(self):
-        # exactness means the ring laws hold with == on 10_000 triples
-        rng = random.Random(20240817)
-        for _ in range(10_000):
-            a, b, c = (
-                Rational(rng.randint(-99, 99), rng.randint(1, 99))
-                for _ in range(3)
-            )
-            assert arith(a, b, "+") == arith(b, a, "+")
-            assert arith(arith(a, b, "+"), c, "+") == arith(a, arith(b, c, "+"), "+")
-            assert arith(a, arith(b, c, "+"), "*") == arith(
-                arith(a, b, "*"), arith(a, c, "*"), "+"
-            )
-            assert arith(a, b, "-") == arith(a, arith(ZERO, b, "-"), "+")
-
-
-class TestCmp:
-    def test_examples(self):
-        assert cmp(rat(1, 3), rat(1, 2)) == -1
-        assert cmp(rat(1, 2), rat(1, 3)) == 1
-        assert cmp(rat(2, 6), rat(1, 3)) == 0
-
-    def test_matches_cross_multiplication(self):
-        rng = random.Random(7)
-        for _ in range(2_000):
-            p, q = rng.randint(-50, 50), rng.randint(1, 50)
-            r, s = rng.randint(-50, 50), rng.randint(1, 50)
-            lhs, rhs = Rational(p, q), Rational(r, s)
-            expect = (p * s > r * q) - (p * s < r * q)
-            assert cmp(lhs, rhs) == expect
 
 
 class TestFormatting:

@@ -17,9 +17,9 @@ from celab.solovay import (
 from celab.streams import (
     ApproxStream,
     Direction,
-    constant_stream,
     make_constant_target,
 )
+from conftest import constant
 
 INC = Direction.INCREASING
 
@@ -118,7 +118,7 @@ class TestClauseA:
         assert not verdict.holds and verdict.fails_at == 0
 
     def test_constant_beta_always_dominated(self):
-        beta = constant_stream(R("1/5"), INC)
+        beta = constant(R("1/5"), INC)
         w = SolovayWitness(R("1/8"), "a", target("1/2"), beta)
         assert check_clause_a(w, 64).holds
 
@@ -164,7 +164,7 @@ class TestSpeedup:
 
     def test_constant_beta_freezes_gamma(self):
         alpha = target("1/2")
-        beta = constant_stream(R("1/3"), INC)
+        beta = constant(R("1/3"), INC)
         gamma = speedup(alpha, beta, R("10"))
         first = min(alpha.value(0), R("10") * R("1/3"))
         for s in range(20):
@@ -199,7 +199,7 @@ class TestSpeedup:
 class TestDiagnostics:
     def test_ratio_trace_values_and_none(self):
         alpha = target("1/2")
-        beta = constant_stream(R("1/3"), INC)
+        beta = constant(R("1/3"), INC)
         trace = ratio_trace(alpha, beta, 8, 32)
         assert all(r is None for r in trace)  # beta never moves
         trace2 = ratio_trace(alpha, target("1/3"), 8, 32)
@@ -216,6 +216,6 @@ class TestDiagnostics:
         assert R("2/3") < q <= R("2/3") + Rational(1, 1024)
 
     def test_least_prefix_q_none_when_unattainable(self):
-        alpha = constant_stream(R("1/4"), INC)
+        alpha = constant(R("1/4"), INC)
         beta = target("1/3")
         assert least_prefix_q(alpha, beta, "c", 16) is None

@@ -9,10 +9,7 @@ from celab.streams import (
     Direction,
     MonotonicityViolation,
     OutOfUnitInterval,
-    StreamError,
     SuiteEntry,
-    advance,
-    constant_stream,
     make_constant_target,
     make_tracker,
 )
@@ -41,13 +38,6 @@ class TestApproxStream:
         assert st.materialized == 6
         assert st.prefix() == tuple(Rational(s, s + 1) for s in range(6))
 
-    def test_advance_requires_contiguity(self):
-        st = ApproxStream(INC, lambda s, _p: Rational(s), unit_interval=False)
-        assert advance(st, 0) == ZERO
-        assert advance(st, 1) == ONE
-        with pytest.raises(StreamError):
-            st.advance(3)  # stage 2 not materialized yet
-
     def test_monotonicity_guard_increasing(self):
         st = ApproxStream(INC, lambda s, _p: Rational(-s), unit_interval=False)
         st.value(0)
@@ -70,7 +60,7 @@ class TestApproxStream:
             st.value(0)  # 0 is outside the open interval
 
     def test_negative_stage_rejected(self):
-        st = constant_stream(HALF)
+        st = ApproxStream(INC, lambda s, _p: HALF)
         with pytest.raises(ValueError):
             st.value(-1)
 
@@ -190,7 +180,6 @@ class TestSuite:
         assert suite.gamma(1) is None and suite.delta(0) is None
         assert suite.gamma_indices == (0,)
         assert suite.delta_indices == (1,)
-        assert suite.max_index == 1
         assert len(suite) == 2
 
     def test_duplicate_entry_rejected(self):
@@ -201,5 +190,5 @@ class TestSuite:
 
     def test_empty_suite(self):
         suite = AdversarySuite(())
-        assert suite.max_index == -1
+        assert suite.gamma_indices == suite.delta_indices == ()
         assert len(suite) == 0
