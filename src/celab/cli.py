@@ -15,9 +15,10 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ENGINES, ConfigError, Engine, _load_machine, build_stream, load_config
+from .config import (ENGINES, ConfigError, Engine, _load_machine, build_stream, load_config,
+                     rational_arg)
 from .omega import MachineDefinitionError, OmegaEnumeration
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational
 from .solovay import (
     SolovayWitness,
     check_clause_a,
@@ -77,8 +78,9 @@ def cmd_run(args) -> int:
 def cmd_solovay_check(args) -> int:
     _at_least(args.stages, 0, "--stages")
     alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
+    q = rational_arg(args.q, "--q")
     try:
-        w = SolovayWitness(parse_rational(args.q), args.clause, alpha, beta)
+        w = SolovayWitness(q, args.clause, alpha, beta)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     if args.clause == "a":
@@ -99,8 +101,9 @@ def cmd_solovay_check(args) -> int:
 def cmd_solovay_speedup(args) -> int:
     _at_least(args.stages, 0, "--stages")
     alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
+    p = rational_arg(args.p, "--p")
     try:
-        gamma = speedup(alpha, beta, parse_rational(args.p))
+        gamma = speedup(alpha, beta, p)
     except ValueError as e:
         raise ConfigError(str(e)) from None
     for s in range(args.stages + 1):

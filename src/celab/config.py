@@ -86,14 +86,25 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError(f"bad config: {e}") from None
 
 
+def rational_arg(value, name: str) -> Rational:
+    """A "p/q" from a config field or a command-line flag."""
+    try:
+        return parse_rational(str(value))
+    except (ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"bad rational {value!r} for {name}: {e}") from None
+
+
 def _rational_field(spec: dict, key: str, default: Optional[str] = None) -> Rational:
     value = spec.get(key, default)
     if value is None:
         raise ConfigError(f"stream spec {spec} missing field {key!r}")
-    try:
-        return parse_rational(str(value))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad rational {value!r} for {key}: {e}") from None
+    return rational_arg(value, key)
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} {value!r} is not a JSON object")
+    return value
 
 
 def _load_machine(spec: dict):
@@ -124,7 +135,7 @@ def build_stream(
 
 def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
             label: str) -> ApproxStream:
-    kind = spec.get("kind")
+    kind = _object(spec, "stream spec").get("kind")
     if kind == "constant_target":
         return make_constant_target(
             _rational_field(spec, "limit"),
@@ -162,6 +173,7 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
         if plus is not None:
             if direction is not Direction.INCREASING:
                 raise ConfigError("omega 'plus' only applies to increasing streams")
+            _object(plus, "omega 'plus'")
             extra = make_constant_target(
                 _rational_field(plus, "limit"),
                 Direction.INCREASING,
@@ -175,7 +187,7 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
 def build_suite(specs: list[dict], view: EngineView) -> AdversarySuite:
     entries = []
     for n, spec in enumerate(specs):
-        role = spec.get("role")
+        role = _object(spec, f"suite entry {n}").get("role")
         if role not in ("L", "R"):
             raise ConfigError(f"suite entry {n}: role must be 'L' or 'R'")
         index = spec.get("index")

@@ -31,10 +31,16 @@ is bit-exactly replayable from its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
 from .trace import TraceEvent, VerificationReport, check_final_stage
+
+
+def _keyed(t: dict) -> dict:
+    """A per-index table as a snapshot records it, keyed by index as text."""
+    return {str(i): v for i, v in sorted(t.items())}
 
 
 @dataclass
@@ -55,8 +61,7 @@ class ExpansionEngine(StageEngine):
         self.c: dict[int, int] = {}
         self.d: dict[int, int] = {}
         self.beta_i: dict[int, Rational] = {}
-        self.exp_stages_l: dict[int, list[int]] = {}
-        self.exp_stages_r: dict[int, list[int]] = {}
+        self.last_exp: dict[int, int] = {}  # i -> last L-expansionary stage
         self.beta = ZERO
         self.alpha_hist: list[Rational] = []
         self.eta_hist: list[Rational] = []
@@ -84,8 +89,7 @@ class ExpansionEngine(StageEngine):
         return self.beta_i.get(i, ZERO)
 
     def last_exp_of(self, i: int) -> int:
-        stages = self.exp_stages_l.get(i)
-        return stages[-1] if stages else 0
+        return self.last_exp.get(i, 0)
 
     def q_of(self, i: int) -> Rational:
         """q_i at the current stage: 1/2 for i = 0, else the least
@@ -94,27 +98,6 @@ class ExpansionEngine(StageEngine):
             return Rational(1, 2)
         max_d = max((dj for j, dj in self.d.items() if j < i), default=0)
         return pow2_neg(i + max_d + 1)
-
-    # -- expansionary predicates (for completed stages) -------------------
-
-    def is_l_expansionary(self, i: int, s_next: int) -> bool:
-        """Was stage s_next L_i-expansionary?  Valid for s_next <= current
-        stage; recomputed from history with the pre-update-total convention."""
-        return self._expansionary_at(i, s_next, side="L")
-
-    def is_r_expansionary(self, i: int, s_next: int) -> bool:
-        return self._expansionary_at(i, s_next, side="R")
-
-    def _expansionary_at(self, i: int, s_next: int, side: str) -> bool:
-        if not (1 <= s_next <= self.s) or i > s_next - 1:
-            raise ValueError(f"stage {s_next} not in this run or index {i} too large")
-        stream = self.suite.gamma(i) if side == "L" else self.suite.delta(i)
-        if stream is None:
-            return False
-        bumps = (self.exp_stages_l if side == "L" else self.exp_stages_r).get(i, [])
-        counter = sum(1 for t in bumps if t <= s_next - 1)
-        gap = abs(self.alpha_hist[s_next] - self.beta_hist[s_next - 1] - stream.value(s_next))
-        return gap < pow2_neg(counter)
 
     # -- the stage function ----------------------------------------------
 
@@ -140,7 +123,6 @@ class ExpansionEngine(StageEngine):
             if gap < pow2_neg(self.d_of(i)):
                 old = self.d_of(i)
                 self.d[i] = old + 1
-                self.exp_stages_r.setdefault(i, []).append(s1)
                 self._log(s1, "d", i, str(old), str(old + 1))
 
         for i in self.suite.gamma_indices:
@@ -161,7 +143,7 @@ class ExpansionEngine(StageEngine):
                 old_b = self.beta_i_of(i)
                 self.c[i] = old_c + 1
                 self.beta_i[i] = old_b + increment
-                self.exp_stages_l.setdefault(i, []).append(s1)
+                self.last_exp[i] = s1
                 self._log(s1, "c", i, str(old_c), str(old_c + 1))
                 self._log(s1, "beta_i", i, fmt(old_b), fmt(self.beta_i[i]))
 
@@ -187,11 +169,11 @@ class ExpansionEngine(StageEngine):
             "alpha": fmt(self.alpha_hist[-1]),
             "eta": fmt(self.eta_hist[-1]),
             "beta": fmt(self.beta),
-            "c": {str(i): v for i, v in sorted(self.c.items())},
-            "d": {str(i): v for i, v in sorted(self.d.items())},
+            "c": _keyed(self.c),
+            "d": _keyed(self.d),
             "q": {str(i): fmt(q) for i, q in sorted(self._logged_q.items())},
             "beta_i": {str(i): fmt(v) for i, v in sorted(self.beta_i.items())},
-            "last_exp": {str(i): v[-1] for i, v in sorted(self.exp_stages_l.items())},
+            "last_exp": _keyed(self.last_exp),
         }
 
 
@@ -201,48 +183,60 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
     return engine
 
 
+class _Fold:
+    """One forward pass over a lemma2 trace, the only place that reads its
+    events: replay and the verifier both read what it records.  Values stay
+    as their trace text; a check parses only what it compares."""
+
+    def __init__(self, events: list[TraceEvent]):
+        self.stage = 0
+        self.alpha = self.eta = self.beta = "0/1"  # the latest records
+        self.eta_at: dict[int, str] = {}  # stage -> eta, likewise beta
+        self.beta_at: dict[int, str] = {}
+        self.c: dict[int, int] = {}  # i -> latest logged counter, likewise d
+        self.d: dict[int, int] = {}
+        self.q: dict[int, str] = {}
+        self.beta_i: dict[int, str] = {}
+        self.c_bumps: dict[int, list[int]] = {}  # i -> stages of its c bumps
+        self.d_bumps: dict[int, list[int]] = {}
+        self.growth: dict[int, dict[int, tuple[str, str]]] = {}  # stage -> i -> beta_i (old, new)
+        for ev in events:
+            self.stage = max(self.stage, ev.stage)
+            kind, i = ev.kind, ev.requirement
+            if kind == "alpha":
+                self.alpha = ev.new
+            elif kind == "eta":
+                self.eta = self.eta_at[ev.stage] = ev.new
+            elif kind == "beta":
+                self.beta = self.beta_at[ev.stage] = ev.new
+            elif kind == "c":
+                self.c[i] = ev.new_int()
+                self.c_bumps.setdefault(i, []).append(ev.stage)
+            elif kind == "d":
+                self.d[i] = ev.new_int()
+                self.d_bumps.setdefault(i, []).append(ev.stage)
+            elif kind == "q":
+                self.q[i] = ev.new
+            elif kind == "beta_i":
+                self.beta_i[i] = ev.new
+                self.growth.setdefault(ev.stage, {})[i] = (ev.old, ev.new)
+
+
 def replay_expansion(events: list[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot (no generators re-run)."""
-    c: dict[int, int] = {}
-    d: dict[int, int] = {}
-    q: dict[int, str] = {}
-    beta_i: dict[int, str] = {}
-    last_exp: dict[int, int] = {}
-    alpha = eta = beta = "0/1"
-    stage = 0
-    for ev in events:
-        stage = max(stage, ev.stage)
-        if ev.kind == "alpha":
-            alpha = ev.new
-        elif ev.kind == "eta":
-            eta = ev.new
-        elif ev.kind == "beta":
-            beta = ev.new
-        elif ev.kind == "c":
-            c[ev.requirement] = ev.new_int()
-            last_exp[ev.requirement] = ev.stage
-        elif ev.kind == "d":
-            d[ev.requirement] = ev.new_int()
-        elif ev.kind == "q":
-            q[ev.requirement] = ev.new
-        elif ev.kind == "beta_i":
-            beta_i[ev.requirement] = ev.new
+    fold = _Fold(events)
     return {
         "engine": "lemma2",
-        "stage": stage,
-        "alpha": alpha,
-        "eta": eta,
-        "beta": beta,
-        "c": {str(i): v for i, v in sorted(c.items())},
-        "d": {str(i): v for i, v in sorted(d.items())},
-        "q": {str(i): v for i, v in sorted(q.items())},
-        "beta_i": {str(i): v for i, v in sorted(beta_i.items())},
-        "last_exp": {str(i): v for i, v in sorted(last_exp.items())},
+        "stage": fold.stage,
+        "alpha": fold.alpha,
+        "eta": fold.eta,
+        "beta": fold.beta,
+        "c": _keyed(fold.c),
+        "d": _keyed(fold.d),
+        "q": _keyed(fold.q),
+        "beta_i": _keyed(fold.beta_i),
+        "last_exp": {str(i): v[-1] for i, v in sorted(fold.c_bumps.items())},
     }
-
-
-def _stage_table(events: list[TraceEvent], kind: str) -> dict[int, Rational]:
-    return {ev.stage: ev.new_rational() for ev in events if ev.kind == kind}
 
 
 def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationReport:
@@ -256,20 +250,11 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     increment between consecutive expansionary stages).
     """
     report = VerificationReport()
-    T = check_final_stage(report, "V0 final stage is the last traced stage", events, final)
-    eta_by = _stage_table(events, "eta")
-    beta_by = _stage_table(events, "beta")
-    c_bumps: dict[int, list[int]] = {}
-    d_bumps: dict[int, list[int]] = {}
-    incr_by_stage: dict[int, dict[int, Rational]] = {}
-    for ev in events:
-        if ev.kind == "c":
-            c_bumps.setdefault(ev.requirement, []).append(ev.stage)
-        elif ev.kind == "d":
-            d_bumps.setdefault(ev.requirement, []).append(ev.stage)
-        elif ev.kind == "beta_i":
-            inc = ev.new_rational() - parse_rational(ev.old)
-            incr_by_stage.setdefault(ev.stage, {})[ev.requirement] = inc
+    fold = _Fold(events)
+    T = fold.stage
+    check_final_stage(report, "V0 final stage is the last traced stage", T, final)
+    c_bumps, d_bumps = fold.c_bumps, fold.d_bumps
+    rational = cache(parse_rational)  # a bump stage's beta and eta serve two pairs
 
     def d_at(j: int, t: int) -> int:
         return sum(1 for b in d_bumps.get(j, ()) if b <= t)
@@ -286,10 +271,10 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         v1.fail(f"beta_T = {beta_T} >= 1")
 
     v2 = report.check("V2 contribution cap 2^-(i+1) * eta")
-    eta_T = eta_by.get(T)
-    if eta_T is None:
+    if T not in fold.eta_at:
         v2.fail(f"no eta record at final stage {T}")
     else:
+        eta_T = parse_rational(fold.eta_at[T])
         for key, text in final["beta_i"].items():
             i = int(key)
             contribution = parse_rational(text)
@@ -297,8 +282,9 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
                 v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
 
     v3 = report.check("V3 restraint bound on lower-priority growth")
-    relevant = sorted(set(d_bumps) | {j for incs in incr_by_stage.values() for j in incs})
-    for stage, incs in sorted(incr_by_stage.items()):
+    relevant = sorted(set(d_bumps) | {j for incs in fold.growth.values() for j in incs})
+    for stage, logged in sorted(fold.growth.items()):
+        incs = {i: parse_rational(new) - parse_rational(old) for i, (old, new) in logged.items()}
         for j in relevant:
             total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
             if total > pow2_neg(d_at(j, stage)):
@@ -311,13 +297,13 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     for i, stages in sorted(c_bumps.items()):
         for t1, t2 in zip(stages, stages[1:]):
             gaps = [f"{kind} record at stage {t}"
-                    for kind, table in (("beta", beta_by), ("eta", eta_by))
+                    for kind, table in (("beta", fold.beta_at), ("eta", fold.eta_at))
                     for t in (t1, t2) if t not in table]
             if gaps:
                 v4.fail(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
                 continue
-            lhs = beta_by[t2] - beta_by[t1]
-            rhs = q_at(i, t2) * (eta_by[t2] - eta_by[t1])
+            lhs = rational(fold.beta_at[t2]) - rational(fold.beta_at[t1])
+            rhs = q_at(i, t2) * (rational(fold.eta_at[t2]) - rational(fold.eta_at[t1]))
             if not lhs >= rhs:
                 v4.fail(f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}")
 

@@ -28,11 +28,13 @@ O(T^2) of scanning every position 0..2s+1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from math import isqrt
 from typing import Optional
 
-from .rationals import ZERO, Rational, format_rational as fmt, pow2_neg
+from .rationals import ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
 from .trace import TraceEvent, VerificationReport, check_final_stage
 
@@ -227,234 +229,207 @@ def run_injury(config: InjuryConfig) -> InjuryEngine:
     return engine
 
 
-def replay_injury(events: list[TraceEvent]) -> dict:
-    """Fold a trace back into a final-state snapshot."""
-    a_bits: set[int] = set()
-    b_bits: set[int] = set()
-    c: dict[int, Optional[int]] = {}
-    d: dict[int, Optional[int]] = {}
-    l: dict[int, Optional[int]] = {}
-    r: dict[int, Optional[int]] = {}
-    used: set[int] = set()
-    alpha = beta = "0/1"
-    stage = 0
-    for ev in events:
-        stage = max(stage, ev.stage)
-        if ev.kind == "alpha":
-            alpha = ev.new
-        elif ev.kind == "beta":
-            beta = ev.new
-        elif ev.kind == "define":
-            i, parity = divmod(ev.requirement, 2)
-            (c if parity == 0 else d)[i] = ev.new_int()
-            used.add(ev.new_int())
-        elif ev.kind == "enumerate_A":
-            a_bits.add(ev.new_int())
-        elif ev.kind == "enumerate_B":
-            b_bits.add(ev.new_int())
-        elif ev.kind == "restraint":
-            i, parity = divmod(ev.requirement, 2)
-            (l if parity == 0 else r)[i] = ev.new_int()
-            used.add(ev.new_int())
-        elif ev.kind == "initialize":
-            i, parity = divmod(ev.requirement, 2)
-            (c if parity == 0 else d)[i] = None
-            (l if parity == 0 else r)[i] = None
+@dataclass
+class _Act:
+    """One act as the trace fold records it."""
 
-    return {
-        "engine": "prop3",
-        "stage": stage,
-        "A": sorted(a_bits),
-        "B": sorted(b_bits),
-        "alpha": alpha,
-        "beta": beta,
-        "c": _table(c),
-        "d": _table(d),
-        "l": _table(l),
-        "r": _table(r),
-        "used_values": sorted(used),
-    }
+    position: int
+    stage: int
+    param: Optional[int]  # the bit parameter in effect, None if none was
+    next_init: int = 0  # stage of the position's next initialization, T + 1 if none
 
 
 class _Fold:
-    """Independent stage-by-stage reconstruction of a run from its trace,
-    used by the verifier."""
+    """One forward pass over a prop3 trace, the only place that reads its
+    events: replay and the verifier both read what it records.  Values stay
+    as their trace text; a check parses only what it compares."""
 
-    def __init__(self, events: list[TraceEvent], T: int):
-        self.alpha = [ZERO] * (T + 1)
-        self.beta = [ZERO] * (T + 1)
-        self.gamma: dict[int, dict[int, Rational]] = {}
-        self.delta: dict[int, dict[int, Rational]] = {}
-        # per position: list of (stage, kind, value)
-        self.history: dict[int, list[tuple[int, str, Optional[int]]]] = {}
-        self.defines: list[tuple[int, int, int]] = []  # (stage, position, value)
-        self.acts: dict[int, list[int]] = {}
-        self.inits: dict[int, list[int]] = {}
-        self.enum_a: list[tuple[int, int]] = []
-        self.enum_b: list[tuple[int, int]] = []
+    def __init__(self, events: list[TraceEvent]):
+        self.stage = 0
+        self.alpha = self.beta = "0/1"  # the latest records
+        self.alpha_at: dict[int, str] = {}  # stage -> alpha, likewise beta
+        self.beta_at: dict[int, str] = {}
+        # position -> stage -> adversary value (gamma_i at 2i, delta_i at 2i+1)
+        self.adversary: dict[int, dict[int, str]] = {}
+        # position -> bit parameter, restraint (None = undefined)
+        self.params: dict[int, Optional[int]] = {}
+        self.restraints: dict[int, Optional[int]] = {}
+        self.used: set[int] = set()
+        # (stage, position, value, max of the values used before it)
+        self.defines: list[tuple[int, int, int, int]] = []
+        self.acts: list[_Act] = []
+        self.inits: dict[int, int] = {}  # position -> initializations
+        self.enum_a: list[int] = []
+        self.enum_b: list[int] = []
+        waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
+        max_used = -1
         for ev in events:
-            if ev.kind == "alpha" and ev.stage > 0:
-                self.alpha[ev.stage] = ev.new_rational()
-            elif ev.kind == "beta" and ev.stage > 0:
-                self.beta[ev.stage] = ev.new_rational()
-            elif ev.kind == "gamma":
-                self.gamma.setdefault(ev.requirement, {})[ev.stage] = ev.new_rational()
-            elif ev.kind == "delta":
-                self.delta.setdefault(ev.requirement, {})[ev.stage] = ev.new_rational()
-            elif ev.kind == "define":
-                self.defines.append((ev.stage, ev.requirement, ev.new_int()))
-                self._push(ev.requirement, ev.stage, "define", ev.new_int())
-            elif ev.kind == "act":
-                self.acts.setdefault(ev.requirement, []).append(ev.stage)
-                self._push(ev.requirement, ev.stage, "act", ev.new_int())
-            elif ev.kind == "initialize":
-                self.inits.setdefault(ev.requirement, []).append(ev.stage)
-                self._push(ev.requirement, ev.stage, "initialize", None)
-            elif ev.kind == "enumerate_A":
-                self.enum_a.append((ev.stage, ev.new_int()))
-            elif ev.kind == "enumerate_B":
-                self.enum_b.append((ev.stage, ev.new_int()))
-
-    def _push(self, position, stage, kind, value) -> None:
-        self.history.setdefault(position, []).append((stage, kind, value))
-
-    def param_at(self, position: int, stage: int) -> Optional[int]:
-        """Bit parameter of the requirement as of the end of `stage`."""
-        value = None
-        for t, kind, v in self.history.get(position, ()):
-            if t > stage:
-                break
-            if kind == "define":
-                value = v
+            self.stage = max(self.stage, ev.stage)
+            kind, n = ev.kind, ev.requirement
+            if kind == "alpha":
+                self.alpha = self.alpha_at[ev.stage] = ev.new
+            elif kind == "beta":
+                self.beta = self.beta_at[ev.stage] = ev.new
+            elif kind == "gamma":
+                self.adversary.setdefault(2 * n, {})[ev.stage] = ev.new
+            elif kind == "delta":
+                self.adversary.setdefault(2 * n + 1, {})[ev.stage] = ev.new
+            elif kind == "define":
+                value = self.params[n] = ev.new_int()
+                self.defines.append((ev.stage, n, value, max_used))
+                self.used.add(value)
+                max_used = max(max_used, value)
+            elif kind == "act":
+                act = _Act(n, ev.stage, self.params.get(n))
+                self.acts.append(act)
+                waiting.setdefault(n, []).append(act)
+            elif kind == "enumerate_A":
+                self.enum_a.append(ev.new_int())
+            elif kind == "enumerate_B":
+                self.enum_b.append(ev.new_int())
+            elif kind == "restraint":
+                value = self.restraints[n] = ev.new_int()
+                self.used.add(value)
+                max_used = max(max_used, value)
             elif kind == "initialize":
-                value = None
-        return value
+                self.params[n] = self.restraints[n] = None
+                self.inits[n] = self.inits.get(n, 0) + 1
+                for act in waiting.pop(n, ()):
+                    act.next_init = ev.stage
+        for acts in waiting.values():
+            for act in acts:
+                act.next_init = self.stage + 1
 
-    def next_init_after(self, position: int, stage: int) -> Optional[int]:
-        for t in self.inits.get(position, ()):
-            if t > stage:
-                return t
-        return None
+
+def replay_injury(events: list[TraceEvent]) -> dict:
+    """Fold a trace back into a final-state snapshot."""
+    fold = _Fold(events)
+
+    def side(t: dict[int, Optional[int]], parity: int) -> dict[str, int]:
+        return _table({p // 2: v for p, v in t.items() if p % 2 == parity})
+
+    return {
+        "engine": "prop3",
+        "stage": fold.stage,
+        "A": sorted(set(fold.enum_a)),
+        "B": sorted(set(fold.enum_b)),
+        "alpha": fold.alpha,
+        "beta": fold.beta,
+        "c": side(fold.params, 0),
+        "d": side(fold.params, 1),
+        "l": side(fold.restraints, 0),
+        "r": side(fold.restraints, 1),
+        "used_values": sorted(fold.used),
+    }
 
 
 def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
     W0 the final snapshot's stage is the trace's last; W1 one act per
-    initialization segment, with no attention after a served act; W2
-    separation margin after an un-initialized act; W3 restraint obedience;
-    W4 injury and act counts bounded by priority position; W5 column
-    discipline, freshness, and disjoint enumerations.
+    initialization segment, each with a parameter in effect, and no
+    attention after a served act; W2 separation margin after an
+    un-initialized act; W3 restraint obedience; W4 injury and act counts
+    bounded by priority position; W5 column discipline, freshness, and
+    disjoint enumerations.
     """
     report = VerificationReport()
-    T = check_final_stage(report, "W0 final stage is the last traced stage", events, final)
-    fold = _Fold(events, T)
+    fold = _Fold(events)
+    T = fold.stage
+    check_final_stage(report, "W0 final stage is the last traced stage", T, final)
+    rational = cache(parse_rational)
+    alpha = [rational(fold.alpha_at.get(t, "0/1")) for t in range(T + 1)]
+    beta = [rational(fold.beta_at.get(t, "0/1")) for t in range(T + 1)]
 
-    def attention(position: int, t: int, param: int) -> Optional[bool]:
-        """requires-attention predicate at stage t, None if the adversary
+    def attention(position: int, t: int, param: int) -> bool:
+        """requires-attention predicate at stage t; False if the adversary
         value is unknown (not participating yet)."""
-        i, parity = divmod(position, 2)
-        table = fold.gamma if parity == 0 else fold.delta
-        vals = table.get(i)
-        if vals is None:
-            return False
+        vals = fold.adversary.get(position, {})
         if t not in vals:
-            return None
-        gap = abs(fold.alpha[t - 1] - fold.beta[t - 1] - vals[t])
+            return False
+        gap = abs(alpha[t - 1] - beta[t - 1] - rational(vals[t]))
         return gap < pow2_neg(param + 3)
 
     w1 = report.check("W1 one act per initialization segment")
-    for position, act_stages in sorted(fold.acts.items()):
-        init_stages = fold.inits.get(position, [])
-        boundaries = [0] + init_stages + [T + 1]
-        for lo, hi in zip(boundaries, boundaries[1:]):
-            segment = [t for t in act_stages if lo < t < hi]
-            if len(segment) > 1:
-                w1.fail(f"position {position}: acts at {segment} in one segment")
-            if segment:
-                act_stage = segment[0]
-                param = fold.param_at(position, act_stage)
-                stop = fold.next_init_after(position, act_stage) or T + 1
-                for t in range(act_stage + 1, min(stop, T + 1)):
-                    if attention(position, t, param):
-                        w1.fail(
-                            f"position {position}: requires attention at stage {t} "
-                            f"after acting at {act_stage}"
-                        )
-                        break
+    segments: dict[tuple[int, int], list[_Act]] = {}  # acts by position and next initialization
+    for act in fold.acts:
+        segments.setdefault((act.position, act.next_init), []).append(act)
+    for (position, stop), acts in sorted(segments.items()):
+        if len(acts) > 1:
+            w1.fail(f"position {position}: acts at {[a.stage for a in acts]} in one segment")
+        act = acts[0]
+        if act.param is None:
+            w1.fail(f"position {position}: act at stage {act.stage} with no parameter in effect")
+            continue
+        for t in range(act.stage + 1, min(stop, T + 1)):
+            if attention(position, t, act.param):
+                w1.fail(
+                    f"position {position}: requires attention at stage {t} "
+                    f"after acting at {act.stage}"
+                )
+                break
 
     w2 = report.check("W2 separation margin after final act")
-    for position, act_stages in sorted(fold.acts.items()):
-        last_act = act_stages[-1]
-        if fold.next_init_after(position, last_act) is not None:
+    last_acts = {act.position: act for act in fold.acts}
+    for position, act in sorted(last_acts.items()):
+        if act.next_init <= T or act.param is None:
             continue
         i, parity = divmod(position, 2)
-        param = fold.param_at(position, last_act)
-        margin = pow2_neg(param + 2)
-        vals = (fold.gamma if parity == 0 else fold.delta).get(i, {})
-        for t in range(last_act + 1, T + 1):
+        margin = pow2_neg(act.param + 2)
+        vals = fold.adversary.get(position, {})
+        for t in range(act.stage + 1, T + 1):
             if t not in vals:
                 continue
-            diff = fold.alpha[t] - fold.beta[t]
+            diff, v = alpha[t] - beta[t], rational(vals[t])
             if parity == 0:
-                if not diff < vals[t] - margin:
-                    w2.fail(f"L_{i} at stage {t}: {diff} not < {vals[t]} - {margin}")
+                if not diff < v - margin:
+                    w2.fail(f"L_{i} at stage {t}: {diff} not < {v} - {margin}")
             else:
-                if not diff > vals[t] + margin:
-                    w2.fail(f"R_{i} at stage {t}: {diff} not > {vals[t]} + {margin}")
+                if not diff > v + margin:
+                    w2.fail(f"R_{i} at stage {t}: {diff} not > {v} + {margin}")
 
     w3 = report.check("W3 restraint obedience")
-    for position, act_stages in sorted(fold.acts.items()):
-        parity = position % 2
-        for act_stage in act_stages:
-            param = fold.param_at(position, act_stage)
-            cap = pow2_neg(param + 2)
-            stop = fold.next_init_after(position, act_stage) or T + 1
-            # an L act restrains later growth of alpha, an R act of beta
-            side = fold.alpha if parity == 0 else fold.beta
-            for t in range(act_stage + 1, min(stop, T + 1)):
-                if not side[t] - side[act_stage] < cap:
-                    w3.fail(
-                        f"position {position}: growth {side[t] - side[act_stage]} "
-                        f"at stage {t} >= {cap}"
-                    )
-                    break
+    for act in sorted(fold.acts, key=lambda a: a.position):
+        if act.param is None:  # failed W1
+            continue
+        cap = pow2_neg(act.param + 2)
+        # an L act restrains later growth of alpha, an R act of beta
+        side = beta if act.position % 2 else alpha
+        for t in range(act.stage + 1, min(act.next_init, T + 1)):
+            if not side[t] - side[act.stage] < cap:
+                w3.fail(
+                    f"position {act.position}: growth {side[t] - side[act.stage]} "
+                    f"at stage {t} >= {cap}"
+                )
+                break
 
     w4 = report.check("W4 injury and act bounds")
-    for position in sorted(set(fold.inits) | set(fold.acts)):
-        n_init = len(fold.inits.get(position, ()))
-        n_acts = len(fold.acts.get(position, ()))
+    n_acts = Counter(act.position for act in fold.acts)
+    for position in sorted(set(fold.inits) | set(n_acts)):
+        n_init = fold.inits.get(position, 0)
         if n_init > 2**position - 1:
             w4.fail(f"position {position}: {n_init} initializations > {2**position - 1}")
-        if n_acts > 2**position:
-            w4.fail(f"position {position}: {n_acts} acts > {2**position}")
+        if n_acts[position] > 2**position:
+            w4.fail(f"position {position}: {n_acts[position]} acts > {2**position}")
 
     w5 = report.check("W5 column discipline and freshness")
-    max_assigned = -1
-    for ev in events:
-        if ev.kind == "define":
-            value = ev.new_int()
-            i, parity = divmod(ev.requirement, 2)
-            column, _ = unpair(value)
-            if column != 2 * i + parity:
-                w5.fail(f"position {ev.requirement}: value {value} in column {column}")
-            if value <= max_assigned:
-                w5.fail(
-                    f"position {ev.requirement}: value {value} not fresh at stage "
-                    f"{ev.stage} (max assigned {max_assigned})"
-                )
-            max_assigned = max(max_assigned, value)
-        elif ev.kind == "restraint":
-            max_assigned = max(max_assigned, ev.new_int())
-    a_set = {v for _, v in fold.enum_a}
-    b_set = {v for _, v in fold.enum_b}
+    for stage, position, value, max_assigned in fold.defines:
+        column, _ = unpair(value)
+        if column != position:
+            w5.fail(f"position {position}: value {value} in column {column}")
+        if value <= max_assigned:
+            w5.fail(
+                f"position {position}: value {value} not fresh at stage "
+                f"{stage} (max assigned {max_assigned})"
+            )
+    a_set, b_set = set(fold.enum_a), set(fold.enum_b)
     if a_set & b_set:
         w5.fail(f"values enumerated into both sets: {sorted(a_set & b_set)}")
     if len(fold.enum_a) != len(a_set) or len(fold.enum_b) != len(b_set):
         w5.fail("a bit value was enumerated twice")
 
     report.stats["stages"] = T
-    report.stats["acts"] = sum(len(v) for v in fold.acts.values())
-    report.stats["initializations"] = sum(len(v) for v in fold.inits.values())
+    report.stats["acts"] = len(fold.acts)
+    report.stats["initializations"] = sum(fold.inits.values())
     report.stats["defines"] = len(fold.defines)
     return report

@@ -13,6 +13,7 @@ engine view) so that every run is bit-exact reproducible.
 from __future__ import annotations
 
 import logging
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -176,7 +177,7 @@ def make_tracker(
             if raw <= prev:
                 if raw < prev:
                     stream_box[0].record_fault(
-                        f"stage {s}: target {raw} below increasing tracker {prev}; holding"
+                        f"stage {s}: target below increasing tracker; holding"
                     )
                 return prev
             if raw >= ONE:
@@ -186,7 +187,7 @@ def make_tracker(
             if raw >= prev:
                 if raw > prev:
                     stream_box[0].record_fault(
-                        f"stage {s}: target {raw} above decreasing tracker {prev}; holding"
+                        f"stage {s}: target above decreasing tracker; holding"
                     )
                 return prev
             if raw <= ZERO:
@@ -287,7 +288,9 @@ class StageEngine:
         if config.stages < 0:
             raise ValueError(f"stage budget must be >= 0, got {config.stages}")
         self.config = config
-        self.suite = config.suite(self) if callable(config.suite) else config.suite
+        # trackers see the engine through a weak proxy, so the engine and its
+        # event log are in no cycle with the suite and free on their last use
+        self.suite = config.suite(weakref.proxy(self)) if callable(config.suite) else config.suite
         self.s = 0
         self.events: list[TraceEvent] = []
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .rationals import Rational, parse_rational
-
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -46,10 +44,6 @@ class TraceEvent:
             old=d.get("old_value"),
             new=d.get("new_value"),
         )
-
-    def new_rational(self) -> Rational:
-        assert self.new is not None
-        return parse_rational(self.new)
 
     def new_int(self) -> int:
         assert self.new is not None
@@ -149,13 +143,10 @@ class VerificationReport:
         }
 
 
-def check_final_stage(report: VerificationReport, name: str,
-                      events: list[TraceEvent], final: dict) -> int:
-    """Check that the final snapshot's stage is the last stage the events
-    record, and return that last stage: a verifier folds the trace as
-    recorded, whatever stage the snapshot claims."""
-    last = max((ev.stage for ev in events), default=0)
+def check_final_stage(report: VerificationReport, name: str, last: int, final: dict) -> None:
+    """Check that the final snapshot's stage is `last`, the last stage the
+    events record: a verifier folds the trace as recorded, whatever stage
+    the snapshot claims."""
     check = report.check(name)
     if final.get("stage") != last:
         check.fail(f"final stage {final.get('stage')!r}, but the events end at stage {last}")
-    return last

@@ -232,6 +232,30 @@ def test_negative_stages_is_config_error(argv, capsys):
     assert captured.err == "config error: --stages must be >= 0, got -3\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solovay", "check", "--clause", "a", "--q", "1/0",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "bad rational '1/0' for --q"),
+    (["solovay", "speedup", "--p", "1/0",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "bad rational '1/0' for --p"),
+    (["solovay", "check", "--clause", "a", "--q", "3/4",
+      "--alpha", "[1]", "--beta", TestSolovayCommands.BETA],
+     "stream spec [1] is not a JSON object"),
+], ids=["zero-q", "zero-p", "list-stream-spec"])
+def test_malformed_solovay_input_is_config_error(argv, message, capsys):
+    assert main(argv) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {message}")
+
+
+def test_non_object_suite_entry_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(PROP3_CONFIG, suite=["x"]))
+    assert main(["run-prop3", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == "config error: suite entry 0 'x' is not a JSON object\n"
+
+
 class TestOmegaCommand:
     def test_enumerate_prints_tab_separated(self, capsys):
         rc = main(["omega", "enumerate", "--machine", "pair",

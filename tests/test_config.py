@@ -1,6 +1,8 @@
 """Config loading and stream/suite construction from JSON specs."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -80,6 +82,21 @@ class TestEngineTable:
         assert entry.verify(engine.events, snapshot).all_green
         assert entry.replay(engine.events) == snapshot
 
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_engine_with_trackers_freed_without_collector(self, name):
+        trackers = [{"index": 0, "role": "L", "kind": "tracker", "lag": 0, "start": "1/32"},
+                    {"index": 1, "role": "R", "kind": "tracker", "lag": 1, "start": "31/32"}]
+        entry = ENGINES[name]
+        config = entry.build(config_from_dict(dict(self.CONFIGS[name], suite=trackers)))
+        gc.disable()
+        try:
+            engine = entry.run(config)
+            freed = weakref.ref(engine)
+            del engine
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_build_types(self):
         lemma2 = ENGINES["lemma2"].build(config_from_dict(self.CONFIGS["lemma2"]))
         prop3 = ENGINES["prop3"].build(config_from_dict(self.CONFIGS["prop3"]))
@@ -135,6 +152,14 @@ class TestBuildStream:
         spec = {"kind": "omega", "machine": "pair", "max_length": 8,
                 "plus": {"limit": "2"}}
         with pytest.raises(ConfigError, match="limit 2 not in"):
+            build_stream(spec, INC)
+
+    @pytest.mark.parametrize("spec, what", [
+        ([1], "stream spec"),
+        ({"kind": "omega", "machine": "pair", "max_length": 8, "plus": "1/8"}, "omega 'plus'"),
+    ])
+    def test_non_object_spec_rejected(self, spec, what):
+        with pytest.raises(ConfigError, match=f"^{what} .* is not a JSON object$"):
             build_stream(spec, INC)
 
     def test_omega_plus_rejected_for_decreasing(self):

@@ -103,16 +103,6 @@ class TestHandAuditedStages:
         assert engine.c_of(0) == 3
         assert engine.beta == R("7/64")
 
-    def test_expansionary_predicates_match_audit(self):
-        engine = run_expansion(reference_config(4))
-        assert engine.is_l_expansionary(0, 1)
-        assert engine.is_l_expansionary(0, 2)
-        assert engine.is_l_expansionary(0, 3)
-        assert not engine.is_l_expansionary(0, 4)
-        assert engine.is_r_expansionary(1, 2)
-        assert engine.is_r_expansionary(1, 3)
-        assert not engine.is_r_expansionary(1, 4)
-
     def test_q_scale_reacts_to_d_bumps(self):
         cfg = ExpansionConfig(
             alpha=make_constant_target(R("2/3"), INC, R("1/2")),

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from celab.cli import EXIT_CHECK_FAILED, EXIT_OK, main
-from celab.expansion import ExpansionConfig, run_expansion, verify_expansion
-from celab.injury import InjuryConfig, run_injury, verify_injury
+from celab.expansion import ExpansionConfig, replay_expansion, run_expansion, verify_expansion
+from celab.injury import InjuryConfig, replay_injury, run_injury, verify_injury
 from celab.rationals import parse_rational as R
 from celab.streams import (
     AdversarySuite,
@@ -192,3 +192,34 @@ class TestDeletedLemma2Record:
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
         assert f"first violated invariant: {tag} " in out and message in out
+
+
+class TestSingleEventMutations:
+    """Every single-event deletion and duplication of a golden trace goes
+    through its verifier and replay without raising.  `flagged` counts the
+    mutations that fail a check or replay to another state; it may only
+    grow (the prop3 floor counts the deletion of the define before the only
+    act, which must fail W1)."""
+
+    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 12),
+             ("golden_prop3", verify_injury, replay_injury, 151)]
+
+    @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
+    def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
+        _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
+        final = {k: v for k, v in final.items() if k != "record"}
+        flagged = {}
+        for n in range(len(evs)):
+            for op, mutated in (("del", evs[:n] + evs[n + 1:]), ("dup", evs[:n + 1] + evs[n:])):
+                report = verify(mutated, final)
+                if not report.all_green or replay(mutated) != final:
+                    flagged[op, n] = report
+        assert len(flagged) >= floor
+        if name == "golden_prop3":
+            (act,) = [ev for ev in evs if ev.kind == "act"]
+            (n,) = [n for n, ev in enumerate(evs) if ev.kind == "define"
+                    and ev.requirement == act.requirement and ev.stage < act.stage]
+            assert flagged["del", n].first_failure() == (
+                "W1 one act per initialization segment: "
+                "position 0: act at stage 2 with no parameter in effect"
+            )

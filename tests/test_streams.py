@@ -149,6 +149,16 @@ class TestTracker:
         assert st.value(3) == R("1/2")
         assert len(st.faults) == 1 and "holding" in st.faults[0]
 
+    @pytest.mark.parametrize("direction, targets, message", [
+        (INC, ["1/4", "1/8"], "stage 2: target below increasing tracker; holding"),
+        (DEC, ["3/4", "7/8"], "stage 2: target above decreasing tracker; holding"),
+    ])
+    def test_fault_message_quotes_no_values(self, direction, targets, message):
+        start = R("1/16") if direction is INC else R("15/16")
+        st = make_tracker(FakeView(targets), direction, lag=0, start=start)
+        st.value(2)
+        assert st.faults == [message]
+
     def test_decreasing_tracker_clamps_at_zero_target(self):
         view = FakeView(["0/1", "0/1"])
         st = make_tracker(view, DEC, lag=0, start=R("1/2"))

@@ -29,8 +29,6 @@ class TestTraceEvents:
 
     def test_typed_accessors(self):
         assert TraceEvent(0, "c", 0, None, "5").new_int() == 5
-        ev = TraceEvent(0, "beta", None, None, "3/32")
-        assert ev.new_rational().numerator == 3
 
 
 class TestTraceFiles:
