@@ -77,7 +77,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigError(f"'hard_cap' is not a config key; stages are capped at {HARD_CAP}")
         return RunConfig(
             engine=raw["engine"],
-            stages=int(raw["stages"]),
+            stages=_int_field(raw, "stages", "config"),
             suite_specs=list(raw.get("suite", [])),
             alpha_spec=raw.get("alpha"),
             eta_spec=raw.get("eta"),
@@ -101,6 +101,15 @@ def _rational_field(spec: dict, key: str, default: Optional[str] = None) -> Rati
     return rational_arg(value, key)
 
 
+def _int_field(spec: dict, key: str, where: str, default: Optional[int] = None) -> int:
+    """An integer field, never coerced: a bool, string, float, list or null
+    is refused."""
+    value = spec.get(key, default)
+    if type(value) is not int:
+        raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _object(value, what: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{what} {value!r} is not a JSON object")
@@ -109,6 +118,8 @@ def _object(value, what: str) -> dict:
 
 def _load_machine(spec: dict):
     name = spec.get("machine", "pair")
+    if not isinstance(name, str):
+        raise ConfigError(f"machine {name!r} is not a name or a path")
     bundled = bundled_machines()
     if name in bundled:
         return bundled[name]
@@ -116,7 +127,7 @@ def _load_machine(spec: dict):
     if path.exists():
         try:
             return parse_machine(path.read_text())
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             raise ConfigError(f"bad machine file {name}: {e}") from None
     raise ConfigError(f"unknown machine {name!r} (not bundled, not a file)")
 
@@ -149,7 +160,7 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
         return make_tracker(
             view,
             direction,
-            int(spec.get("lag", 0)),
+            _int_field(spec, "lag", label or "stream spec", 0),
             _rational_field(spec, "start"),
             label=label,
         )
@@ -161,9 +172,8 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
         else:
             offset = _rational_field(spec, "offset", "3/4")
             scale = _rational_field(spec, "scale", "-1/2")
-        stream = omega_stream(
-            machine, int(spec.get("max_length", 8)), offset, scale, label=label
-        )
+        max_length = _int_field(spec, "max_length", label or "stream spec", 8)
+        stream = omega_stream(machine, max_length, offset, scale, label=label)
         if stream.direction is not direction:
             raise ConfigError(
                 f"omega spec {spec} has scale of the wrong sign for a "
@@ -190,8 +200,8 @@ def build_suite(specs: list[dict], view: EngineView) -> AdversarySuite:
         role = _object(spec, f"suite entry {n}").get("role")
         if role not in ("L", "R"):
             raise ConfigError(f"suite entry {n}: role must be 'L' or 'R'")
-        index = spec.get("index")
-        if not isinstance(index, int) or index < 0:
+        index = _int_field(spec, "index", f"suite entry {n}")
+        if index < 0:
             raise ConfigError(f"suite entry {n}: bad index {index!r}")
         direction = Direction.INCREASING if role == "L" else Direction.DECREASING
         stream = build_stream(spec, direction, view, label=f"suite[{index}/{role}]")

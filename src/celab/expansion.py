@@ -38,9 +38,14 @@ from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
 from .trace import TraceEvent, VerificationReport, check_final_stage
 
 
-def _keyed(t: dict) -> dict:
-    """A per-index table as a snapshot records it, keyed by index as text."""
-    return {str(i): v for i, v in sorted(t.items())}
+def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
+              d: dict[int, int], q: dict[int, str], beta_i: dict[int, str],
+              last_exp: dict[int, int]) -> dict:
+    """The final record; per-index tables are keyed by index as text."""
+    record = {"engine": "lemma2", "stage": stage, "alpha": alpha, "eta": eta, "beta": beta}
+    for name, table in (("c", c), ("d", d), ("q", q), ("beta_i", beta_i), ("last_exp", last_exp)):
+        record[name] = {str(i): v for i, v in sorted(table.items())}
+    return record
 
 
 @dataclass
@@ -163,18 +168,10 @@ class ExpansionEngine(StageEngine):
         return v
 
     def snapshot(self) -> dict:
-        return {
-            "engine": "lemma2",
-            "stage": self.s,
-            "alpha": fmt(self.alpha_hist[-1]),
-            "eta": fmt(self.eta_hist[-1]),
-            "beta": fmt(self.beta),
-            "c": _keyed(self.c),
-            "d": _keyed(self.d),
-            "q": {str(i): fmt(q) for i, q in sorted(self._logged_q.items())},
-            "beta_i": {str(i): fmt(v) for i, v in sorted(self.beta_i.items())},
-            "last_exp": _keyed(self.last_exp),
-        }
+        return _snapshot(self.s, fmt(self.alpha_hist[-1]), fmt(self.eta_hist[-1]),
+                         fmt(self.beta), self.c, self.d,
+                         {i: fmt(q) for i, q in self._logged_q.items()},
+                         {i: fmt(v) for i, v in self.beta_i.items()}, self.last_exp)
 
 
 def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
@@ -225,18 +222,8 @@ class _Fold:
 def replay_expansion(events: list[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot (no generators re-run)."""
     fold = _Fold(events)
-    return {
-        "engine": "lemma2",
-        "stage": fold.stage,
-        "alpha": fold.alpha,
-        "eta": fold.eta,
-        "beta": fold.beta,
-        "c": _keyed(fold.c),
-        "d": _keyed(fold.d),
-        "q": _keyed(fold.q),
-        "beta_i": _keyed(fold.beta_i),
-        "last_exp": {str(i): v[-1] for i, v in sorted(fold.c_bumps.items())},
-    }
+    return _snapshot(fold.stage, fold.alpha, fold.eta, fold.beta, fold.c, fold.d, fold.q,
+                     fold.beta_i, {i: stages[-1] for i, stages in fold.c_bumps.items()})
 
 
 def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationReport:

@@ -4,9 +4,12 @@ increasing dyadic approximations.
 Requirements are listed by priority position k = 0, 1, 2, ...: even
 positions 2i carry an L-side requirement watching an increasing adversary
 gamma_i, odd positions 2i+1 an R-side one watching a decreasing delta_i.
-An L requirement owns a bit position c_i drawn from pairing column 2i, an R
-requirement a d_i from column 2i+1; enumerating bit n adds 2^-(n+1) to the
-corresponding sum, so both sums stay in [0, 1).
+The requirement at position p owns a bit parameter drawn from pairing
+column p (c_i at 2i, d_i at 2i+1); enumerating bit n adds 2^-(n+1) to the
+corresponding sum, so both sums stay in [0, 1).  The engine and its trace
+fold keep parameters and restraints by position; only the final record
+splits them into the per-index tables c, d (parameters) and l, r
+(restraints).
 
 A requirement requires attention when its bit parameter is undefined or the
 running difference is within 2^-(param+3) of its adversary.  Serving the
@@ -65,10 +68,18 @@ def bit_weight(n: int) -> Rational:
     return pow2_neg(n + 1)
 
 
-def _table(t: dict[int, Optional[int]]) -> dict[str, int]:
-    """A parameter or restraint table as a snapshot records it: the defined
-    entries, keyed by requirement index as text."""
-    return {str(i): v for i, v in sorted(t.items()) if v is not None}
+def _snapshot(stage: int, a_bits: set[int], b_bits: set[int], alpha: str, beta: str,
+              params: dict[int, int], restraints: dict[int, int], used: set[int]) -> dict:
+    """The final record.  Parameters and restraints, kept by priority
+    position, are written as per-index tables: c and l from the L (even)
+    positions, d and r from the R (odd) ones."""
+    record = {"engine": "prop3", "stage": stage, "A": sorted(a_bits), "B": sorted(b_bits),
+              "alpha": alpha, "beta": beta}
+    for name, table, parity in (("c", params, 0), ("d", params, 1),
+                                ("l", restraints, 0), ("r", restraints, 1)):
+        record[name] = {str(p // 2): v for p, v in sorted(table.items()) if p % 2 == parity}
+    record["used_values"] = sorted(used)
+    return record
 
 
 @dataclass
@@ -88,20 +99,17 @@ class InjuryEngine(StageEngine):
         self.beta = ZERO
         self.alpha_hist: list[Rational] = [ZERO]
         self.beta_hist: list[Rational] = [ZERO]
-        # per requirement index i: bit parameter and restraint (None = undefined)
-        self.c: dict[int, Optional[int]] = {}
-        self.d: dict[int, Optional[int]] = {}
-        self.l: dict[int, Optional[int]] = {}
-        self.r: dict[int, Optional[int]] = {}
+        # priority position -> bit parameter, restraint; absent = undefined
+        self.params: dict[int, int] = {}
+        self.restraints: dict[int, int] = {}
         self.used_values: set[int] = set()
         self._max_used = -1  # max(used_values); bounds every live restraint
         self._undefined = 0  # u: parameters are defined exactly on [0, u)
-        # (position, stream) for every adversary, in priority order
-        self._backed = sorted(
+        # position -> adversary stream, in priority order
+        self._adversaries = dict(sorted(
             [(2 * i, self.suite.gamma(i)) for i in self.suite.gamma_indices]
-            + [(2 * i + 1, self.suite.delta(i)) for i in self.suite.delta_indices],
-            key=lambda entry: entry[0],
-        )
+            + [(2 * i + 1, self.suite.delta(i)) for i in self.suite.delta_indices]
+        ))
         self._log(0, "alpha", None, None, fmt(ZERO))
         self._log(0, "beta", None, None, fmt(ZERO))
 
@@ -112,11 +120,10 @@ class InjuryEngine(StageEngine):
         attention at stage s_next?  Uses the pre-stage difference and the
         adversary value at s_next.  The reference predicate: the engine
         itself serves through the equivalent `_least_attention`."""
-        i, is_l = divmod(position, 2)[0], position % 2 == 0
-        param = self.c.get(i) if is_l else self.d.get(i)
+        param = self.params.get(position)
         if param is None:
             return True
-        stream = self.suite.gamma(i) if is_l else self.suite.delta(i)
+        stream = self._adversaries.get(position)
         if stream is None:
             return False
         gap = abs(self.alpha_hist[s_next - 1] - self.beta_hist[s_next - 1]
@@ -148,79 +155,51 @@ class InjuryEngine(StageEngine):
         `requires_attention` over 0..2s+1 would make them."""
         u = self._undefined
         diff = self.alpha_hist[s1 - 1] - self.beta_hist[s1 - 1]
-        for position, stream in self._backed:
+        for position, stream in self._adversaries.items():
             if position >= u:
                 break
-            i, parity = divmod(position, 2)
-            param = (self.d if parity else self.c)[i]
-            if abs(diff - stream.value(s1)) < pow2_neg(param + 3):
+            if abs(diff - stream.value(s1)) < pow2_neg(self.params[position] + 3):
                 return position
         return u
-
-    def _fresh_value(self, column: int) -> int:
-        return least_in_column_above(column, self._max_used)
 
     def _use(self, value: int) -> None:
         self.used_values.add(value)
         self._max_used = max(self._max_used, value)
 
     def _serve(self, position: int, s1: int) -> None:
-        i, is_l = position // 2, position % 2 == 0
-        params = self.c if is_l else self.d
-        self._undefined = position + 1
-        if params.get(i) is None:
-            value = self._fresh_value(2 * i if is_l else 2 * i + 1)
-            params[i] = value
-            self._use(value)
-            self._log(s1, "define", position, None, str(value))
+        bit = self.params.get(position)
+        if bit is None:  # position u: a fresh value from its own pairing column
+            bit = self.params[position] = least_in_column_above(position, self._max_used)
+            self._use(bit)
+            self._undefined = position + 1
+            self._log(s1, "define", position, None, str(bit))
             return
-        bit = params[i]
-        restraint = bit + 3
+        restraint = self.restraints[position] = bit + 3
         self._log(s1, "act", position, None, str(bit))
-        if is_l:
-            self.b_bits.add(bit)
-            self.beta += bit_weight(bit)
-            self.l[i] = restraint
-            self._log(s1, "enumerate_B", position, None, str(bit))
-        else:
+        if position % 2:
             self.a_bits.add(bit)
             self.alpha += bit_weight(bit)
-            self.r[i] = restraint
             self._log(s1, "enumerate_A", position, None, str(bit))
+        else:
+            self.b_bits.add(bit)
+            self.beta += bit_weight(bit)
+            self._log(s1, "enumerate_B", position, None, str(bit))
         self._use(restraint)
         self._log(s1, "restraint", position, None, str(restraint))
         self._initialize_below(position, s1)
+        self._undefined = position + 1
 
     def _initialize_below(self, position: int, s1: int) -> None:
-        """Initialize every requirement of strictly lower priority."""
-        for pos_table, param_table, restraint_table in (
-            (0, self.c, self.l),
-            (1, self.d, self.r),
-        ):
-            for i in sorted(param_table):
-                p = 2 * i + pos_table
-                if p <= position:
-                    continue
-                if param_table[i] is None and restraint_table.get(i) is None:
-                    continue
-                param_table[i] = None
-                restraint_table[i] = None
-                self._log(s1, "initialize", p, None, None)
+        """Initialize every requirement of strictly lower priority: the
+        defined positions p < u above `position`, L side (even) first."""
+        for p in sorted(range(position + 1, self._undefined), key=lambda p: (p % 2, p)):
+            del self.params[p]
+            self.restraints.pop(p, None)
+            self._log(s1, "initialize", p, None, None)
 
     def snapshot(self) -> dict:
-        return {
-            "engine": "prop3",
-            "stage": self.s,
-            "A": sorted(self.a_bits),
-            "B": sorted(self.b_bits),
-            "alpha": fmt(self.alpha),
-            "beta": fmt(self.beta),
-            "c": _table(self.c),
-            "d": _table(self.d),
-            "l": _table(self.l),
-            "r": _table(self.r),
-            "used_values": sorted(self.used_values),
-        }
+        return _snapshot(self.s, self.a_bits, self.b_bits, fmt(self.alpha), fmt(self.beta),
+                         self.params, self.restraints, self.used_values)
 
 
 def run_injury(config: InjuryConfig) -> InjuryEngine:
@@ -251,9 +230,9 @@ class _Fold:
         self.beta_at: dict[int, str] = {}
         # position -> stage -> adversary value (gamma_i at 2i, delta_i at 2i+1)
         self.adversary: dict[int, dict[int, str]] = {}
-        # position -> bit parameter, restraint (None = undefined)
-        self.params: dict[int, Optional[int]] = {}
-        self.restraints: dict[int, Optional[int]] = {}
+        # position -> bit parameter, restraint; absent = undefined
+        self.params: dict[int, int] = {}
+        self.restraints: dict[int, int] = {}
         self.used: set[int] = set()
         # (stage, position, value, max of the values used before it)
         self.defines: list[tuple[int, int, int, int]] = []
@@ -292,7 +271,8 @@ class _Fold:
                 self.used.add(value)
                 max_used = max(max_used, value)
             elif kind == "initialize":
-                self.params[n] = self.restraints[n] = None
+                self.params.pop(n, None)
+                self.restraints.pop(n, None)
                 self.inits[n] = self.inits.get(n, 0) + 1
                 for act in waiting.pop(n, ()):
                     act.next_init = ev.stage
@@ -304,23 +284,8 @@ class _Fold:
 def replay_injury(events: list[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot."""
     fold = _Fold(events)
-
-    def side(t: dict[int, Optional[int]], parity: int) -> dict[str, int]:
-        return _table({p // 2: v for p, v in t.items() if p % 2 == parity})
-
-    return {
-        "engine": "prop3",
-        "stage": fold.stage,
-        "A": sorted(set(fold.enum_a)),
-        "B": sorted(set(fold.enum_b)),
-        "alpha": fold.alpha,
-        "beta": fold.beta,
-        "c": side(fold.params, 0),
-        "d": side(fold.params, 1),
-        "l": side(fold.restraints, 0),
-        "r": side(fold.restraints, 1),
-        "used_values": sorted(fold.used),
-    }
+    return _snapshot(fold.stage, set(fold.enum_a), set(fold.enum_b), fold.alpha, fold.beta,
+                     fold.params, fold.restraints, fold.used)
 
 
 def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:

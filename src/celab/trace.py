@@ -93,11 +93,12 @@ class CheckResult:
     name: str
     passed: bool
     failures: list[str] = field(default_factory=list)
+    count: int = 0  # every failure, though only the first 20 messages are kept
 
     def fail(self, message: str) -> None:
         self.passed = False
-        # keep reports readable; the count is still exact
-        if len(self.failures) < 20:
+        self.count += 1
+        if len(self.failures) < 20:  # keep reports readable
             self.failures.append(message)
 
 
@@ -125,7 +126,8 @@ class VerificationReport:
     def render_text(self) -> str:
         lines = []
         for c in self.checks:
-            lines.append(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}")
+            lines.append(f"[PASS] {c.name}" if c.passed
+                         else f"[FAIL] {c.name} (failures: {c.count})")
             for msg in c.failures:
                 lines.append(f"    {msg}")
         for key, value in sorted(self.stats.items()):
@@ -136,7 +138,8 @@ class VerificationReport:
         return {
             "all_green": self.all_green,
             "checks": [
-                {"name": c.name, "passed": c.passed, "failures": c.failures}
+                {"name": c.name, "passed": c.passed, "count": c.count,
+                 "failures": c.failures}
                 for c in self.checks
             ],
             "stats": self.stats,

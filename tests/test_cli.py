@@ -1,10 +1,16 @@
 """End-to-end command-line runs: artifacts, exit codes, verify and replay."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import celab
 from celab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
 
 LEMMA2_CONFIG = {
@@ -304,3 +310,101 @@ class TestOmegaCommand:
         captured = capsys.readouterr()
         assert captured.out == "0\t0/1\n"
         assert captured.err == f"config error: machine {machine}: Kraft sum reached 1\n"
+
+
+TYPED_CONFIG = dict(LEMMA2_CONFIG, stages=20, suite=[
+    {"index": 0, "role": "L", "kind": "constant_target", "limit": "1/3", "rate": "1/2"},
+    {"index": 1, "role": "R", "kind": "tracker", "lag": 1, "start": "15/16"},
+    {"index": 2, "role": "L", "kind": "omega", "machine": "pair", "max_length": 6},
+])
+
+
+def typed_config(field, value):
+    """TYPED_CONFIG with one of its integer fields, or the omega machine,
+    set to value."""
+    payload = json.loads(json.dumps(TYPED_CONFIG))
+    holder = {"stages": payload, "index": payload["suite"][0], "lag": payload["suite"][1],
+              "max_length": payload["suite"][2], "machine": payload["suite"][2]}[field]
+    holder[field] = value
+    return payload
+
+
+class TestTypedConfigFields:
+    def test_integers_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, TYPED_CONFIG)
+        assert main(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+
+    @pytest.mark.parametrize("value", [True, "7", 1.5, [3], None],
+                             ids=["bool", "string", "float", "list", "null"])
+    @pytest.mark.parametrize("field", ["stages", "index", "lag", "max_length"])
+    def test_non_integer_is_config_error(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, typed_config(field, value))
+        assert main(["run-lemma2", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert f"'{field}' must be an integer, got {value!r}\n" in captured.err
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+
+    @pytest.mark.parametrize("machine, message", [
+        (None, "bad machine file "), (5, "machine 5 is not a name or a path"),
+        ([1], "machine [1] is not a name or a path"),
+    ], ids=["directory", "number", "list"])
+    def test_unreadable_machine_is_config_error(self, tmp_path, capsys, machine, message):
+        machine = str(tmp_path) if machine is None else machine
+        cfg = write_config(tmp_path, typed_config("machine", machine))
+        assert main(["run-lemma2", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+    def test_machine_directory_through_omega_command(self, tmp_path, capsys):
+        assert main(["omega", "enumerate", "--machine", str(tmp_path),
+                     "--length", "6", "--stages", "2"]) == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: bad machine file {tmp_path}: ")
+
+
+def test_values_past_the_int_digit_limit(tmp_path, capsys):
+    # rates this close to 1 give exact values of more than 4300 digits, the
+    # interpreter's default int <-> str limit; the command lifts the limit
+    # while it runs and restores it on return
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, stages=600, alpha={
+        "kind": "constant_target", "limit": "2/3", "rate": "99999999/100000000"}, eta={
+        "kind": "constant_target", "limit": "1/2", "rate": "99999997/100000000"}, suite=[
+        {"index": 0, "role": "L", "kind": "constant_target", "limit": "1/3", "rate": "1/2"},
+        {"index": 1, "role": "R", "kind": "tracker", "lag": 1, "start": "15/16"},
+    ]))
+    trace = str(tmp_path / "lemma2.trace.jsonl")
+    assert main(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["verify", "--trace", trace]) == EXIT_OK
+    assert main(["replay", "--trace", trace]) == EXIT_OK
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert max(map(len, re.findall(r"\d+", Path(trace).read_text()))) > 4300
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+GOLDENS = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("engine", ["lemma2", "prop3"])
+def test_module_entry_point_on_goldens(tmp_path, engine):
+    """`python -m celab.cli` exits through `entry()`: 0 on a golden trace,
+    1 once its final record claims a stage the events never reach."""
+    src = str(Path(celab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    golden = GOLDENS / f"golden_{engine}.trace.jsonl"
+    lines = golden.read_text().splitlines()
+    final = json.loads(lines[-1])
+    final["stage"] += 1
+    tampered = tmp_path / golden.name
+    tampered.write_text("\n".join([*lines[:-1], json.dumps(final)]) + "\n")
+    for trace, code in ((golden, EXIT_OK), (tampered, EXIT_CHECK_FAILED)):
+        for command in ("verify", "replay"):
+            proc = subprocess.run([sys.executable, "-m", "celab.cli", command, "--trace", str(trace)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == code, proc.stdout + proc.stderr
+            assert proc.stderr == ""

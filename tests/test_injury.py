@@ -85,27 +85,27 @@ class TestHandAuditedServes:
         engine.step()
         # stage 1: least position 0 (L_0) has undefined c_0 -> define the
         # least unused value in column 0: pair(0,0) = 0
-        assert engine.c[0] == 0
+        assert engine.params[0] == 0
         engine.step()
         # stage 2: gamma_0(2) = 7/64 and alpha - beta = 0; the gap 7/64 is
         # below 2^-(0+3) = 1/8, so L_0 acts: bit 0 into B, beta = 1/2,
         # restraint 0 + 3 = 3
         assert engine.b_bits == {0}
         assert engine.beta == R("1/2")
-        assert engine.l[0] == 3
+        assert engine.restraints[0] == 3
         engine.step()
         # stage 3: L_0 is now separated; position 1 (R_0, no adversary)
         # defines d_0 fresh in column 1 above used {0, 3}: pair(1,1) = 4
-        assert engine.d[0] == 4
+        assert engine.params[1] == 4
         engine.step()
         # stage 4: position 2 (L_1) defines c_1 in column 2 above 4: 7
-        assert engine.c[1] == 7
+        assert engine.params[2] == 7
         engine.step()
         # stage 5: position 3 (R_1) defines d_1 in column 3 above 7: 11
-        assert engine.d[1] == 11
+        assert engine.params[3] == 11
         engine.step()
         # stage 6: position 4 (L_2) defines c_2 in column 4 above 11: 16
-        assert engine.c[2] == 16
+        assert engine.params[4] == 16
         assert engine.a_bits == set()
         assert engine.alpha == ZERO
 
@@ -158,9 +158,23 @@ class TestInjuryCascade:
         assert {s for s, _ in inits} == set(act_stages)
         assert all(p > 2 for _, p in inits)
         # positions 0..2 keep their parameters
-        assert engine.c[0] is not None
-        assert engine.d[0] is not None
-        assert engine.c[1] is not None
+        assert engine.params.get(0) is not None
+        assert engine.params.get(1) is not None
+        assert engine.params.get(2) is not None
+
+    def test_initialization_order_l_side_then_r_side(self):
+        # L_1 (position 2) acts at stage 9 with positions 0..6 defined: it
+        # initializes the L side (even positions) ascending, then the R side
+        # (odd positions) ascending
+        engine = self.make_engine(9)
+        assert [(ev.kind, ev.requirement) for ev in engine.events
+                if ev.kind in ("act", "initialize") and ev.stage == 9] == [
+            ("act", 2), ("initialize", 4), ("initialize", 6),
+            ("initialize", 3), ("initialize", 5)]
+        snapshot = engine.snapshot()
+        assert (snapshot["c"], snapshot["d"], snapshot["l"], snapshot["r"]) == (
+            {"0": 0, "1": 7}, {"0": 4}, {"0": 3, "1": 10}, {})
+        assert replay_injury(engine.events) == snapshot
 
     def test_injured_positions_get_fresh_parameters(self):
         engine = self.make_engine(40)
@@ -281,11 +295,6 @@ def suite_from(specs):
     return factory
 
 
-def defined_positions(engine):
-    return ({2 * i for i, v in engine.c.items() if v is not None}
-            | {2 * i + 1 for i, v in engine.d.items() if v is not None})
-
-
 class TestLeastAttention:
     @settings(max_examples=60, deadline=None, database=None)
     @given(
@@ -304,8 +313,7 @@ class TestLeastAttention:
             s1 = engine.s + 1
             expected = next(p for p in range(2 * engine.s + 2)
                             if engine.requires_attention(p, s1))
-            live = [v for t in (engine.l, engine.r) for v in t.values() if v is not None]
-            bound = max([*engine.used_values, *live], default=-1)
+            bound = max([*engine.used_values, *engine.restraints.values()], default=-1)
             logged = len(engine.events)
             engine.step()
             served = [ev for ev in engine.events[logged:] if ev.kind in ("define", "act")]
@@ -313,7 +321,7 @@ class TestLeastAttention:
             if served[0].kind == "define":  # position p draws from column p
                 assert served[0].new_int() == least_in_column_above(expected, bound)
             # parameters are defined exactly on the prefix [0, expected + 1)
-            assert defined_positions(engine) == set(range(expected + 1))
+            assert set(engine.params) == set(range(expected + 1))
 
     def test_gap_tests_per_stage_bounded_by_adversaries(self):
         specs = [(0, "L", "slow", 2), (0, "R", "constant", 13),

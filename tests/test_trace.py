@@ -80,10 +80,14 @@ class TestReports:
             c.fail(f"msg {k}")
         assert not c.passed
         assert len(c.failures) == 20
+        assert c.count == 100
+        report = VerificationReport(checks=[c])
+        assert report.render_text().startswith("[FAIL] X (failures: 100)\n    msg 0\n")
+        assert report.to_dict()["checks"][0]["count"] == 100
 
     def test_to_dict(self):
         report = VerificationReport()
         report.check("A")
         d = report.to_dict()
         assert d["all_green"] is True
-        assert d["checks"][0] == {"name": "A", "passed": True, "failures": []}
+        assert d["checks"][0] == {"name": "A", "passed": True, "count": 0, "failures": []}
