@@ -21,7 +21,8 @@ Stage s+1, entered with state through stage s:
   4. L-side classification with threshold 2^-c_i against the same B; on
      success grow beta_i by q_i * (eta_{s+1} - eta_t), where t is the
      previous L-expansionary stage of i (0 if none), and bump c_i;
-  5. admit index s+1 with zeroed parameters and re-total beta.
+  5. admit index s+1 with zeroed parameters; beta has grown by each
+     L-side increment.
 
 Indices without an adversary stay inert: their parameters exist (all zero)
 but never change.  Every parameter change is logged as a TraceEvent; a run
@@ -68,16 +69,11 @@ class ExpansionEngine(StageEngine):
         self.beta_i: dict[int, Rational] = {}
         self.last_exp: dict[int, int] = {}  # i -> last L-expansionary stage
         self.beta = ZERO
-        self.alpha_hist: list[Rational] = []
-        self.eta_hist: list[Rational] = []
-        self.beta_hist: list[Rational] = []
+        self.beta_at: list[Rational] = [ZERO]
         self._logged_q: dict[int, Rational] = {}
 
         a0 = self._guarded(self.alpha, 0, "alpha")
         e0 = self._guarded(self.eta, 0, "eta")
-        self.alpha_hist.append(a0)
-        self.eta_hist.append(e0)
-        self.beta_hist.append(ZERO)
         self._log(0, "alpha", None, None, fmt(a0))
         self._log(0, "eta", None, None, fmt(e0))
         self._log(0, "beta", None, None, fmt(ZERO))
@@ -106,32 +102,30 @@ class ExpansionEngine(StageEngine):
 
     # -- the stage function ----------------------------------------------
 
+    def _alpha_at(self, s: int) -> Rational:
+        return self.alpha.value(s)
+
     def _stage(self, s1: int) -> None:
         a_new = self._guarded(self.alpha, s1, "alpha")
         e_new = self._guarded(self.eta, s1, "eta")
-        self._log(s1, "alpha", None, fmt(self.alpha_hist[-1]), fmt(a_new))
-        self._log(s1, "eta", None, fmt(self.eta_hist[-1]), fmt(e_new))
+        self._log(s1, "alpha", None, fmt(self.alpha.value(self.s)), fmt(a_new))
+        self._log(s1, "eta", None, fmt(self.eta.value(self.s)), fmt(e_new))
 
         entry_total = self.beta  # B: the sum of contributions as the stage begins
+        adversaries = self._read_suite(s1, first_side=1)
 
-        participating_r = [i for i in self.suite.delta_indices if i <= self.s]
-        participating_l = [i for i in self.suite.gamma_indices if i <= self.s]
-        for i in participating_r:
-            v = self.suite.delta(i).value(s1)
-            self._log(s1, "delta", i, None, fmt(v))
-        for i in participating_l:
-            v = self.suite.gamma(i).value(s1)
-            self._log(s1, "gamma", i, None, fmt(v))
-
-        for i in participating_r:
-            gap = abs(a_new - entry_total - self.suite.delta(i).value(s1))
-            if gap < pow2_neg(self.d_of(i)):
+        for position, v in adversaries.items():
+            i = position // 2
+            if position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.d_of(i)):
                 old = self.d_of(i)
                 self.d[i] = old + 1
                 self._log(s1, "d", i, str(old), str(old + 1))
 
-        for i in self.suite.gamma_indices:
+        for position in self.suite.positions:
+            i = position // 2
             if i > s1:
+                break
+            if position % 2:
                 continue
             q_now = self.q_of(i)
             if self._logged_q.get(i) != q_now:
@@ -139,25 +133,21 @@ class ExpansionEngine(StageEngine):
                 self._log(s1, "q", i, fmt(old) if old is not None else None, fmt(q_now))
                 self._logged_q[i] = q_now
 
-        for i in participating_l:
-            gap = abs(a_new - entry_total - self.suite.gamma(i).value(s1))
-            if gap < pow2_neg(self.c_of(i)):
-                t = self.last_exp_of(i)
-                increment = self.q_of(i) * (e_new - self.eta_hist[t])
+        for position, v in adversaries.items():
+            i = position // 2
+            if not position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.c_of(i)):
+                increment = self.q_of(i) * (e_new - self.eta.value(self.last_exp_of(i)))
                 old_c = self.c_of(i)
                 old_b = self.beta_i_of(i)
                 self.c[i] = old_c + 1
                 self.beta_i[i] = old_b + increment
+                self.beta += increment
                 self.last_exp[i] = s1
                 self._log(s1, "c", i, str(old_c), str(old_c + 1))
                 self._log(s1, "beta_i", i, fmt(old_b), fmt(self.beta_i[i]))
 
-        old_beta = self.beta
-        self.beta = sum(self.beta_i.values(), start=ZERO)
-        self._log(s1, "beta", None, fmt(old_beta), fmt(self.beta))
-        self.alpha_hist.append(a_new)
-        self.eta_hist.append(e_new)
-        self.beta_hist.append(self.beta)
+        self._log(s1, "beta", None, fmt(entry_total), fmt(self.beta))
+        self.beta_at.append(self.beta)
 
     # -- helpers -----------------------------------------------------------
 
@@ -168,7 +158,7 @@ class ExpansionEngine(StageEngine):
         return v
 
     def snapshot(self) -> dict:
-        return _snapshot(self.s, fmt(self.alpha_hist[-1]), fmt(self.eta_hist[-1]),
+        return _snapshot(self.s, fmt(self.alpha.value(self.s)), fmt(self.eta.value(self.s)),
                          fmt(self.beta), self.c, self.d,
                          {i: fmt(q) for i, q in self._logged_q.items()},
                          {i: fmt(v) for i, v in self.beta_i.items()}, self.last_exp)

@@ -97,19 +97,14 @@ class InjuryEngine(StageEngine):
         self.b_bits: set[int] = set()
         self.alpha = ZERO
         self.beta = ZERO
-        self.alpha_hist: list[Rational] = [ZERO]
-        self.beta_hist: list[Rational] = [ZERO]
+        self.alpha_at: list[Rational] = [ZERO]
+        self.beta_at: list[Rational] = [ZERO]
         # priority position -> bit parameter, restraint; absent = undefined
         self.params: dict[int, int] = {}
         self.restraints: dict[int, int] = {}
         self.used_values: set[int] = set()
         self._max_used = -1  # max(used_values); bounds every live restraint
         self._undefined = 0  # u: parameters are defined exactly on [0, u)
-        # position -> adversary stream, in priority order
-        self._adversaries = dict(sorted(
-            [(2 * i, self.suite.gamma(i)) for i in self.suite.gamma_indices]
-            + [(2 * i + 1, self.suite.delta(i)) for i in self.suite.delta_indices]
-        ))
         self._log(0, "alpha", None, None, fmt(ZERO))
         self._log(0, "beta", None, None, fmt(ZERO))
 
@@ -123,29 +118,24 @@ class InjuryEngine(StageEngine):
         param = self.params.get(position)
         if param is None:
             return True
-        stream = self._adversaries.get(position)
+        stream = self.suite.positions.get(position)
         if stream is None:
             return False
-        gap = abs(self.alpha_hist[s_next - 1] - self.beta_hist[s_next - 1]
-                  - stream.value(s_next))
-        return gap < pow2_neg(param + 3)
+        return abs(self.difference(s_next - 1) - stream.value(s_next)) < pow2_neg(param + 3)
 
     # -- the stage function --------------------------------------------------
 
-    def _stage(self, s1: int) -> None:
-        for i in self.suite.gamma_indices:
-            if i <= self.s:
-                self._log(s1, "gamma", i, None, fmt(self.suite.gamma(i).value(s1)))
-        for i in self.suite.delta_indices:
-            if i <= self.s:
-                self._log(s1, "delta", i, None, fmt(self.suite.delta(i).value(s1)))
+    def _alpha_at(self, s: int) -> Rational:
+        return self.alpha_at[s]
 
+    def _stage(self, s1: int) -> None:
+        self._read_suite(s1, first_side=0)
         self._serve(self._least_attention(s1), s1)
 
-        self.alpha_hist.append(self.alpha)
-        self.beta_hist.append(self.beta)
-        self._log(s1, "alpha", None, fmt(self.alpha_hist[-2]), fmt(self.alpha))
-        self._log(s1, "beta", None, fmt(self.beta_hist[-2]), fmt(self.beta))
+        self.alpha_at.append(self.alpha)
+        self.beta_at.append(self.beta)
+        self._log(s1, "alpha", None, fmt(self.alpha_at[-2]), fmt(self.alpha))
+        self._log(s1, "beta", None, fmt(self.beta_at[-2]), fmt(self.beta))
 
     def _least_attention(self, s1: int) -> int:
         """Least position requiring attention at stage s1.  Positions below
@@ -154,8 +144,8 @@ class InjuryEngine(StageEngine):
         scanned range 0..2s+1.  Gap tests run in the order a scan of
         `requires_attention` over 0..2s+1 would make them."""
         u = self._undefined
-        diff = self.alpha_hist[s1 - 1] - self.beta_hist[s1 - 1]
-        for position, stream in self._adversaries.items():
+        diff = self.difference(s1 - 1)
+        for position, stream in self.suite.positions.items():
             if position >= u:
                 break
             if abs(diff - stream.value(s1)) < pow2_neg(self.params[position] + 3):

@@ -18,17 +18,20 @@ Omega-like increasing stream with exact dyadic values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
 from .streams import ApproxStream, Direction
 
-# Micro-op vocabulary for counter sub-machines.  djzK decrements register K
-# if positive, otherwise skips the next instruction; jmp resets the program
-# counter to 0.  Running off the end of the body never halts.
-MICRO_OPS = ("halt", "inc0", "inc1", "inc2", "djz0", "djz1", "djz2", "jmp", "nop")
+# Micro-op vocabulary for counter sub-machines, each name with its decoded
+# (kind, register) pair.  djzK decrements register K if positive, otherwise
+# skips the next instruction; jmp resets the program counter to 0.  Running
+# off the end of the body never halts.
+MICRO_OPS = {"halt": ("halt", 0), "inc0": ("inc", 0), "inc1": ("inc", 1), "inc2": ("inc", 2),
+             "djz0": ("djz", 0), "djz1": ("djz", 1), "djz2": ("djz", 2),
+             "jmp": ("jmp", 0), "nop": ("nop", 0)}
 
 HALTED = "halt"
 RUNNING = "running"
@@ -39,11 +42,12 @@ INVALID = "invalid"
 class SubMachine:
     """One routed interpreter: either the trivial machine (domain = the empty
     tail, halting in one step) or a counter machine with its own 8-entry
-    opcode table."""
+    opcode table, decoded once into `ops`."""
 
     name: str
     opcodes: tuple[str, ...] = ()
     trivial: bool = False
+    ops: tuple[tuple[str, int], ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trivial:
@@ -55,6 +59,7 @@ class SubMachine:
         for op in self.opcodes:
             if op not in MICRO_OPS:
                 raise ValueError(f"sub {self.name}: unknown micro-op {op!r}")
+        object.__setattr__(self, "ops", tuple(MICRO_OPS[op] for op in self.opcodes))
 
     def decode(self, tail: str) -> Optional[list[int]]:
         """Parse a self-delimiting tail into a list of opcode numbers, or
@@ -85,7 +90,7 @@ class SubMachine:
             return (HALTED, 1) if budget >= 1 else (RUNNING, None)
         exec_state = ExecState(program)
         for _ in range(budget):
-            status = exec_state.step(self.opcodes)
+            status = exec_state.step(self.ops)
             if status == HALTED:
                 return (HALTED, exec_state.steps)
             if status == INVALID:  # ran off the end: diverges
@@ -96,32 +101,31 @@ class SubMachine:
 class ExecState:
     """Mutable execution state of one counter program."""
 
-    __slots__ = ("program", "pc", "regs", "steps", "dead")
+    __slots__ = ("program", "pc", "regs", "steps")
 
     def __init__(self, program: list[int]):
         self.program = program
         self.pc = 0
         self.regs = [0, 0, 0]
         self.steps = 0
-        self.dead = False  # ran off the end; will never halt
 
-    def step(self, opcodes: tuple[str, ...]) -> str:
-        if self.dead or self.pc >= len(self.program):
-            self.dead = True
+    def step(self, ops: tuple[tuple[str, int], ...]) -> str:
+        """One step under a decoded opcode table; INVALID once the program
+        has run off the end (it will never halt)."""
+        if self.pc >= len(self.program):
             return INVALID
-        op = opcodes[self.program[self.pc]]
+        kind, k = ops[self.program[self.pc]]
         self.steps += 1
-        if op == "halt":
+        if kind == "halt":
             return HALTED
-        if op == "nop":
+        if kind == "nop":
             self.pc += 1
-        elif op == "jmp":
+        elif kind == "jmp":
             self.pc = 0
-        elif op.startswith("inc"):
-            self.regs[int(op[3])] += 1
+        elif kind == "inc":
+            self.regs[k] += 1
             self.pc += 1
-        else:  # djzK
-            k = int(op[3])
+        else:  # djz
             if self.regs[k] > 0:
                 self.regs[k] -= 1
                 self.pc += 1
@@ -234,10 +238,10 @@ class OmegaEnumeration:
         self._trivial_pending.clear()
         survivors = []
         for program, sub, exec_state in self._live:
-            status = exec_state.step(sub.opcodes)
+            status = exec_state.step(sub.ops)
             if status == HALTED:
                 self._record_halt(program)
-            elif not exec_state.dead:
+            elif status == RUNNING:
                 survivors.append((program, sub, exec_state))
         self._live = survivors
         omega = Rational(self._kraft, 1 << self.max_length)

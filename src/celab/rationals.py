@@ -25,12 +25,15 @@ def pow2_neg(n: int) -> Rational:
 
 
 def format_rational(x: Rational) -> str:
-    """Canonical "p/q" text form (denominator always present)."""
+    """Canonical "p/q" text form (denominator always present).  Raises
+    ValueError past `sys.get_int_max_str_digits()` digits; a caller that
+    needs longer values lifts that limit itself, as `celab.cli.main` does."""
     return f"{x.numerator}/{x.denominator}"
 
 
 def parse_rational(text: str) -> Rational:
-    """Parse "p/q" (or a bare integer "p")."""
+    """Parse "p/q" (or a bare integer "p"); the int/str digit limit of
+    `format_rational` applies likewise."""
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")

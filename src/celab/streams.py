@@ -12,17 +12,14 @@ engine view) so that every run is bit-exact reproducible.
 
 from __future__ import annotations
 
-import logging
 import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Protocol, Sequence, Union
 
-from .rationals import ONE, ZERO, Rational
+from .rationals import ONE, ZERO, Rational, format_rational as fmt
 from .trace import TraceEvent
-
-log = logging.getLogger(__name__)
 
 
 class Direction(Enum):
@@ -84,10 +81,6 @@ class ApproxStream:
         while len(self._prefix) <= s:
             self._materialize_next()
         return self._prefix[s]
-
-    def record_fault(self, message: str) -> None:
-        self.faults.append(message)
-        log.debug("stream %s fault: %s", self.label, message)
 
     def _materialize_next(self) -> None:
         s = len(self._prefix)
@@ -163,8 +156,6 @@ def make_tracker(
     if not (ZERO < start < ONE):
         raise ValueError(f"start {start} not in (0,1)")
 
-    stream_box: list[ApproxStream] = []
-
     def gen(s: int, prefix: Sequence[Rational]) -> Rational:
         if s == 0:
             return start
@@ -176,9 +167,7 @@ def make_tracker(
         if direction is Direction.INCREASING:
             if raw <= prev:
                 if raw < prev:
-                    stream_box[0].record_fault(
-                        f"stage {s}: target below increasing tracker; holding"
-                    )
+                    stream.faults.append(f"stage {s}: target below increasing tracker; holding")
                 return prev
             if raw >= ONE:
                 return (prev + ONE) / 2
@@ -186,21 +175,14 @@ def make_tracker(
         else:
             if raw >= prev:
                 if raw > prev:
-                    stream_box[0].record_fault(
-                        f"stage {s}: target above decreasing tracker; holding"
-                    )
+                    stream.faults.append(f"stage {s}: target above decreasing tracker; holding")
                 return prev
             if raw <= ZERO:
                 return prev / 2
             return raw
 
-    stream = ApproxStream(
-        direction,
-        gen,
-        unit_interval=True,
-        label=label or f"tracker(lag={lag},{direction.value})",
-    )
-    stream_box.append(stream)
+    stream = ApproxStream(direction, gen, unit_interval=True,
+                          label=label or f"tracker(lag={lag},{direction.value})")
     return stream
 
 
@@ -227,44 +209,26 @@ class SuiteEntry:
 
 
 class AdversarySuite:
-    """Indexed families of adversary streams; index i in the suite is
-    requirement index i in an engine run."""
+    """Adversary streams keyed by priority position, in priority order:
+    L_i's increasing gamma_i at 2i, R_i's decreasing delta_i at 2i+1.
+    Index i in the suite is requirement index i in an engine run."""
 
     def __init__(self, entries: Iterable[SuiteEntry]):
         self.entries = tuple(entries)
-        self._gamma: dict[int, SuiteEntry] = {}
-        self._delta: dict[int, SuiteEntry] = {}
+        positions: dict[int, ApproxStream] = {}
         for e in self.entries:
-            table = self._gamma if e.role == "L" else self._delta
-            if e.index in table:
+            position = 2 * e.index + (e.role == "R")
+            if position in positions:
                 raise ValueError(f"duplicate {e.role} entry at index {e.index}")
-            table[e.index] = e
+            positions[position] = e.stream
+        self.positions = dict(sorted(positions.items()))
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def gamma(self, i: int) -> Optional[ApproxStream]:
-        e = self._gamma.get(i)
-        return e.stream if e else None
-
-    def delta(self, i: int) -> Optional[ApproxStream]:
-        e = self._delta.get(i)
-        return e.stream if e else None
-
-    @property
-    def gamma_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._gamma))
-
-    @property
-    def delta_indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self._delta))
-
 
 class EngineView(Protocol):
     """Read-only handle a running engine exposes to adaptive adversaries."""
-
-    @property
-    def stage(self) -> int: ...
 
     def difference(self, s: int) -> Rational:
         """alpha_s - beta_s for a completed stage s."""
@@ -278,10 +242,11 @@ SuiteOrFactory = Union[AdversarySuite, Callable[[EngineView], AdversarySuite]]
 class StageEngine:
     """The skeleton of a stage engine, and its EngineView.
 
-    A subclass keeps `alpha_hist` and `beta_hist` (one value per completed
-    stage) and builds stage s1 in `_stage(s1)` from the state through stage
-    s1 - 1; the stage counter moves only after `_stage` returns.  Its config
-    carries a `suite` (or suite factory) and a `stages` budget.
+    A subclass keeps `beta_at` (beta at each completed stage), reads
+    alpha at a completed stage through `_alpha_at(s)`, and builds stage s1
+    in `_stage(s1)` from the state through stage s1 - 1; the stage counter
+    moves only after `_stage` returns.  Its config carries a `suite` (or
+    suite factory) and a `stages` budget.
     """
 
     def __init__(self, config):
@@ -294,12 +259,8 @@ class StageEngine:
         self.s = 0
         self.events: list[TraceEvent] = []
 
-    @property
-    def stage(self) -> int:
-        return self.s
-
     def difference(self, s: int) -> Rational:
-        return self.alpha_hist[s] - self.beta_hist[s]
+        return self._alpha_at(s) - self.beta_at[s]
 
     def step(self) -> None:
         s1 = self.s + 1
@@ -311,6 +272,21 @@ class StageEngine:
     def run(self) -> None:
         while self.s < self.config.stages:
             self.step()
+
+    def _read_suite(self, s1: int, first_side: int) -> dict[int, Rational]:
+        """The value at stage s1 of every participating adversary (index at
+        most s), by position.  Each is read and logged once, side by side:
+        `first_side` (0 for gamma, 1 for delta) first, each by ascending
+        index."""
+        values = {}
+        for side in (first_side, 1 - first_side):
+            for position, stream in self.suite.positions.items():
+                if position // 2 > self.s:
+                    break
+                if position % 2 == side:
+                    values[position] = v = stream.value(s1)
+                    self._log(s1, ("gamma", "delta")[side], position // 2, None, fmt(v))
+        return values
 
     def _log(self, stage, kind, req, old, new) -> None:
         self.events.append(TraceEvent(stage, kind, req, old, new))

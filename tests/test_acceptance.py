@@ -210,7 +210,7 @@ def test_criterion_2_expansion_stabilization(lemma2_battery):
     half = LEMMA2_STAGES // 2
     checked = 0
     for k, engine, limits in lemma2_battery:
-        diff_T = engine.alpha_hist[-1] - engine.beta_hist[-1]
+        diff_T = engine.difference(engine.s)
         for (index, role), limit in limits.items():
             if role == "L":
                 param, kind = engine.c_of(index), "c"

@@ -188,8 +188,6 @@ class TestBuildStream:
 class TestBuildSuite:
     def test_roles_and_indices(self):
         class View:
-            stage = 0
-
             def difference(self, s):
                 return R("0")
 
@@ -201,8 +199,7 @@ class TestBuildSuite:
             {"index": 2, "role": "L", "kind": "tracker", "lag": 1,
              "start": "1/8"},
         ], View())
-        assert suite.gamma_indices == (0, 2)
-        assert suite.delta_indices == (1,)
+        assert list(suite.positions) == [0, 3, 4]  # L_0, R_1, L_2
 
     def test_bad_entries_rejected(self):
         for bad in (

@@ -49,8 +49,8 @@ class TestHandAuditedStages:
         assert engine.s == 0
         assert engine.beta == ZERO
         # alpha_0 = (2/3)(1 - 1/2) = 1/3; eta_0 = (1/2)(1 - 1/2) = 1/4
-        assert engine.alpha_hist[0] == R("1/3")
-        assert engine.eta_hist[0] == R("1/4")
+        assert engine.alpha.value(0) == R("1/3")
+        assert engine.eta.value(0) == R("1/4")
 
     def test_stage_one(self):
         engine = ExpansionEngine(reference_config(4))
@@ -185,7 +185,7 @@ class TestVerifyAndReplay:
         # V1/V2 re-stated directly against engine state
         assert engine.beta < Rational(1)
         for i in engine.beta_i:
-            assert engine.beta_i[i] <= Rational(1, 1 << (i + 1)) * engine.eta_hist[-1]
+            assert engine.beta_i[i] <= Rational(1, 1 << (i + 1)) * engine.eta.value(engine.s)
 
     def test_replay_matches_snapshot(self):
         engine = run_expansion(reference_config(60))

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every private top-level name it defines is read in it."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,28 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    """Top-level `_name` functions, classes and constants the module never
+    reads (dunder names excepted)."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -33,3 +56,14 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     source = "from typing import Optional, Union\nx: Optional[int] = None\n"
     assert unused_imports(source) == ["line 1: Union"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_private_names(path):
+    assert unread_private_names(path.read_text()) == []
+
+
+def test_detects_an_unread_private_name():
+    source = ("_UNREAD = 1\n_READ: int = 2\n\n\ndef _helper():\n    return _READ\n\n\n"
+              "class _Unused:\n    pass\n\n\n__all__ = []\nPUBLIC = _helper()\n")
+    assert unread_private_names(source) == ["line 1: _UNREAD", "line 9: _Unused"]

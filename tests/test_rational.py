@@ -1,6 +1,7 @@
 """Exact-rational helpers: parsing, dyadic powers, formatting."""
 
 import random
+import sys
 
 import pytest
 
@@ -68,3 +69,26 @@ class TestFormatting:
         for bad in ("", "1/2/3", "a/b", "0.5"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this build has no int/str digit limit")
+def test_library_digit_limit_is_the_callers():
+    # a library caller keeps its process's limit: past it both directions
+    # raise, and once the caller lifts it a long value round-trips
+    x = Rational(3**9100 + 1, 2**14500)  # numerator and denominator > 4300 digits
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError, match="limit"):
+            format_rational(x)
+        sys.set_int_max_str_digits(0)  # no limit
+        text = format_rational(x)
+        assert min(map(len, text.split("/"))) > 4300
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(ValueError, match="limit"):
+            parse_rational(text)
+        sys.set_int_max_str_digits(0)
+        assert parse_rational(text) == x
+    finally:
+        sys.set_int_max_str_digits(saved)

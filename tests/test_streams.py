@@ -119,7 +119,6 @@ class FakeView:
 
     def __init__(self, diffs):
         self.diffs = [parse_rational(d) for d in diffs]
-        self.stage = len(self.diffs)
 
     def difference(self, s):
         return self.diffs[s]
@@ -185,12 +184,22 @@ class TestSuite:
         g0 = make_constant_target(R("1/3"), INC, HALF)
         d1 = make_constant_target(R("1/4"), DEC, HALF)
         suite = AdversarySuite([SuiteEntry(0, "L", g0), SuiteEntry(1, "R", d1)])
-        assert suite.gamma(0) is g0
-        assert suite.delta(1) is d1
-        assert suite.gamma(1) is None and suite.delta(0) is None
-        assert suite.gamma_indices == (0,)
-        assert suite.delta_indices == (1,)
+        assert suite.positions[0] is g0  # gamma_0 at 2 * 0
+        assert suite.positions[3] is d1  # delta_1 at 2 * 1 + 1
+        assert list(suite.positions) == [0, 3]
         assert len(suite) == 2
+
+    def test_positions_in_priority_order(self):
+        l0, l2 = (make_constant_target(R("1/3"), INC, HALF) for _ in range(2))
+        r0, r2, extra = (make_constant_target(R("2/3"), DEC, HALF) for _ in range(3))
+        # listed out of order; L_0 and R_0 take two positions
+        suite = AdversarySuite([SuiteEntry(2, "R", r2), SuiteEntry(0, "R", r0),
+                                SuiteEntry(2, "L", l2), SuiteEntry(0, "L", l0)])
+        assert list(suite.positions) == [0, 1, 4, 5]
+        assert suite.positions == {0: l0, 1: r0, 4: l2, 5: r2}
+        with pytest.raises(ValueError, match="duplicate R entry at index 0"):
+            AdversarySuite([SuiteEntry(0, "L", l0), SuiteEntry(0, "R", r0),
+                            SuiteEntry(0, "R", extra)])
 
     def test_duplicate_entry_rejected(self):
         g = make_constant_target(HALF, INC, HALF)
@@ -200,5 +209,5 @@ class TestSuite:
 
     def test_empty_suite(self):
         suite = AdversarySuite(())
-        assert suite.gamma_indices == suite.delta_indices == ()
+        assert suite.positions == {}
         assert len(suite) == 0
