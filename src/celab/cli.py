@@ -124,13 +124,6 @@ def cmd_omega_enumerate(args) -> int:
     return EXIT_OK
 
 
-def _load_trace(path: str):
-    try:
-        return read_trace(path)
-    except (OSError, TraceFormatError) as e:
-        raise ConfigError(f"cannot read trace {path}: {e}") from None
-
-
 def _traced_engine(header: dict) -> Engine:
     name = header.get("engine")
     if not isinstance(name, str) or name not in ENGINES:
@@ -138,9 +131,19 @@ def _traced_engine(header: dict) -> Engine:
     return ENGINES[name]
 
 
+def _fold_trace(path: str, fold):
+    """`fold(engine entry, events, final record)` on the trace at `path`; a
+    trace that cannot be read, or a malformed record the fold meets, is a
+    configuration error."""
+    try:
+        header, events, final = read_trace(path)
+        return fold(_traced_engine(header), events, final)
+    except (OSError, TraceFormatError) as e:
+        raise ConfigError(f"cannot read trace {path}: {e}") from None
+
+
 def cmd_verify(args) -> int:
-    header, events, final = _load_trace(args.trace)
-    report = _traced_engine(header).verify(events, final)
+    report = _fold_trace(args.trace, lambda entry, events, final: entry.verify(events, final))
     print(report.render_text())
     if report.all_green:
         return EXIT_OK
@@ -149,9 +152,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    header, events, final = _load_trace(args.trace)
-    rebuilt = _traced_engine(header).replay(events)
-    recorded = {k: v for k, v in final.items() if k != "record"}
+    rebuilt, recorded = _fold_trace(
+        args.trace, lambda entry, events, final: (entry.replay(events), final))
     if rebuilt == recorded:
         print("replay: final state reproduced bit-exactly")
         return EXIT_OK

@@ -24,9 +24,10 @@ Stage s+1, entered with state through stage s:
   5. admit index s+1 with zeroed parameters; beta has grown by each
      L-side increment.
 
-Indices without an adversary stay inert: their parameters exist (all zero)
-but never change.  Every parameter change is logged as a TraceEvent; a run
-is bit-exactly replayable from its trace.
+Indices without an adversary stay inert: they have no entry in any
+per-index table, where an absent index reads as 0.  Every parameter change
+is logged as a TraceEvent, its old value chained to the last record of its
+kind and requirement; a run is bit-exactly replayable from its trace.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cache
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
-from .trace import TraceEvent, VerificationReport, check_final_stage
+from .trace import OldValueChain, TraceEvent, VerificationReport, check_final_stage
 
 
 def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
@@ -58,7 +59,9 @@ class ExpansionConfig:
 
 
 class ExpansionEngine(StageEngine):
-    """One run of the construction; single-threaded, deterministic."""
+    """One run of the construction; single-threaded, deterministic.  Its
+    per-index tables are the final record's; an index absent from one reads
+    as 0 there."""
 
     def __init__(self, config: ExpansionConfig):
         super().__init__(config)
@@ -66,31 +69,16 @@ class ExpansionEngine(StageEngine):
         self.eta = config.eta
         self.c: dict[int, int] = {}
         self.d: dict[int, int] = {}
+        self.q: dict[int, Rational] = {}  # i -> the last logged q_i
         self.beta_i: dict[int, Rational] = {}
         self.last_exp: dict[int, int] = {}  # i -> last L-expansionary stage
         self.beta = ZERO
-        self.beta_at: list[Rational] = [ZERO]
-        self._logged_q: dict[int, Rational] = {}
 
         a0 = self._guarded(self.alpha, 0, "alpha")
-        e0 = self._guarded(self.eta, 0, "eta")
-        self._log(0, "alpha", None, None, fmt(a0))
-        self._log(0, "eta", None, None, fmt(e0))
-        self._log(0, "beta", None, None, fmt(ZERO))
-
-    # -- parameter accessors (inert indices have the uniform defaults) ---
-
-    def c_of(self, i: int) -> int:
-        return self.c.get(i, 0)
-
-    def d_of(self, i: int) -> int:
-        return self.d.get(i, 0)
-
-    def beta_i_of(self, i: int) -> Rational:
-        return self.beta_i.get(i, ZERO)
-
-    def last_exp_of(self, i: int) -> int:
-        return self.last_exp.get(i, 0)
+        self._log_value(0, "alpha", None, fmt(a0))
+        self._log_value(0, "eta", None, fmt(self._guarded(self.eta, 0, "eta")))
+        self._log_value(0, "beta", None, fmt(ZERO))
+        self.diff_at.append(a0)
 
     def q_of(self, i: int) -> Rational:
         """q_i at the current stage: 1/2 for i = 0, else the least
@@ -102,52 +90,42 @@ class ExpansionEngine(StageEngine):
 
     # -- the stage function ----------------------------------------------
 
-    def _alpha_at(self, s: int) -> Rational:
-        return self.alpha.value(s)
-
-    def _stage(self, s1: int) -> None:
+    def _stage(self, s1: int) -> Rational:
         a_new = self._guarded(self.alpha, s1, "alpha")
         e_new = self._guarded(self.eta, s1, "eta")
-        self._log(s1, "alpha", None, fmt(self.alpha.value(self.s)), fmt(a_new))
-        self._log(s1, "eta", None, fmt(self.eta.value(self.s)), fmt(e_new))
+        self._log_value(s1, "alpha", None, fmt(a_new))
+        self._log_value(s1, "eta", None, fmt(e_new))
 
         entry_total = self.beta  # B: the sum of contributions as the stage begins
         adversaries = self._read_suite(s1, first_side=1)
 
         for position, v in adversaries.items():
             i = position // 2
-            if position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.d_of(i)):
-                old = self.d_of(i)
-                self.d[i] = old + 1
-                self._log(s1, "d", i, str(old), str(old + 1))
+            if position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.d.get(i, 0)):
+                self.d[i] = self.d.get(i, 0) + 1
+                self._log_value(s1, "d", i, str(self.d[i]), first_old="0")
 
         for position in self.suite.positions:
             i = position // 2
             if i > s1:
                 break
-            if position % 2:
-                continue
-            q_now = self.q_of(i)
-            if self._logged_q.get(i) != q_now:
-                old = self._logged_q.get(i)
-                self._log(s1, "q", i, fmt(old) if old is not None else None, fmt(q_now))
-                self._logged_q[i] = q_now
+            if not position % 2 and self.q.get(i) != (q_now := self.q_of(i)):
+                self.q[i] = q_now
+                self._log_value(s1, "q", i, fmt(q_now))
 
         for position, v in adversaries.items():
             i = position // 2
-            if not position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.c_of(i)):
-                increment = self.q_of(i) * (e_new - self.eta.value(self.last_exp_of(i)))
-                old_c = self.c_of(i)
-                old_b = self.beta_i_of(i)
-                self.c[i] = old_c + 1
-                self.beta_i[i] = old_b + increment
+            if not position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.c.get(i, 0)):
+                increment = self.q[i] * (e_new - self.eta.value(self.last_exp.get(i, 0)))
+                self.c[i] = self.c.get(i, 0) + 1
+                self.beta_i[i] = self.beta_i.get(i, ZERO) + increment
                 self.beta += increment
                 self.last_exp[i] = s1
-                self._log(s1, "c", i, str(old_c), str(old_c + 1))
-                self._log(s1, "beta_i", i, fmt(old_b), fmt(self.beta_i[i]))
+                self._log_value(s1, "c", i, str(self.c[i]), first_old="0")
+                self._log_value(s1, "beta_i", i, fmt(self.beta_i[i]), first_old="0/1")
 
-        self._log(s1, "beta", None, fmt(entry_total), fmt(self.beta))
-        self.beta_at.append(self.beta)
+        self._log_value(s1, "beta", None, fmt(self.beta))
+        return a_new - self.beta
 
     # -- helpers -----------------------------------------------------------
 
@@ -160,7 +138,7 @@ class ExpansionEngine(StageEngine):
     def snapshot(self) -> dict:
         return _snapshot(self.s, fmt(self.alpha.value(self.s)), fmt(self.eta.value(self.s)),
                          fmt(self.beta), self.c, self.d,
-                         {i: fmt(q) for i, q in self._logged_q.items()},
+                         {i: fmt(q) for i, q in self.q.items()},
                          {i: fmt(v) for i, v in self.beta_i.items()}, self.last_exp)
 
 
@@ -168,6 +146,11 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
     engine = ExpansionEngine(config)
     engine.run()
     return engine
+
+
+# chained kind -> the old value of its first record
+_FIRST_OLD = {"alpha": None, "eta": None, "beta": None, "q": None,
+              "c": "0", "d": "0", "beta_i": "0/1"}
 
 
 class _Fold:
@@ -187,8 +170,10 @@ class _Fold:
         self.c_bumps: dict[int, list[int]] = {}  # i -> stages of its c bumps
         self.d_bumps: dict[int, list[int]] = {}
         self.growth: dict[int, dict[int, tuple[str, str]]] = {}  # stage -> i -> beta_i (old, new)
+        self.chain = OldValueChain(_FIRST_OLD)
         for ev in events:
             self.stage = max(self.stage, ev.stage)
+            self.chain.read(ev)
             kind, i = ev.kind, ev.requirement
             if kind == "alpha":
                 self.alpha = ev.new
@@ -222,7 +207,8 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     V0 the final snapshot's stage is the trace's last; V1 total below one;
     V2 per-index contribution cap; V3 restraint bound on lower-priority
     growth; V4 pacing along expansionary stages; V5 stabilization
-    statistics.  The pacing comparison is >= (the construction
+    statistics; V6 each value record's old value is the last new value of
+    its kind and requirement.  The pacing comparison is >= (the construction
     yields equality whenever a single requirement carries the whole
     increment between consecutive expansionary stages).
     """
@@ -290,5 +276,9 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         last_d = d_bumps.get(i, [None])[-1]
         report.stats[f"req {i} last c change"] = last_c
         report.stats[f"req {i} last d change"] = last_d
+
+    v6 = report.check("V6 old values chain")
+    for message in fold.chain.breaks:
+        v6.fail(message)
     report.stats["stages"] = T
     return report

@@ -39,7 +39,7 @@ from typing import Optional
 
 from .rationals import ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
-from .trace import TraceEvent, VerificationReport, check_final_stage
+from .trace import OldValueChain, TraceEvent, VerificationReport, check_final_stage
 
 
 def pair(k: int, n: int) -> int:
@@ -97,16 +97,15 @@ class InjuryEngine(StageEngine):
         self.b_bits: set[int] = set()
         self.alpha = ZERO
         self.beta = ZERO
-        self.alpha_at: list[Rational] = [ZERO]
-        self.beta_at: list[Rational] = [ZERO]
         # priority position -> bit parameter, restraint; absent = undefined
         self.params: dict[int, int] = {}
         self.restraints: dict[int, int] = {}
         self.used_values: set[int] = set()
         self._max_used = -1  # max(used_values); bounds every live restraint
         self._undefined = 0  # u: parameters are defined exactly on [0, u)
-        self._log(0, "alpha", None, None, fmt(ZERO))
-        self._log(0, "beta", None, None, fmt(ZERO))
+        self._log_value(0, "alpha", None, fmt(ZERO))
+        self._log_value(0, "beta", None, fmt(ZERO))
+        self.diff_at.append(ZERO)
 
     # -- attention ---------------------------------------------------------
 
@@ -125,17 +124,12 @@ class InjuryEngine(StageEngine):
 
     # -- the stage function --------------------------------------------------
 
-    def _alpha_at(self, s: int) -> Rational:
-        return self.alpha_at[s]
-
-    def _stage(self, s1: int) -> None:
+    def _stage(self, s1: int) -> Rational:
         self._read_suite(s1, first_side=0)
         self._serve(self._least_attention(s1), s1)
-
-        self.alpha_at.append(self.alpha)
-        self.beta_at.append(self.beta)
-        self._log(s1, "alpha", None, fmt(self.alpha_at[-2]), fmt(self.alpha))
-        self._log(s1, "beta", None, fmt(self.beta_at[-2]), fmt(self.beta))
+        self._log_value(s1, "alpha", None, fmt(self.alpha))
+        self._log_value(s1, "beta", None, fmt(self.beta))
+        return self.alpha - self.beta
 
     def _least_attention(self, s1: int) -> int:
         """Least position requiring attention at stage s1.  Positions below
@@ -232,8 +226,10 @@ class _Fold:
         self.enum_b: list[int] = []
         waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
         max_used = -1
+        self.chain = OldValueChain({"alpha": None, "beta": None})
         for ev in events:
             self.stage = max(self.stage, ev.stage)
+            self.chain.read(ev)
             kind, n = ev.kind, ev.requirement
             if kind == "alpha":
                 self.alpha = self.alpha_at[ev.stage] = ev.new
@@ -286,7 +282,8 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     attention after a served act; W2 separation margin after an
     un-initialized act; W3 restraint obedience; W4 injury and act counts
     bounded by priority position; W5 column discipline, freshness, and
-    disjoint enumerations.
+    disjoint enumerations; W6 each alpha and beta record's old value is
+    the previous record's new value.
     """
     report = VerificationReport()
     fold = _Fold(events)
@@ -382,6 +379,10 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
         w5.fail(f"values enumerated into both sets: {sorted(a_set & b_set)}")
     if len(fold.enum_a) != len(a_set) or len(fold.enum_b) != len(b_set):
         w5.fail("a bit value was enumerated twice")
+
+    w6 = report.check("W6 old values chain")
+    for message in fold.chain.breaks:
+        w6.fail(message)
 
     report.stats["stages"] = T
     report.stats["acts"] = len(fold.acts)

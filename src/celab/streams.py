@@ -16,7 +16,7 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Protocol, Sequence, Union
+from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt
 from .trace import TraceEvent
@@ -242,11 +242,12 @@ SuiteOrFactory = Union[AdversarySuite, Callable[[EngineView], AdversarySuite]]
 class StageEngine:
     """The skeleton of a stage engine, and its EngineView.
 
-    A subclass keeps `beta_at` (beta at each completed stage), reads
-    alpha at a completed stage through `_alpha_at(s)`, and builds stage s1
-    in `_stage(s1)` from the state through stage s1 - 1; the stage counter
-    moves only after `_stage` returns.  Its config carries a `suite` (or
-    suite factory) and a `stages` budget.
+    A subclass seeds `diff_at` with alpha_0 - beta_0 and builds stage s1 in
+    `_stage(s1)` from the state through stage s1 - 1, returning
+    alpha_s1 - beta_s1; `diff_at` then grows by that value and the stage
+    counter moves.  Every value record goes through `_log_value`, which
+    chains it to the last record of its kind and requirement.  Its config
+    carries a `suite` (or suite factory) and a `stages` budget.
     """
 
     def __init__(self, config):
@@ -258,15 +259,17 @@ class StageEngine:
         self.suite = config.suite(weakref.proxy(self)) if callable(config.suite) else config.suite
         self.s = 0
         self.events: list[TraceEvent] = []
+        self.diff_at: list[Rational] = []  # alpha_s - beta_s per completed stage
+        self._last_text: dict[tuple[str, Optional[int]], str] = {}  # (kind, req) -> new text
 
     def difference(self, s: int) -> Rational:
-        return self._alpha_at(s) - self.beta_at[s]
+        return self.diff_at[s]
 
     def step(self) -> None:
         s1 = self.s + 1
         if s1 > self.config.stages:
             raise ValueError(f"stage budget {self.config.stages} exhausted")
-        self._stage(s1)
+        self.diff_at.append(self._stage(s1))
         self.s = s1
 
     def run(self) -> None:
@@ -287,6 +290,13 @@ class StageEngine:
                     values[position] = v = stream.value(s1)
                     self._log(s1, ("gamma", "delta")[side], position // 2, None, fmt(v))
         return values
+
+    def _log_value(self, stage, kind, req, new_text, first_old=None) -> None:
+        """Log a value record whose old value is the last text logged for
+        (kind, req), or `first_old` before the first."""
+        key = (kind, req)
+        self._log(stage, kind, req, self._last_text.get(key, first_old), new_text)
+        self._last_text[key] = new_text
 
     def _log(self, stage, kind, req, old, new) -> None:
         self.events.append(TraceEvent(stage, kind, req, old, new))

@@ -15,6 +15,10 @@ from pathlib import Path
 from typing import Optional
 
 
+class TraceFormatError(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     stage: int
@@ -36,18 +40,56 @@ class TraceEvent:
         )
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TraceEvent":
-        return cls(
-            stage=d["stage"],
-            kind=d["event_kind"],
-            requirement=d.get("requirement"),
-            old=d.get("old_value"),
-            new=d.get("new_value"),
-        )
+    def from_dict(cls, d) -> "TraceEvent":
+        """The event an event line holds; TraceFormatError if a field is
+        missing or of the wrong type."""
+        if not isinstance(d, dict) or "stage" not in d or "event_kind" not in d:
+            raise TraceFormatError("an event must be an object with stage and event_kind")
+        stage, kind, req = d["stage"], d["event_kind"], d.get("requirement")
+        if not _is_int(stage) or stage < 0:
+            raise TraceFormatError("stage is not a non-negative integer")
+        if not isinstance(kind, str):
+            raise TraceFormatError(f"stage {stage}: event_kind is not a string")
+        if req is not None and not _is_int(req):
+            raise TraceFormatError(f"stage {stage} {kind}: requirement is not an integer")
+        old, new = d.get("old_value"), d.get("new_value")
+        for name, value in (("old_value", old), ("new_value", new)):
+            if value is not None and not isinstance(value, str):
+                raise TraceFormatError(f"stage {stage} {kind}: {name} is not a string")
+        return cls(stage, kind, req, old, new)
 
     def new_int(self) -> int:
-        assert self.new is not None
-        return int(self.new)
+        try:
+            return int(self.new)
+        except (TypeError, ValueError):
+            raise TraceFormatError(
+                f"stage {self.stage} {self.kind}: new_value is not an integer") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class OldValueChain:
+    """The trace rule that a value record's old value is the last new value
+    of its kind and requirement, checked as a fold reads: `first_old` maps
+    each chained kind to the old value of its first record.  Keeps the last
+    new value of each (kind, requirement) and a message per broken link."""
+
+    def __init__(self, first_old: dict[str, Optional[str]]):
+        self.first_old = first_old
+        self.last: dict[tuple[str, Optional[int]], Optional[str]] = {}
+        self.breaks: list[str] = []
+
+    def read(self, ev: TraceEvent) -> None:
+        if ev.kind not in self.first_old:
+            return
+        key = (ev.kind, ev.requirement)
+        if ev.old != self.last.get(key, self.first_old[ev.kind]):
+            req = "" if ev.requirement is None else f" req {ev.requirement}"
+            self.breaks.append(f"stage {ev.stage}: {ev.kind}{req} old value is not "
+                               f"the last new value of its kind")
+        self.last[key] = ev.new
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:
@@ -59,11 +101,9 @@ def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final:
         fh.write(json.dumps({"record": "final", **final}, separators=(",", ":")) + "\n")
 
 
-class TraceFormatError(Exception):
-    pass
-
-
 def read_trace(path: Path | str) -> tuple[dict, list[TraceEvent], dict]:
+    """The header, events and final record of a trace file; the header and
+    final record are returned without their framing "record" key."""
     path = Path(path)
     header: Optional[dict] = None
     final: Optional[dict] = None
@@ -77,12 +117,16 @@ def read_trace(path: Path | str) -> tuple[dict, list[TraceEvent], dict]:
                 d = json.loads(line)
             except json.JSONDecodeError as e:
                 raise TraceFormatError(f"{path}:{lineno}: bad JSON: {e}") from None
-            if d.get("record") == "header":
+            record = d.pop("record", None) if isinstance(d, dict) else None
+            if record == "header":
                 header = d
-            elif d.get("record") == "final":
+            elif record == "final":
                 final = d
             else:
-                events.append(TraceEvent.from_dict(d))
+                try:
+                    events.append(TraceEvent.from_dict(d))
+                except TraceFormatError as e:
+                    raise TraceFormatError(f"{path}:{lineno}: {e}") from None
     if header is None or final is None:
         raise TraceFormatError(f"{path}: missing header or final record")
     return header, events, final

@@ -212,10 +212,8 @@ def test_criterion_2_expansion_stabilization(lemma2_battery):
     for k, engine, limits in lemma2_battery:
         diff_T = engine.difference(engine.s)
         for (index, role), limit in limits.items():
-            if role == "L":
-                param, kind = engine.c_of(index), "c"
-            else:
-                param, kind = engine.d_of(index), "d"
+            kind = "c" if role == "L" else "d"
+            param = getattr(engine, kind).get(index, 0)
             if abs(limit - diff_T) <= 2 * pow2_neg(param):
                 continue  # not separated; no stabilization claim
             checked += 1

@@ -408,3 +408,34 @@ def test_module_entry_point_on_goldens(tmp_path, engine):
                                   capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == code, proc.stdout + proc.stderr
             assert proc.stderr == ""
+
+
+# (golden engine, event kind, edit of its first record); the edited record
+# is malformed at read (a field of the wrong type) or at fold (an integer
+# value that is not one)
+MALFORMED = {
+    "c-new-null": ("lemma2", "c", lambda r: {**r, "new_value": None}),
+    "c-new-x": ("lemma2", "c", lambda r: {**r, "new_value": "x"}),
+    "c-requirement-text": ("lemma2", "c", lambda r: {**r, "requirement": "0"}),
+    "alpha-stage-text": ("lemma2", "alpha", lambda r: {**r, "stage": "3"}),
+    "alpha-stage-null": ("lemma2", "alpha", lambda r: {**r, "stage": None}),
+    "define-new-null": ("prop3", "define", lambda r: {**r, "new_value": None}),
+    "no-stage": ("lemma2", "beta", lambda r: {k: v for k, v in r.items() if k != "stage"}),
+    "not-an-object": ("lemma2", "eta", lambda r: [1, 2]),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "replay"])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_trace_record_is_config_error(tmp_path, capsys, command, case):
+    engine, kind, edit = MALFORMED[case]
+    lines = (GOLDENS / f"golden_{engine}.trace.jsonl").read_text().splitlines()
+    n = next(n for n, line in enumerate(lines) if json.loads(line).get("event_kind") == kind)
+    lines[n] = json.dumps(edit(json.loads(lines[n])))
+    trace = tmp_path / "malformed.trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main([command, "--trace", str(trace)]) == EXIT_CONFIG_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot read trace {trace}")
+    assert captured.err.count("\n") == 1

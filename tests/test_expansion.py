@@ -59,9 +59,9 @@ class TestHandAuditedStages:
         # adversary at index 1 is not yet admitted (1 > previous stage 0).
         # L_0 gap: |1/2 - 0 - 1/4| = 1/4 < 2^0 -> expansionary.
         # increment = q_0 * (eta_1 - eta_0) = (1/2)(3/8 - 1/4) = 1/16.
-        assert engine.c_of(0) == 1
-        assert engine.d_of(1) == 0
-        assert engine.beta_i_of(0) == R("1/16")
+        assert engine.c[0] == 1
+        assert engine.d.get(1, 0) == 0
+        assert engine.beta_i[0] == R("1/16")
         assert engine.beta == R("1/16")
         assert engine.q_of(0) == R("1/2")
 
@@ -74,11 +74,11 @@ class TestHandAuditedStages:
         #   -> d_1 = 1.
         # L_0: gamma_0(2) = 7/24; |7/12 - 1/16 - 7/24| = 11/48 < 2^-1
         #   -> c_0 = 2, increment (1/2)(7/16 - 3/8) = 1/32.
-        assert engine.d_of(1) == 1
-        assert engine.c_of(0) == 2
-        assert engine.beta_i_of(0) == R("3/32")
+        assert engine.d[1] == 1
+        assert engine.c[0] == 2
+        assert engine.beta_i[0] == R("3/32")
         assert engine.beta == R("3/32")
-        assert engine.last_exp_of(0) == 2
+        assert engine.last_exp[0] == 2
 
     def test_stage_three(self):
         engine = ExpansionEngine(reference_config(4))
@@ -89,9 +89,9 @@ class TestHandAuditedStages:
         #   -> d_1 = 2.
         # L_0: gamma_0(3) = 5/16; |5/8 - 3/32 - 5/16| = 7/32 < 2^-2
         #   -> c_0 = 3, increment (1/2)(15/32 - 7/16) = 1/64.
-        assert engine.d_of(1) == 2
-        assert engine.c_of(0) == 3
-        assert engine.beta_i_of(0) == R("7/64")
+        assert engine.d[1] == 2
+        assert engine.c[0] == 3
+        assert engine.beta_i[0] == R("7/64")
 
     def test_stage_four_nothing_expansionary(self):
         engine = ExpansionEngine(reference_config(4))
@@ -99,8 +99,8 @@ class TestHandAuditedStages:
             engine.step()
         # alpha_4 = 31/48, B = 7/64.
         # R_1 gap 101/384 >= 2^-2 = 96/384; L_0 gap 82/384 >= 2^-3 = 48/384.
-        assert engine.d_of(1) == 2
-        assert engine.c_of(0) == 3
+        assert engine.d[1] == 2
+        assert engine.c[0] == 3
         assert engine.beta == R("7/64")
 
     def test_q_scale_reacts_to_d_bumps(self):
@@ -115,8 +115,9 @@ class TestHandAuditedStages:
         )
         engine = run_expansion(cfg)
         # q_2 = 2^-(2 + max_{j<2} d_j + 1); with no bumps that is 1/8
-        assert engine.q_of(2) == Rational(1, 1 << (2 + engine.d_of(0) + 1))
-        assert engine.d_of(0) >= 1  # the decreasing adversary does get hit
+        assert engine.q_of(2) == Rational(1, 1 << (2 + engine.d[0] + 1))
+        assert engine.q[2] == engine.q_of(2)
+        assert engine.d[0] >= 1  # the decreasing adversary does get hit
 
 
 class TestEngineBasics:
@@ -142,9 +143,8 @@ class TestEngineBasics:
 
     def test_inert_indices_have_uniform_defaults(self):
         engine = run_expansion(reference_config(5))
-        assert engine.c_of(7) == 0
-        assert engine.d_of(7) == 0
-        assert engine.beta_i_of(7) == ZERO
+        for table in (engine.c, engine.d, engine.q, engine.beta_i, engine.last_exp):
+            assert 7 not in table  # read as 0
 
     def test_determinism(self):
         a = run_expansion(reference_config(40))

@@ -120,11 +120,9 @@ class TestGoldenFilesStillVerify:
 
     def test_verifiers_green_on_recorded_events(self):
         h, evs, final = read_trace(DATA / "golden_lemma2.trace.jsonl")
-        clean = {k: v for k, v in final.items() if k != "record"}
-        assert verify_expansion(evs, clean).all_green
+        assert verify_expansion(evs, final).all_green
         h, evs, final = read_trace(DATA / "golden_prop3.trace.jsonl")
-        clean = {k: v for k, v in final.items() if k != "record"}
-        assert verify_injury(evs, clean).all_green
+        assert verify_injury(evs, final).all_green
 
 
 class TestAlteredFinalStage:
@@ -138,7 +136,6 @@ class TestAlteredFinalStage:
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_verifier_fails_named_check(self, name, verify, tag, delta):
         _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
-        final = {k: v for k, v in final.items() if k != "record"}
         final["stage"] += delta
         report = verify(evs, final)
         assert not report.all_green
@@ -159,13 +156,14 @@ class TestAlteredFinalStage:
 
 class TestDeletedLemma2Record:
     """Deleting a stage record the lemma2 verifier reads fails the check
-    that reads it, naming the record and its stage, instead of raising."""
+    that reads it, naming the record and its stage, instead of raising;
+    deleting one with a successor also breaks the old-value chain (V6)."""
 
     FINAL_ETA = '{"stage":50,"event_kind":"eta"'
     BUMP_BETA = '{"stage":2,"event_kind":"beta"'
     CASES = [
-        (FINAL_ETA, "V2", "no eta record at final stage 50"),
-        (BUMP_BETA, "V4", "req 0, stages 1->2: no beta record at stage 2"),
+        (FINAL_ETA, ["V2"], "no eta record at final stage 50"),
+        (BUMP_BETA, ["V4", "V6"], "req 0, stages 1->2: no beta record at stage 2"),
     ]
     IDS = ["final-eta", "bump-beta"]
 
@@ -178,20 +176,20 @@ class TestDeletedLemma2Record:
         trace.write_text("\n".join(kept) + "\n")
         return trace
 
-    @pytest.mark.parametrize("prefix, tag, message", CASES, ids=IDS)
-    def test_verifier_fails_named_check(self, prefix, tag, message, tmp_path):
+    @pytest.mark.parametrize("prefix, tags, message", CASES, ids=IDS)
+    def test_verifier_fails_named_check(self, prefix, tags, message, tmp_path):
         _, evs, final = read_trace(self.trace_without(prefix, tmp_path))
-        final = {k: v for k, v in final.items() if k != "record"}
         report = verify_expansion(evs, final)
-        assert [c.name[:2] for c in report.checks if not c.passed] == [tag]
+        assert [c.name[:2] for c in report.checks if not c.passed] == tags
+        assert report.first_failure().startswith(tags[0])
         assert report.first_failure().endswith(message)
 
-    @pytest.mark.parametrize("prefix, tag, message", CASES, ids=IDS)
-    def test_cli_verify_exits_check_failed(self, prefix, tag, message, tmp_path, capsys):
+    @pytest.mark.parametrize("prefix, tags, message", CASES, ids=IDS)
+    def test_cli_verify_exits_check_failed(self, prefix, tags, message, tmp_path, capsys):
         trace = self.trace_without(prefix, tmp_path)
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
-        assert f"first violated invariant: {tag} " in out and message in out
+        assert f"first violated invariant: {tags[0]} " in out and message in out
 
 
 class TestSingleEventMutations:
@@ -201,13 +199,12 @@ class TestSingleEventMutations:
     grow (the prop3 floor counts the deletion of the define before the only
     act, which must fail W1)."""
 
-    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 12),
-             ("golden_prop3", verify_injury, replay_injury, 151)]
+    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 230),
+             ("golden_prop3", verify_injury, replay_injury, 156)]
 
     @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
     def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
         _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
-        final = {k: v for k, v in final.items() if k != "record"}
         flagged = {}
         for n in range(len(evs)):
             for op, mutated in (("del", evs[:n] + evs[n + 1:]), ("dup", evs[:n + 1] + evs[n:])):

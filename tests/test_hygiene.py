@@ -1,5 +1,6 @@
-"""Source hygiene: every name a library module imports is used in it, and
-every private top-level name it defines is read in it."""
+"""Source hygiene: every name a library module imports is used in it,
+every private top-level name it defines is read in it, and no library
+module uses an `assert` statement (it vanishes under `python -O`)."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,11 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
+def assert_statements(source: str) -> list[str]:
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -67,3 +73,14 @@ def test_detects_an_unread_private_name():
     source = ("_UNREAD = 1\n_READ: int = 2\n\n\ndef _helper():\n    return _READ\n\n\n"
               "class _Unused:\n    pass\n\n\n__all__ = []\nPUBLIC = _helper()\n")
     assert unread_private_names(source) == ["line 1: _UNREAD", "line 9: _Unused"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
+
+
+def test_detects_an_assert_statement():
+    source = ('"""Values are asserted on read."""\n\n\ndef f(x):\n'
+              '    if x:\n        assert x > 0, "positive"\n    return x\n')
+    assert assert_statements(source) == ["line 6"]

@@ -1,7 +1,10 @@
 """Per-stage trace records of both engines on random suites: every
 participating adversary is logged once a stage, side by side in the
-engine's order, and lemma2's beta is the sum of its logged beta_i."""
+engine's order, each value record's old value is the last new value of its
+kind and requirement, and lemma2's beta is the sum of its logged beta_i.
+An engine's running difference is its logged alpha minus its logged beta."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,25 @@ def factory(table: dict):
     return lambda view: build_suite(specs, view)
 
 
+# engine -> chained kind -> the old value of its first record
+FIRST_OLD = {
+    "lemma2": {"alpha": None, "eta": None, "beta": None, "q": None,
+               "c": "0", "d": "0", "beta_i": "0/1"},
+    "prop3": {"alpha": None, "beta": None},
+}
+
+
+def check_chain(events, first_old: dict) -> None:
+    """Every chained record's old value is the last new value of its kind
+    and requirement, or the kind's first old value before its first."""
+    last: dict = {}
+    for ev in events:
+        if ev.kind in first_old:
+            key = (ev.kind, ev.requirement)
+            assert ev.old == last.get(key, first_old[ev.kind]), f"stage {ev.stage} {key}"
+            last[key] = ev.new
+
+
 def check_adversary_records(events, table: dict, stages: int, first: str) -> None:
     """At every stage s1 the gamma/delta records are exactly the adversaries
     with index <= s1 - 1, side `first` before the other, each by index."""
@@ -61,6 +83,7 @@ def test_lemma2_records_and_beta_total(table, stages, alpha, eta):
         alpha=target(alpha), eta=target(eta),
         suite=factory(table), stages=stages))
     check_adversary_records(engine.events, table, stages, first="delta")
+    check_chain(engine.events, FIRST_OLD["lemma2"])
     latest: dict[int, str] = {}  # i -> latest logged beta_i
     totals = 0
     for ev in engine.events:
@@ -78,3 +101,25 @@ def test_lemma2_records_and_beta_total(table, stages, alpha, eta):
 def test_prop3_records(table, stages):
     engine = run_injury(InjuryConfig(suite=factory(table), stages=stages))
     check_adversary_records(engine.events, table, stages, first="gamma")
+    check_chain(engine.events, FIRST_OLD["prop3"])
+
+
+TRACKERS = {(0, "L"): {"kind": "tracker", "lag": 0, "start": "1/8"},
+            (1, "R"): {"kind": "tracker", "lag": 1, "start": "7/8"},
+            (2, "L"): {"kind": "tracker", "lag": 2, "start": "1/3"}}
+
+
+@pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
+def test_difference_is_logged_alpha_minus_beta(engine_name):
+    if engine_name == "lemma2":
+        engine = run_expansion(ExpansionConfig(
+            alpha=target(("2/3", "1/2")), eta=target(("1/2", "1/2")),
+            suite=factory(TRACKERS), stages=80))
+    else:
+        engine = run_injury(InjuryConfig(suite=factory(TRACKERS), stages=80))
+    logged = {kind: {} for kind in ("alpha", "beta")}  # kind -> stage -> value
+    for ev in engine.events:
+        if ev.kind in logged:
+            logged[ev.kind][ev.stage] = parse_rational(ev.new)
+    for s in range(engine.s + 1):
+        assert engine.difference(s) == logged["alpha"][s] - logged["beta"][s], f"stage {s}"
