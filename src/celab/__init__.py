@@ -21,8 +21,6 @@ from .solovay import (
     check_clause_a,
     check_clause_b_horizon,
     check_clause_c,
-    least_prefix_q,
-    ratio_trace,
     speedup,
 )
 from .expansion import ExpansionConfig, ExpansionEngine, run_expansion, verify_expansion
@@ -32,7 +30,6 @@ from .omega import (
     ToyMachine,
     SubMachine,
     bundled_machines,
-    enumerate_omega,
     omega_stream,
     parse_machine,
     translate_omega,

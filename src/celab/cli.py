@@ -133,7 +133,7 @@ def _traced_engine(header: dict) -> Engine:
 
 def _fold_trace(path: str, fold):
     """`fold(engine entry, events, final record)` on the trace at `path`; a
-    trace that cannot be read, or a malformed record the fold meets, is a
+    trace that cannot be read, or a malformed value a check parses, is a
     configuration error."""
     try:
         header, events, final = read_trace(path)

@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .rationals import ONE, ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
+from .rationals import ONE, ZERO, Rational, format_rational as fmt, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
-from .trace import OldValueChain, TraceEvent, VerificationReport, check_final_stage
+from .trace import (AdversaryRuns, OldValueChain, TraceEvent, VerificationReport,
+                    check_final_record, rational)
 
 
 def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
@@ -75,9 +76,9 @@ class ExpansionEngine(StageEngine):
         self.beta = ZERO
 
         a0 = self._guarded(self.alpha, 0, "alpha")
-        self._log_value(0, "alpha", None, fmt(a0))
-        self._log_value(0, "eta", None, fmt(self._guarded(self.eta, 0, "eta")))
-        self._log_value(0, "beta", None, fmt(ZERO))
+        self._log(0, "alpha", None, fmt(a0))
+        self._log(0, "eta", None, fmt(self._guarded(self.eta, 0, "eta")))
+        self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(a0)
 
     def q_of(self, i: int) -> Rational:
@@ -93,8 +94,8 @@ class ExpansionEngine(StageEngine):
     def _stage(self, s1: int) -> Rational:
         a_new = self._guarded(self.alpha, s1, "alpha")
         e_new = self._guarded(self.eta, s1, "eta")
-        self._log_value(s1, "alpha", None, fmt(a_new))
-        self._log_value(s1, "eta", None, fmt(e_new))
+        self._log(s1, "alpha", None, fmt(a_new))
+        self._log(s1, "eta", None, fmt(e_new))
 
         entry_total = self.beta  # B: the sum of contributions as the stage begins
         adversaries = self._read_suite(s1, first_side=1)
@@ -103,7 +104,7 @@ class ExpansionEngine(StageEngine):
             i = position // 2
             if position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.d.get(i, 0)):
                 self.d[i] = self.d.get(i, 0) + 1
-                self._log_value(s1, "d", i, str(self.d[i]), first_old="0")
+                self._log(s1, "d", i, str(self.d[i]))
 
         for position in self.suite.positions:
             i = position // 2
@@ -111,7 +112,7 @@ class ExpansionEngine(StageEngine):
                 break
             if not position % 2 and self.q.get(i) != (q_now := self.q_of(i)):
                 self.q[i] = q_now
-                self._log_value(s1, "q", i, fmt(q_now))
+                self._log(s1, "q", i, fmt(q_now))
 
         for position, v in adversaries.items():
             i = position // 2
@@ -121,10 +122,10 @@ class ExpansionEngine(StageEngine):
                 self.beta_i[i] = self.beta_i.get(i, ZERO) + increment
                 self.beta += increment
                 self.last_exp[i] = s1
-                self._log_value(s1, "c", i, str(self.c[i]), first_old="0")
-                self._log_value(s1, "beta_i", i, fmt(self.beta_i[i]), first_old="0/1")
+                self._log(s1, "c", i, str(self.c[i]))
+                self._log(s1, "beta_i", i, fmt(self.beta_i[i]))
 
-        self._log_value(s1, "beta", None, fmt(self.beta))
+        self._log(s1, "beta", None, fmt(self.beta))
         return a_new - self.beta
 
     # -- helpers -----------------------------------------------------------
@@ -148,11 +149,6 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
     return engine
 
 
-# chained kind -> the old value of its first record
-_FIRST_OLD = {"alpha": None, "eta": None, "beta": None, "q": None,
-              "c": "0", "d": "0", "beta_i": "0/1"}
-
-
 class _Fold:
     """One forward pass over a lemma2 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
@@ -170,7 +166,8 @@ class _Fold:
         self.c_bumps: dict[int, list[int]] = {}  # i -> stages of its c bumps
         self.d_bumps: dict[int, list[int]] = {}
         self.growth: dict[int, dict[int, tuple[str, str]]] = {}  # stage -> i -> beta_i (old, new)
-        self.chain = OldValueChain(_FIRST_OLD)
+        self.chain = OldValueChain()
+        self.runs = AdversaryRuns()
         for ev in events:
             self.stage = max(self.stage, ev.stage)
             self.chain.read(ev)
@@ -182,42 +179,49 @@ class _Fold:
             elif kind == "beta":
                 self.beta = self.beta_at[ev.stage] = ev.new
             elif kind == "c":
-                self.c[i] = ev.new_int()
+                self.c[i] = int(ev.new)
                 self.c_bumps.setdefault(i, []).append(ev.stage)
             elif kind == "d":
-                self.d[i] = ev.new_int()
+                self.d[i] = int(ev.new)
                 self.d_bumps.setdefault(i, []).append(ev.stage)
             elif kind == "q":
                 self.q[i] = ev.new
             elif kind == "beta_i":
                 self.beta_i[i] = ev.new
                 self.growth.setdefault(ev.stage, {})[i] = (ev.old, ev.new)
+            elif kind in ("gamma", "delta"):
+                self.runs.read(ev)
+        self.runs.close(self.stage)
+
+    def snapshot(self) -> dict:
+        """The final record the trace folds to."""
+        return _snapshot(self.stage, self.alpha, self.eta, self.beta, self.c, self.d, self.q,
+                         self.beta_i, {i: stages[-1] for i, stages in self.c_bumps.items()})
 
 
 def replay_expansion(events: list[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot (no generators re-run)."""
-    fold = _Fold(events)
-    return _snapshot(fold.stage, fold.alpha, fold.eta, fold.beta, fold.c, fold.d, fold.q,
-                     fold.beta_i, {i: stages[-1] for i, stages in fold.c_bumps.items()})
+    return _Fold(events).snapshot()
 
 
 def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
-    V0 the final snapshot's stage is the trace's last; V1 total below one;
+    V0 the final record is the one the trace folds to; V1 total below one;
     V2 per-index contribution cap; V3 restraint bound on lower-priority
     growth; V4 pacing along expansionary stages; V5 stabilization
     statistics; V6 each value record's old value is the last new value of
-    its kind and requirement.  The pacing comparison is >= (the construction
-    yields equality whenever a single requirement carries the whole
-    increment between consecutive expansionary stages).
+    its kind and requirement; V7 one record a stage of each adversary.  The
+    pacing comparison is >= (the construction yields equality whenever a
+    single requirement carries the whole increment between consecutive
+    expansionary stages).  Checks read the fold, not the final record.
     """
     report = VerificationReport()
     fold = _Fold(events)
     T = fold.stage
-    check_final_stage(report, "V0 final stage is the last traced stage", T, final)
+    check_final_record(report, "V0 final record is the folded trace's", fold.snapshot(), final)
     c_bumps, d_bumps = fold.c_bumps, fold.d_bumps
-    rational = cache(parse_rational)  # a bump stage's beta and eta serve two pairs
+    parsed = cache(rational)  # a bump stage's beta and eta serve two pairs
 
     def d_at(j: int, t: int) -> int:
         return sum(1 for b in d_bumps.get(j, ()) if b <= t)
@@ -229,7 +233,7 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         return pow2_neg(i + max_d + 1)
 
     v1 = report.check("V1 total below one")
-    beta_T = parse_rational(final["beta"])
+    beta_T = rational(fold.beta)
     if not beta_T < ONE:
         v1.fail(f"beta_T = {beta_T} >= 1")
 
@@ -237,17 +241,16 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     if T not in fold.eta_at:
         v2.fail(f"no eta record at final stage {T}")
     else:
-        eta_T = parse_rational(fold.eta_at[T])
-        for key, text in final["beta_i"].items():
-            i = int(key)
-            contribution = parse_rational(text)
+        eta_T = rational(fold.eta_at[T])
+        for i, text in sorted(fold.beta_i.items()):
+            contribution = rational(text)
             if not contribution <= pow2_neg(i + 1) * eta_T:
                 v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
 
     v3 = report.check("V3 restraint bound on lower-priority growth")
     relevant = sorted(set(d_bumps) | {j for incs in fold.growth.values() for j in incs})
     for stage, logged in sorted(fold.growth.items()):
-        incs = {i: parse_rational(new) - parse_rational(old) for i, (old, new) in logged.items()}
+        incs = {i: rational(new) - rational(old) for i, (old, new) in logged.items()}
         for j in relevant:
             total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
             if total > pow2_neg(d_at(j, stage)):
@@ -265,20 +268,20 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
             if gaps:
                 v4.fail(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
                 continue
-            lhs = rational(fold.beta_at[t2]) - rational(fold.beta_at[t1])
-            rhs = q_at(i, t2) * (rational(fold.eta_at[t2]) - rational(fold.eta_at[t1]))
+            lhs = parsed(fold.beta_at[t2]) - parsed(fold.beta_at[t1])
+            rhs = q_at(i, t2) * (parsed(fold.eta_at[t2]) - parsed(fold.eta_at[t1]))
             if not lhs >= rhs:
                 v4.fail(f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}")
 
-    v5 = report.check("V5 stabilization statistics")
+    report.check("V5 stabilization statistics")
     for i in sorted(set(c_bumps) | set(d_bumps)):
-        last_c = c_bumps.get(i, [None])[-1]
-        last_d = d_bumps.get(i, [None])[-1]
-        report.stats[f"req {i} last c change"] = last_c
-        report.stats[f"req {i} last d change"] = last_d
+        report.stats[f"req {i} last c change"] = c_bumps.get(i, [None])[-1]
+        report.stats[f"req {i} last d change"] = d_bumps.get(i, [None])[-1]
 
-    v6 = report.check("V6 old values chain")
-    for message in fold.chain.breaks:
-        v6.fail(message)
+    for name, breaks in (("V6 old values chain", fold.chain.breaks),
+                         ("V7 one record a stage of each adversary", fold.runs.breaks)):
+        check = report.check(name)
+        for message in breaks:
+            check.fail(message)
     report.stats["stages"] = T
     return report

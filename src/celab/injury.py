@@ -37,9 +37,10 @@ from functools import cache
 from math import isqrt
 from typing import Optional
 
-from .rationals import ZERO, Rational, format_rational as fmt, parse_rational, pow2_neg
+from .rationals import ZERO, Rational, format_rational as fmt, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
-from .trace import OldValueChain, TraceEvent, VerificationReport, check_final_stage
+from .trace import (AdversaryRuns, OldValueChain, TraceEvent, VerificationReport,
+                    check_final_record, rational)
 
 
 def pair(k: int, n: int) -> int:
@@ -103,8 +104,8 @@ class InjuryEngine(StageEngine):
         self.used_values: set[int] = set()
         self._max_used = -1  # max(used_values); bounds every live restraint
         self._undefined = 0  # u: parameters are defined exactly on [0, u)
-        self._log_value(0, "alpha", None, fmt(ZERO))
-        self._log_value(0, "beta", None, fmt(ZERO))
+        self._log(0, "alpha", None, fmt(ZERO))
+        self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(ZERO)
 
     # -- attention ---------------------------------------------------------
@@ -127,8 +128,8 @@ class InjuryEngine(StageEngine):
     def _stage(self, s1: int) -> Rational:
         self._read_suite(s1, first_side=0)
         self._serve(self._least_attention(s1), s1)
-        self._log_value(s1, "alpha", None, fmt(self.alpha))
-        self._log_value(s1, "beta", None, fmt(self.beta))
+        self._log(s1, "alpha", None, fmt(self.alpha))
+        self._log(s1, "beta", None, fmt(self.beta))
         return self.alpha - self.beta
 
     def _least_attention(self, s1: int) -> int:
@@ -156,20 +157,20 @@ class InjuryEngine(StageEngine):
             bit = self.params[position] = least_in_column_above(position, self._max_used)
             self._use(bit)
             self._undefined = position + 1
-            self._log(s1, "define", position, None, str(bit))
+            self._log(s1, "define", position, str(bit))
             return
         restraint = self.restraints[position] = bit + 3
-        self._log(s1, "act", position, None, str(bit))
+        self._log(s1, "act", position, str(bit))
         if position % 2:
             self.a_bits.add(bit)
             self.alpha += bit_weight(bit)
-            self._log(s1, "enumerate_A", position, None, str(bit))
+            self._log(s1, "enumerate_A", position, str(bit))
         else:
             self.b_bits.add(bit)
             self.beta += bit_weight(bit)
-            self._log(s1, "enumerate_B", position, None, str(bit))
+            self._log(s1, "enumerate_B", position, str(bit))
         self._use(restraint)
-        self._log(s1, "restraint", position, None, str(restraint))
+        self._log(s1, "restraint", position, str(restraint))
         self._initialize_below(position, s1)
         self._undefined = position + 1
 
@@ -179,7 +180,7 @@ class InjuryEngine(StageEngine):
         for p in sorted(range(position + 1, self._undefined), key=lambda p: (p % 2, p)):
             del self.params[p]
             self.restraints.pop(p, None)
-            self._log(s1, "initialize", p, None, None)
+            self._log(s1, "initialize", p)
 
     def snapshot(self) -> dict:
         return _snapshot(self.s, self.a_bits, self.b_bits, fmt(self.alpha), fmt(self.beta),
@@ -226,7 +227,8 @@ class _Fold:
         self.enum_b: list[int] = []
         waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
         max_used = -1
-        self.chain = OldValueChain({"alpha": None, "beta": None})
+        self.chain = OldValueChain()
+        self.runs = AdversaryRuns()
         for ev in events:
             self.stage = max(self.stage, ev.stage)
             self.chain.read(ev)
@@ -235,12 +237,11 @@ class _Fold:
                 self.alpha = self.alpha_at[ev.stage] = ev.new
             elif kind == "beta":
                 self.beta = self.beta_at[ev.stage] = ev.new
-            elif kind == "gamma":
-                self.adversary.setdefault(2 * n, {})[ev.stage] = ev.new
-            elif kind == "delta":
-                self.adversary.setdefault(2 * n + 1, {})[ev.stage] = ev.new
+            elif kind in ("gamma", "delta"):
+                self.adversary.setdefault(2 * n + (kind == "delta"), {})[ev.stage] = ev.new
+                self.runs.read(ev)
             elif kind == "define":
-                value = self.params[n] = ev.new_int()
+                value = self.params[n] = int(ev.new)
                 self.defines.append((ev.stage, n, value, max_used))
                 self.used.add(value)
                 max_used = max(max_used, value)
@@ -249,11 +250,11 @@ class _Fold:
                 self.acts.append(act)
                 waiting.setdefault(n, []).append(act)
             elif kind == "enumerate_A":
-                self.enum_a.append(ev.new_int())
+                self.enum_a.append(int(ev.new))
             elif kind == "enumerate_B":
-                self.enum_b.append(ev.new_int())
+                self.enum_b.append(int(ev.new))
             elif kind == "restraint":
-                value = self.restraints[n] = ev.new_int()
+                value = self.restraints[n] = int(ev.new)
                 self.used.add(value)
                 max_used = max(max_used, value)
             elif kind == "initialize":
@@ -265,33 +266,38 @@ class _Fold:
         for acts in waiting.values():
             for act in acts:
                 act.next_init = self.stage + 1
+        self.runs.close(self.stage)
+
+    def snapshot(self) -> dict:
+        """The final record the trace folds to."""
+        return _snapshot(self.stage, set(self.enum_a), set(self.enum_b), self.alpha, self.beta,
+                         self.params, self.restraints, self.used)
 
 
 def replay_injury(events: list[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot."""
-    fold = _Fold(events)
-    return _snapshot(fold.stage, set(fold.enum_a), set(fold.enum_b), fold.alpha, fold.beta,
-                     fold.params, fold.restraints, fold.used)
+    return _Fold(events).snapshot()
 
 
 def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
-    W0 the final snapshot's stage is the trace's last; W1 one act per
+    W0 the final record is the one the trace folds to; W1 one act per
     initialization segment, each with a parameter in effect, and no
     attention after a served act; W2 separation margin after an
     un-initialized act; W3 restraint obedience; W4 injury and act counts
     bounded by priority position; W5 column discipline, freshness, and
     disjoint enumerations; W6 each alpha and beta record's old value is
-    the previous record's new value.
+    the previous record's new value; W7 one record a stage of each
+    adversary.  Checks read the fold, not the final record.
     """
     report = VerificationReport()
     fold = _Fold(events)
     T = fold.stage
-    check_final_stage(report, "W0 final stage is the last traced stage", T, final)
-    rational = cache(parse_rational)
-    alpha = [rational(fold.alpha_at.get(t, "0/1")) for t in range(T + 1)]
-    beta = [rational(fold.beta_at.get(t, "0/1")) for t in range(T + 1)]
+    check_final_record(report, "W0 final record is the folded trace's", fold.snapshot(), final)
+    parsed = cache(rational)
+    alpha = [parsed(fold.alpha_at.get(t, "0/1")) for t in range(T + 1)]
+    beta = [parsed(fold.beta_at.get(t, "0/1")) for t in range(T + 1)]
 
     def attention(position: int, t: int, param: int) -> bool:
         """requires-attention predicate at stage t; False if the adversary
@@ -299,7 +305,7 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
         vals = fold.adversary.get(position, {})
         if t not in vals:
             return False
-        gap = abs(alpha[t - 1] - beta[t - 1] - rational(vals[t]))
+        gap = abs(alpha[t - 1] - beta[t - 1] - parsed(vals[t]))
         return gap < pow2_neg(param + 3)
 
     w1 = report.check("W1 one act per initialization segment")
@@ -332,7 +338,7 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
         for t in range(act.stage + 1, T + 1):
             if t not in vals:
                 continue
-            diff, v = alpha[t] - beta[t], rational(vals[t])
+            diff, v = alpha[t] - beta[t], parsed(vals[t])
             if parity == 0:
                 if not diff < v - margin:
                     w2.fail(f"L_{i} at stage {t}: {diff} not < {v} - {margin}")
@@ -380,9 +386,11 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     if len(fold.enum_a) != len(a_set) or len(fold.enum_b) != len(b_set):
         w5.fail("a bit value was enumerated twice")
 
-    w6 = report.check("W6 old values chain")
-    for message in fold.chain.breaks:
-        w6.fail(message)
+    for name, breaks in (("W6 old values chain", fold.chain.breaks),
+                         ("W7 one record a stage of each adversary", fold.runs.breaks)):
+        check = report.check(name)
+        for message in breaks:
+            check.fail(message)
 
     report.stats["stages"] = T
     report.stats["acts"] = len(fold.acts)

@@ -263,12 +263,6 @@ class OmegaEnumeration:
         return self._omega_by_stage[s]
 
 
-def enumerate_omega(machine: ToyMachine, max_length: int, s: int) -> Rational:
-    """Kraft sum over halts of programs of length <= max_length discovered
-    within s steps each."""
-    return OmegaEnumeration(machine, max_length).omega(s)
-
-
 def omega_stream(
     machine: ToyMachine,
     max_length: int,

@@ -11,7 +11,7 @@ by q times alpha's, in one of three equivalent-in-the-limit senses:
 
 All checks here operate on finite prefixes with exact comparisons.  The
 clause-b checker substitutes the value at a later horizon H for the limit
-and is explicitly a diagnostic, as is ratio_trace.
+and is explicitly a diagnostic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .rationals import Rational, ZERO
+from .rationals import Rational
 from .streams import ApproxStream, Direction
 
 
@@ -116,56 +116,3 @@ def speedup(alpha: ApproxStream, beta: ApproxStream, p: Rational) -> ApproxStrea
         Direction.INCREASING, gen, unit_interval=False,
         label=f"speedup(p={p})",
     )
-
-
-def ratio_trace(
-    alpha: ApproxStream, beta: ApproxStream, T: int, H: int
-) -> list[Optional[Rational]]:
-    """Diagnostic horizon-proxy ratios r_s = (alpha_H - alpha_s)/(beta_H - beta_s)
-    for s < T; entries where beta_H = beta_s are None (undefined)."""
-    if H <= T:
-        raise ValueError(f"horizon H={H} must exceed T={T}")
-    aH = alpha.value(H)
-    bH = beta.value(H)
-    out: list[Optional[Rational]] = []
-    for s in range(T):
-        db = bH - beta.value(s)
-        if db == ZERO:
-            out.append(None)
-        else:
-            out.append((aH - alpha.value(s)) / db)
-    return out
-
-
-def least_prefix_q(
-    alpha: ApproxStream,
-    beta: ApproxStream,
-    clause: str,
-    T: int,
-    resolution: Rational = Rational(1, 1024),
-) -> Optional[Rational]:
-    """Bisection estimate (diagnostic only) of the least q for which the
-    given clause holds on the prefix; returns an upper bound within
-    `resolution` of the infimum, or None if no q <= 2**20 works."""
-
-    def holds(q: Rational) -> bool:
-        w = SolovayWitness(q, clause, alpha, beta)
-        if clause == "c":
-            return check_clause_c(w, T).holds
-        if clause == "a":
-            return check_clause_a(w, T).holds
-        raise ValueError("least_prefix_q supports clauses 'a' and 'c' only")
-
-    hi = Rational(1)
-    while not holds(hi):
-        hi *= 2
-        if hi > Rational(1 << 20):
-            return None
-    lo = Rational(0)
-    while hi - lo > resolution:
-        mid = (lo + hi) / 2
-        if mid > 0 and holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt
-from .trace import TraceEvent
+from .trace import KINDS, TraceEvent
 
 
 class Direction(Enum):
@@ -245,8 +245,8 @@ class StageEngine:
     A subclass seeds `diff_at` with alpha_0 - beta_0 and builds stage s1 in
     `_stage(s1)` from the state through stage s1 - 1, returning
     alpha_s1 - beta_s1; `diff_at` then grows by that value and the stage
-    counter moves.  Every value record goes through `_log_value`, which
-    chains it to the last record of its kind and requirement.  Its config
+    counter moves.  Every record goes through `_log`, which chains one of a
+    chained kind to the last record of its kind and requirement.  Its config
     carries a `suite` (or suite factory) and a `stages` budget.
     """
 
@@ -288,15 +288,14 @@ class StageEngine:
                     break
                 if position % 2 == side:
                     values[position] = v = stream.value(s1)
-                    self._log(s1, ("gamma", "delta")[side], position // 2, None, fmt(v))
+                    self._log(s1, ("gamma", "delta")[side], position // 2, fmt(v))
         return values
 
-    def _log_value(self, stage, kind, req, new_text, first_old=None) -> None:
-        """Log a value record whose old value is the last text logged for
-        (kind, req), or `first_old` before the first."""
-        key = (kind, req)
-        self._log(stage, kind, req, self._last_text.get(key, first_old), new_text)
-        self._last_text[key] = new_text
-
-    def _log(self, stage, kind, req, old, new) -> None:
+    def _log(self, stage, kind, req, new=None) -> None:
+        """Log a record; one of a chained kind (`trace.KINDS`) has the last
+        text logged for (kind, req) as old value, or the kind's initial one."""
+        spec, old = KINDS[kind], None
+        if spec.chains:
+            old = self._last_text.get((kind, req), spec.initial)
+            self._last_text[kind, req] = new
         self.events.append(TraceEvent(stage, kind, req, old, new))

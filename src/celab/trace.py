@@ -10,13 +10,37 @@ are bit-identical across platforms and diffable as golden files.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
+
+from .rationals import Rational, parse_rational
 
 
 class TraceFormatError(Exception):
     pass
+
+
+class Kind(NamedTuple):
+    """The layout of one event kind's records."""
+
+    requirement: bool  # each names a requirement
+    value: Optional[str]  # what its new value holds: "int", "p/q", or None for nothing
+    chains: bool = False  # its old value is the last new value of its kind and requirement
+    initial: Optional[str] = None  # the old value of the first, for a chained kind
+
+
+KINDS = {
+    **dict.fromkeys(("alpha", "eta", "beta"), Kind(False, "p/q", True)),
+    "q": Kind(True, "p/q", True),
+    **dict.fromkeys(("c", "d"), Kind(True, "int", True, "0")),
+    "beta_i": Kind(True, "p/q", True, "0/1"),
+    **dict.fromkeys(("gamma", "delta"), Kind(True, "p/q")),
+    **dict.fromkeys(("define", "act", "enumerate_A", "enumerate_B", "restraint"),
+                    Kind(True, "int")),
+    "initialize": Kind(True, None),
+}
 
 
 @dataclass(frozen=True)
@@ -28,68 +52,100 @@ class TraceEvent:
     new: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "stage": self.stage,
-                "event_kind": self.kind,
-                "requirement": self.requirement,
-                "old_value": self.old,
-                "new_value": self.new,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps({"stage": self.stage, "event_kind": self.kind,
+                           "requirement": self.requirement, "old_value": self.old,
+                           "new_value": self.new}, separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, d) -> "TraceEvent":
         """The event an event line holds; TraceFormatError if a field is
-        missing or of the wrong type."""
+        missing, of the wrong type, or not what `KINDS` lays out for its
+        kind.  A p/q value is not scanned here: `rational` checks it where
+        a verifier parses it."""
         if not isinstance(d, dict) or "stage" not in d or "event_kind" not in d:
             raise TraceFormatError("an event must be an object with stage and event_kind")
         stage, kind, req = d["stage"], d["event_kind"], d.get("requirement")
-        if not _is_int(stage) or stage < 0:
-            raise TraceFormatError("stage is not a non-negative integer")
-        if not isinstance(kind, str):
-            raise TraceFormatError(f"stage {stage}: event_kind is not a string")
-        if req is not None and not _is_int(req):
-            raise TraceFormatError(f"stage {stage} {kind}: requirement is not an integer")
         old, new = d.get("old_value"), d.get("new_value")
-        for name, value in (("old_value", old), ("new_value", new)):
-            if value is not None and not isinstance(value, str):
-                raise TraceFormatError(f"stage {stage} {kind}: {name} is not a string")
-        return cls(stage, kind, req, old, new)
+        if type(stage) is not int or stage < 0:
+            raise TraceFormatError("stage is not a non-negative integer")
+        spec = KINDS.get(kind) if isinstance(kind, str) else None
+        if spec is None:
+            raise TraceFormatError(f"stage {stage}: unknown event_kind {kind!r:.40}")
+        named, value, chains, _ = spec
+        if not (type(req) is int and req >= 0 if named else req is None):
+            problem = "requirement is not " + ("a non-negative integer" if named else "null")
+        elif not (type(new) is str if value else new is None):
+            problem = "new_value is not " + ("a string" if value else "null")
+        elif value == "int" and not (new.isascii() and new.isdigit()):
+            problem = "new_value is not an integer"
+        elif not (old is None or chains and type(old) is str):
+            problem = "old_value is not " + ("a string or null" if chains else "null")
+        else:
+            return cls(stage, kind, req, old, new)
+        raise TraceFormatError(f"stage {stage} {kind}: {problem}")
 
-    def new_int(self) -> int:
-        try:
-            return int(self.new)
-        except (TypeError, ValueError):
-            raise TraceFormatError(
-                f"stage {self.stage} {self.kind}: new_value is not an integer") from None
+
+_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/[+-]?\d+)?\s*")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def rational(text) -> Rational:
+    """The value a record's p/q text holds; TraceFormatError if it holds
+    none.  Text past the interpreter's int digit limit still raises its
+    ValueError, as `parse_rational` does."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        if _RATIONAL_TEXT.fullmatch(text):
+            raise
+    except (AttributeError, ZeroDivisionError):
+        pass
+    raise TraceFormatError(f"value {text!r:.40} is not a p/q rational")
 
 
 class OldValueChain:
-    """The trace rule that a value record's old value is the last new value
-    of its kind and requirement, checked as a fold reads: `first_old` maps
-    each chained kind to the old value of its first record.  Keeps the last
-    new value of each (kind, requirement) and a message per broken link."""
+    """The trace rule that a chained record's old value is the last new
+    value of its kind and requirement, or `KINDS`' initial one, checked as
+    a fold reads: keeps the last new value of each and a message per break."""
 
-    def __init__(self, first_old: dict[str, Optional[str]]):
-        self.first_old = first_old
+    def __init__(self):
         self.last: dict[tuple[str, Optional[int]], Optional[str]] = {}
         self.breaks: list[str] = []
 
     def read(self, ev: TraceEvent) -> None:
-        if ev.kind not in self.first_old:
+        spec = KINDS[ev.kind]
+        if not spec.chains:
             return
         key = (ev.kind, ev.requirement)
-        if ev.old != self.last.get(key, self.first_old[ev.kind]):
+        if ev.old != self.last.get(key, spec.initial):
             req = "" if ev.requirement is None else f" req {ev.requirement}"
             self.breaks.append(f"stage {ev.stage}: {ev.kind}{req} old value is not "
                                f"the last new value of its kind")
         self.last[key] = ev.new
+
+
+class AdversaryRuns:
+    """The trace rule that requirement i's gamma (or delta) records are one
+    a stage from stage i + 1, where an engine first reads its adversary,
+    through the last stage, checked as a fold reads them: keeps the last
+    stage of each and a message per break; `close` checks where they end."""
+
+    def __init__(self):
+        self.last: dict[tuple[str, int], int] = {}
+        self.breaks: list[str] = []
+
+    def read(self, ev: TraceEvent) -> None:
+        key = (ev.kind, ev.requirement)
+        expected = self.last.get(key, ev.requirement) + 1
+        if ev.stage != expected:
+            self.breaks.append(f"stage {ev.stage}: {ev.kind} req {ev.requirement} record, "
+                               f"where its next record is due at stage {expected}")
+        self.last[key] = ev.stage
+
+    def close(self, last_stage: int) -> None:
+        for (kind, req), stage in sorted(self.last.items()):
+            if stage < last_stage:
+                self.breaks.append(f"{kind} req {req}: records end at stage {stage}, "
+                                   f"before the last stage {last_stage}")
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:
@@ -179,21 +235,15 @@ class VerificationReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        return {
-            "all_green": self.all_green,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "count": c.count,
-                 "failures": c.failures}
-                for c in self.checks
-            ],
-            "stats": self.stats,
-        }
+        return {"all_green": self.all_green,
+                "checks": [{"name": c.name, "passed": c.passed, "count": c.count,
+                            "failures": c.failures} for c in self.checks],
+                "stats": self.stats}
 
 
-def check_final_stage(report: VerificationReport, name: str, last: int, final: dict) -> None:
-    """Check that the final snapshot's stage is `last`, the last stage the
-    events record: a verifier folds the trace as recorded, whatever stage
-    the snapshot claims."""
+def check_final_record(report: VerificationReport, name: str, folded: dict, final: dict):
+    """Check that the final record is the one its trace folds to, naming keys, not values."""
     check = report.check(name)
-    if final.get("stage") != last:
-        check.fail(f"final stage {final.get('stage')!r}, but the events end at stage {last}")
+    for key in sorted(set(folded) | set(final)):
+        if folded.get(key) != final.get(key):
+            check.fail(f"final record's {key!r} is not the folded trace's")

@@ -135,8 +135,9 @@ class TestVerifyAndReplay:
         capsys.readouterr()
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
-        assert "[FAIL] V1" in out
-        assert "first violated invariant: V1" in out
+        assert "[PASS] V1" in out  # V1 reads the trace's beta, not the final record's
+        assert ("first violated invariant: V0 final record is the folded trace's: "
+                "final record's 'beta' is not the folded trace's") in out
 
     def test_replay_green_trace(self, tmp_path, capsys):
         trace = self.run_lemma2(tmp_path)
@@ -389,13 +390,27 @@ def test_values_past_the_int_digit_limit(tmp_path, capsys):
 GOLDENS = Path(__file__).parent / "data"
 
 
+def run_module(trace) -> dict:
+    """`python -m celab.cli verify` and `replay` on `trace`, side by side:
+    command -> (exit code, stdout, stderr)."""
+    src = str(Path(celab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    procs = {command: subprocess.Popen(
+        [sys.executable, "-m", "celab.cli", command, "--trace", str(trace)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        for command in ("verify", "replay")}
+    results = {}
+    for command, proc in procs.items():
+        out, err = proc.communicate(timeout=120)
+        results[command] = (proc.returncode, out, err)
+    return results
+
+
 @pytest.mark.parametrize("engine", ["lemma2", "prop3"])
 def test_module_entry_point_on_goldens(tmp_path, engine):
     """`python -m celab.cli` exits through `entry()`: 0 on a golden trace,
     1 once its final record claims a stage the events never reach."""
-    src = str(Path(celab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     golden = GOLDENS / f"golden_{engine}.trace.jsonl"
     lines = golden.read_text().splitlines()
     final = json.loads(lines[-1])
@@ -403,11 +418,74 @@ def test_module_entry_point_on_goldens(tmp_path, engine):
     tampered = tmp_path / golden.name
     tampered.write_text("\n".join([*lines[:-1], json.dumps(final)]) + "\n")
     for trace, code in ((golden, EXIT_OK), (tampered, EXIT_CHECK_FAILED)):
-        for command in ("verify", "replay"):
-            proc = subprocess.run([sys.executable, "-m", "celab.cli", command, "--trace", str(trace)],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == code, proc.stdout + proc.stderr
-            assert proc.stderr == ""
+        for command, (returncode, out, err) in run_module(trace).items():
+            assert returncode == code, out + err
+            assert err == ""
+
+
+# name -> (golden engine, record, its edit, verify exit, replay exit); the
+# record is "final" or (event kind, which of its records).  An event whose
+# field breaks its kind's layout is refused as the trace is read; a p/q
+# value that holds no rational, where a verifier parses it.  A value no
+# check parses differs from the final record (V0/W0, replay), except an
+# adversary value in lemma2, which nothing reads: a known gap.
+TAMPERED = {
+    "lemma2-c-requirement-null": ("lemma2", ("c", "first"), {"requirement": None}, 2, 2),
+    "lemma2-final-eta-null": ("lemma2", ("eta", "last"), {"new_value": None}, 2, 2),
+    "lemma2-last-beta-x": ("lemma2", ("beta", "last"), {"new_value": "x"}, 2, 1),
+    "lemma2-last-beta-null": ("lemma2", ("beta", "last"), {"new_value": None}, 2, 2),
+    "lemma2-last-alpha-x": ("lemma2", ("alpha", "last"), {"new_value": "x"}, 1, 1),
+    "lemma2-last-q-x": ("lemma2", ("q", "last"), {"new_value": "x"}, 1, 1),
+    "lemma2-last-beta_i-x": ("lemma2", ("beta_i", "last"), {"new_value": "x"}, 2, 1),
+    "lemma2-last-gamma-x": ("lemma2", ("gamma", "last"), {"new_value": "x"}, 0, 0),
+    "prop3-last-alpha-x": ("prop3", ("alpha", "last"), {"new_value": "x"}, 2, 1),
+    "prop3-middle-alpha-x": ("prop3", ("alpha", "middle"), {"new_value": "x"}, 2, 0),
+    "prop3-last-gamma-x": ("prop3", ("gamma", "last"), {"new_value": "x"}, 2, 0),
+    "prop3-gamma-requirement-null": ("prop3", ("gamma", "first"), {"requirement": None}, 2, 2),
+    "prop3-define-requirement-null": ("prop3", ("define", "first"), {"requirement": None}, 2, 2),
+    "prop3-act-requirement-null": ("prop3", ("act", "first"), {"requirement": None}, 2, 2),
+    "prop3-restraint-requirement-null": ("prop3", ("restraint", "first"), {"requirement": None},
+                                         2, 2),
+    "prop3-define-requirement-negative": ("prop3", ("define", "first"), {"requirement": -1},
+                                          2, 2),
+    "lemma2-final-beta-x": ("lemma2", "final", {"beta": "x"}, 1, 1),
+    "lemma2-final-beta_i-key": ("lemma2", "final", {"beta_i": {"a": "1/16"}}, 1, 1),
+    "lemma2-final-beta_i-value": ("lemma2", "final", {"beta_i": {"0": "x"}}, 1, 1),
+    "lemma2-final-beta_i-list": ("lemma2", "final", {"beta_i": ["1/16"]}, 1, 1),
+    "lemma2-final-no-beta": ("lemma2", "final", {"beta": None}, 1, 1),
+    "prop3-final-A-x": ("prop3", "final", {"A": "x"}, 1, 1),
+    "prop3-final-stage-text": ("prop3", "final", {"stage": "50"}, 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERED))
+def test_tampered_golden_never_raises(tmp_path, case):
+    engine, record, edit, verify_code, replay_code = TAMPERED[case]
+    lines = (GOLDENS / f"golden_{engine}.trace.jsonl").read_text().splitlines()
+    if record == "final":
+        n = len(lines) - 1
+    else:
+        kind, which = record
+        found = [n for n, line in enumerate(lines) if json.loads(line).get("event_kind") == kind]
+        n = found[{"first": 0, "middle": len(found) // 2, "last": -1}[which]]
+    edited = {**json.loads(lines[n]), **edit}
+    lines[n] = json.dumps({k: v for k, v in edited.items()
+                           if not (record == "final" and v is None)})
+    trace = tmp_path / "tampered.trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    results = run_module(trace)
+    assert {command: code for command, (code, _, _) in results.items()} == {
+        "verify": verify_code, "replay": replay_code}
+    for code, out, err in results.values():
+        assert "Traceback" not in err
+        if code == EXIT_CONFIG_ERROR:
+            assert err.startswith(f"config error: cannot read trace {trace}")
+            assert err.count("\n") == 1 and out == ""
+        else:
+            assert err == ""
+    if record == "final":
+        tag = "V0" if engine == "lemma2" else "W0"
+        assert f"first violated invariant: {tag} final record" in results["verify"][1]
 
 
 # (golden engine, event kind, edit of its first record); the edited record

@@ -1,5 +1,7 @@
 """Paced-growth stage engine: hand-audited stages, invariants, replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from celab.expansion import (
@@ -194,7 +196,12 @@ class TestVerifyAndReplay:
     def test_verifier_catches_tampering(self):
         engine = run_expansion(reference_config(60))
         final = engine.snapshot()
-        final["beta"] = "5/4"  # out of range
+        final["beta"] = "5/4"  # out of range, and not the total the trace folds to
         report = verify_expansion(engine.events, final)
-        assert not report.all_green
-        assert "V1" in report.first_failure()
+        assert [c.name[:2] for c in report.checks if not c.passed] == ["V0"]
+        assert report.first_failure().endswith("final record's 'beta' is not the folded trace's")
+        # the checks read the trace: the same total as its last beta record fails V1 too
+        *events, last = engine.events
+        assert last.kind == "beta"
+        report = verify_expansion([*events, replace(last, new="5/4")], engine.snapshot())
+        assert [c.name[:2] for c in report.checks if not c.passed] == ["V0", "V1"]

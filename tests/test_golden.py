@@ -126,8 +126,12 @@ class TestGoldenFilesStillVerify:
 
 
 class TestAlteredFinalStage:
-    """A final snapshot whose stage is not the trace's last fails a named
-    check; the verifiers fold the trace as recorded and never raise."""
+    """A final snapshot whose stage is not the trace's last fails V0/W0,
+    the comparison of the final record with the snapshot the trace folds
+    to, naming the key; the verifiers fold the trace as recorded and never
+    raise."""
+
+    MESSAGE = "final record is the folded trace's: final record's 'stage' is not the folded trace's"
 
     CASES = [("golden_lemma2", verify_expansion, "V0"),
              ("golden_prop3", verify_injury, "W0")]
@@ -139,7 +143,7 @@ class TestAlteredFinalStage:
         final["stage"] += delta
         report = verify(evs, final)
         assert not report.all_green
-        assert report.first_failure().startswith(f"{tag} final stage")
+        assert report.first_failure() == f"{tag} {self.MESSAGE}"
         assert [c.name[:2] for c in report.checks if not c.passed] == [tag]
 
     @pytest.mark.parametrize("name, tag", [(name, tag) for name, _, tag in CASES])
@@ -151,18 +155,19 @@ class TestAlteredFinalStage:
         trace = tmp_path / f"{name}.trace.jsonl"
         trace.write_text("\n".join(lines[:-1] + [json.dumps(final)]) + "\n")
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
-        assert f"first violated invariant: {tag} final stage" in capsys.readouterr().out
+        assert f"first violated invariant: {tag} {self.MESSAGE}" in capsys.readouterr().out
 
 
 class TestDeletedLemma2Record:
     """Deleting a stage record the lemma2 verifier reads fails the check
     that reads it, naming the record and its stage, instead of raising;
-    deleting one with a successor also breaks the old-value chain (V6)."""
+    deleting one with a successor also breaks the old-value chain (V6), and
+    deleting the last eta changes the folded final record (V0)."""
 
     FINAL_ETA = '{"stage":50,"event_kind":"eta"'
     BUMP_BETA = '{"stage":2,"event_kind":"beta"'
     CASES = [
-        (FINAL_ETA, ["V2"], "no eta record at final stage 50"),
+        (FINAL_ETA, ["V0", "V2"], "no eta record at final stage 50"),
         (BUMP_BETA, ["V4", "V6"], "req 0, stages 1->2: no beta record at stage 2"),
     ]
     IDS = ["final-eta", "bump-beta"]
@@ -180,27 +185,29 @@ class TestDeletedLemma2Record:
     def test_verifier_fails_named_check(self, prefix, tags, message, tmp_path):
         _, evs, final = read_trace(self.trace_without(prefix, tmp_path))
         report = verify_expansion(evs, final)
-        assert [c.name[:2] for c in report.checks if not c.passed] == tags
+        failed = [c for c in report.checks if not c.passed]
+        assert [c.name[:2] for c in failed] == tags
         assert report.first_failure().startswith(tags[0])
-        assert report.first_failure().endswith(message)
+        assert message in [m for c in failed for m in c.failures]
 
     @pytest.mark.parametrize("prefix, tags, message", CASES, ids=IDS)
     def test_cli_verify_exits_check_failed(self, prefix, tags, message, tmp_path, capsys):
         trace = self.trace_without(prefix, tmp_path)
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         out = capsys.readouterr().out
-        assert f"first violated invariant: {tags[0]} " in out and message in out
+        assert f"first violated invariant: {tags[0]} " in out and f"    {message}\n" in out
 
 
 class TestSingleEventMutations:
     """Every single-event deletion and duplication of a golden trace goes
     through its verifier and replay without raising.  `flagged` counts the
     mutations that fail a check or replay to another state; it may only
-    grow (the prop3 floor counts the deletion of the define before the only
-    act, which must fail W1)."""
+    grow.  Every deletion and duplication of a gamma/delta record is
+    flagged (V7/W7), and in prop3 the deletion of the define before the
+    only act fails W1 as well as W0."""
 
-    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 230),
-             ("golden_prop3", verify_injury, replay_injury, 156)]
+    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 428),
+             ("golden_prop3", verify_injury, replay_injury, 354)]
 
     @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
     def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
@@ -212,11 +219,13 @@ class TestSingleEventMutations:
                 if not report.all_green or replay(mutated) != final:
                     flagged[op, n] = report
         assert len(flagged) >= floor
+        adversary = [n for n, ev in enumerate(evs) if ev.kind in ("gamma", "delta")]
+        assert adversary and all((op, n) in flagged for op in ("del", "dup") for n in adversary)
         if name == "golden_prop3":
             (act,) = [ev for ev in evs if ev.kind == "act"]
             (n,) = [n for n, ev in enumerate(evs) if ev.kind == "define"
                     and ev.requirement == act.requirement and ev.stage < act.stage]
-            assert flagged["del", n].first_failure() == (
-                "W1 one act per initialization segment: "
-                "position 0: act at stage 2 with no parameter in effect"
-            )
+            report = flagged["del", n]
+            assert report.first_failure().startswith("W0 ")
+            (w1,) = [c for c in report.checks if c.name.startswith("W1 ")]
+            assert "position 0: act at stage 2 with no parameter in effect" in w1.failures

@@ -1,6 +1,9 @@
 """Source hygiene: every name a library module imports is used in it,
-every private top-level name it defines is read in it, and no library
-module uses an `assert` statement (it vanishes under `python -O`)."""
+every private top-level name it defines is read in it, no library module
+uses an `assert` statement (it vanishes under `python -O`), and only the
+config loader and the trace reader use `parse_rational` (a check that
+parses trace text goes through `trace.rational`, which refuses bad text
+as a format error)."""
 
 import ast
 from pathlib import Path
@@ -49,6 +52,17 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
+PARSERS = {"config.py", "trace.py"}  # the modules that may read rationals from text
+
+
+def parse_rational_uses(source: str) -> list[str]:
+    """Lines that read `parse_rational`, called or passed on."""
+    return [f"line {line}" for line in sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and node.id == "parse_rational"
+        or isinstance(node, ast.Attribute) and node.attr == "parse_rational")]
+
+
 def assert_statements(source: str) -> list[str]:
     return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Assert)]
@@ -84,3 +98,16 @@ def test_detects_an_assert_statement():
     source = ('"""Values are asserted on read."""\n\n\ndef f(x):\n'
               '    if x:\n        assert x > 0, "positive"\n    return x\n')
     assert assert_statements(source) == ["line 6"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in PARSERS],
+                         ids=lambda p: p.name)
+def test_parse_rational_only_in_readers(path):
+    assert parse_rational_uses(path.read_text()) == []
+
+
+def test_detects_a_parse_rational_use():
+    source = ("from .rationals import parse_rational\nfrom . import rationals\n\n\n"
+              "def f(text):\n    return parse_rational(text)\n\n\n"
+              "g = cache(rationals.parse_rational)\n")
+    assert parse_rational_uses(source) == ["line 6", "line 9"]

@@ -183,14 +183,14 @@ class TestInjuryCascade:
         injured = {ev.requirement for ev in engine.events
                    if ev.kind == "initialize"}
         redefined = {
-            ev.requirement: ev.new_int()
+            ev.requirement: int(ev.new)
             for ev in engine.events
             if ev.kind == "define" and ev.stage > act_stage
             and ev.requirement in injured
         }
         assert redefined, "injured positions are re-served eventually"
         first_values = {
-            ev.requirement: ev.new_int()
+            ev.requirement: int(ev.new)
             for ev in engine.events
             if ev.kind == "define" and ev.stage <= act_stage
         }
@@ -319,7 +319,7 @@ class TestLeastAttention:
             served = [ev for ev in engine.events[logged:] if ev.kind in ("define", "act")]
             assert [ev.requirement for ev in served] == [expected]
             if served[0].kind == "define":  # position p draws from column p
-                assert served[0].new_int() == least_in_column_above(expected, bound)
+                assert int(served[0].new) == least_in_column_above(expected, bound)
             # parameters are defined exactly on the prefix [0, expected + 1)
             assert set(engine.params) == set(range(expected + 1))
 

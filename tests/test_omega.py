@@ -14,7 +14,6 @@ from celab.omega import (
     SubMachine,
     ToyMachine,
     bundled_machines,
-    enumerate_omega,
     omega_stream,
     parse_machine,
     translate_omega,
@@ -143,9 +142,9 @@ class TestOmegaEnumeration:
     def test_single_code_trivial_machine(self):
         # [DERIVED] only halting program is the code "0" itself: omega = 1/2
         machine = ToyMachine((("0", SubMachine("unit", trivial=True)),))
-        assert enumerate_omega(machine, 8, 0) == ZERO
-        assert enumerate_omega(machine, 8, 1) == R("1/2")
-        assert enumerate_omega(machine, 8, 50) == R("1/2")
+        assert OmegaEnumeration(machine, 8).omega(0) == ZERO
+        assert OmegaEnumeration(machine, 8).omega(1) == R("1/2")
+        assert OmegaEnumeration(machine, 8).omega(50) == R("1/2")
 
     def test_silent_machine_is_zero(self):
         machine = bundled_machines()["silent"]
@@ -163,7 +162,7 @@ class TestOmegaEnumeration:
 
     def test_kraft_sum_stays_below_one(self):
         for machine in bundled_machines().values():
-            assert enumerate_omega(machine, 12, 64) < ONE
+            assert OmegaEnumeration(machine, 12).omega(64) < ONE
 
     def test_halting_prefix_freeness_guard(self):
         # a dispatch whose sub halts on every tail (trivial accepts only "",
@@ -232,7 +231,7 @@ class TestParseMachine:
         machine = parse_machine(self.GOOD)
         assert machine.run("010000", budget=5) == (HALTED, 1)
         assert machine.run("10", budget=5) == (HALTED, 1)
-        assert enumerate_omega(machine, 10, 64) > ZERO
+        assert OmegaEnumeration(machine, 10).omega(64) > ZERO
 
     @pytest.mark.parametrize("text,fragment", [
         ("dispatch 0 ghost", "unknown sub"),

@@ -10,8 +10,6 @@ from celab.solovay import (
     check_clause_a,
     check_clause_b_horizon,
     check_clause_c,
-    least_prefix_q,
-    ratio_trace,
     speedup,
 )
 from celab.streams import (
@@ -194,28 +192,3 @@ class TestSpeedup:
             for s in range(48):
                 assert gamma.value(s) <= alpha.value(s)
             assert gamma.value(47) == alpha.value(47)
-
-
-class TestDiagnostics:
-    def test_ratio_trace_values_and_none(self):
-        alpha = target("1/2")
-        beta = constant(R("1/3"), INC)
-        trace = ratio_trace(alpha, beta, 8, 32)
-        assert all(r is None for r in trace)  # beta never moves
-        trace2 = ratio_trace(alpha, target("1/3"), 8, 32)
-        assert all(r is not None for r in trace2)
-        # [DERIVED] common ratio of tails is (1/2)/(1/3) = 3/2, up to the
-        # horizon truncation shared by numerator and denominator: exact here
-        assert trace2[0] == R("3/2")
-
-    def test_least_prefix_q_brackets_threshold(self):
-        # true clause-c threshold for this pair is 2/3 (beta inc / alpha inc)
-        alpha, beta = target("1/2"), target("1/3")
-        q = least_prefix_q(alpha, beta, "c", 32)
-        assert q is not None
-        assert R("2/3") < q <= R("2/3") + Rational(1, 1024)
-
-    def test_least_prefix_q_none_when_unattainable(self):
-        alpha = constant(R("1/4"), INC)
-        beta = target("1/3")
-        assert least_prefix_q(alpha, beta, "c", 16) is None

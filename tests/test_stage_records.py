@@ -2,7 +2,10 @@
 participating adversary is logged once a stage, side by side in the
 engine's order, each value record's old value is the last new value of its
 kind and requirement, and lemma2's beta is the sum of its logged beta_i.
+Every record reads back unchanged through the trace reader's layout check.
 An engine's running difference is its logged alpha minus its logged beta."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from celab.expansion import ExpansionConfig, run_expansion
 from celab.injury import InjuryConfig, run_injury
 from celab.rationals import ZERO, parse_rational
 from celab.streams import Direction, make_constant_target
+from celab.trace import TraceEvent
 
 FRACTIONS = ["1/8", "1/4", "1/3", "1/2", "2/3", "3/4", "7/8"]
 RATES = ["1/2", "1/3", "2/3", "3/4"]
@@ -59,6 +63,11 @@ def check_chain(events, first_old: dict) -> None:
             last[key] = ev.new
 
 
+def check_round_trip(events) -> None:
+    for ev in events:
+        assert TraceEvent.from_dict(json.loads(ev.to_json())) == ev
+
+
 def check_adversary_records(events, table: dict, stages: int, first: str) -> None:
     """At every stage s1 the gamma/delta records are exactly the adversaries
     with index <= s1 - 1, side `first` before the other, each by index."""
@@ -84,6 +93,7 @@ def test_lemma2_records_and_beta_total(table, stages, alpha, eta):
         suite=factory(table), stages=stages))
     check_adversary_records(engine.events, table, stages, first="delta")
     check_chain(engine.events, FIRST_OLD["lemma2"])
+    check_round_trip(engine.events)
     latest: dict[int, str] = {}  # i -> latest logged beta_i
     totals = 0
     for ev in engine.events:
@@ -102,6 +112,7 @@ def test_prop3_records(table, stages):
     engine = run_injury(InjuryConfig(suite=factory(table), stages=stages))
     check_adversary_records(engine.events, table, stages, first="gamma")
     check_chain(engine.events, FIRST_OLD["prop3"])
+    check_round_trip(engine.events)
 
 
 TRACKERS = {(0, "L"): {"kind": "tracker", "lag": 0, "start": "1/8"},

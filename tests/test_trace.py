@@ -1,14 +1,18 @@
 """Trace serialization round-trips and report rendering."""
 
 import json
+import sys
 
 import pytest
 
+from celab.rationals import Rational
 from celab.trace import (
+    AdversaryRuns,
     CheckResult,
     TraceEvent,
     TraceFormatError,
     VerificationReport,
+    rational,
     read_trace,
     write_trace,
 )
@@ -28,10 +32,30 @@ class TestTraceEvents:
         assert TraceEvent.from_dict(d) == ev
 
     def test_typed_accessors(self):
-        assert TraceEvent(0, "c", 0, None, "5").new_int() == 5
-        for new in (None, "x", "1/2"):
+        # an integer value is checked as the line is read, a p/q value by
+        # `rational` where a verifier parses it
+        line = {"stage": 1, "event_kind": "c", "requirement": 0, "old_value": "0"}
+        assert TraceEvent.from_dict({**line, "new_value": "5"}).new == "5"
+        for new in (None, "x", "1/2", "-1", " 5", "\u00b2"):
             with pytest.raises(TraceFormatError):
-                TraceEvent(0, "c", 0, None, new).new_int()
+                TraceEvent.from_dict({**line, "new_value": new})
+        assert rational("3/4") == Rational(3, 4) and rational("5") == 5
+        for text in (None, "x", "", "1/0", "1/2/3", "0x10"):
+            with pytest.raises(TraceFormatError):
+                rational(text)
+
+    def test_digit_limit_stays_the_callers(self):
+        # well-formed text past the int digit limit keeps the interpreter's
+        # ValueError; malformed text of that length is a format error
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+            with pytest.raises(ValueError, match="limit"):
+                rational("7" * 5000 + "/3")
+            with pytest.raises(TraceFormatError):
+                rational("7" * 5000 + "/x")
+        finally:
+            sys.set_int_max_str_digits(saved)
 
     @pytest.mark.parametrize("line", [
         [1, 2], "c", {"event_kind": "c"}, {"stage": 1},
@@ -45,6 +69,41 @@ class TestTraceEvents:
     def test_malformed_fields_refused(self, line):
         with pytest.raises(TraceFormatError):
             TraceEvent.from_dict(line)
+
+    @pytest.mark.parametrize("line", [
+        {"event_kind": "zeta", "requirement": 0, "new_value": "1/2"},
+        {"event_kind": "gamma", "requirement": None, "new_value": "1/2"},
+        {"event_kind": "define", "requirement": -1, "new_value": "0"},
+        {"event_kind": "alpha", "requirement": 0, "new_value": "1/2"},
+        {"event_kind": "eta", "new_value": None},
+        {"event_kind": "act", "requirement": 0, "new_value": "1/2"},
+        {"event_kind": "initialize", "requirement": 2, "new_value": "0"},
+        {"event_kind": "gamma", "requirement": 0, "old_value": "1/3", "new_value": "1/2"},
+        {"event_kind": "restraint", "requirement": 0, "old_value": "3", "new_value": "4"},
+    ], ids=["unknown-kind", "null-requirement", "negative-requirement",
+            "requirement-on-alpha", "null-rational", "rational-for-integer",
+            "value-on-initialize", "old-on-gamma", "old-on-restraint"])
+    def test_kind_layout_refused(self, line):
+        with pytest.raises(TraceFormatError):
+            TraceEvent.from_dict({"stage": 1, **line})
+
+
+class TestAdversaryRuns:
+    @staticmethod
+    def breaks(stages, last_stage=4):
+        runs = AdversaryRuns()
+        for stage in stages:
+            runs.read(TraceEvent(stage, "delta", 1, None, "1/2"))
+        runs.close(last_stage)
+        return runs.breaks
+
+    def test_one_record_a_stage_from_requirement_plus_one(self):
+        assert self.breaks([2, 3, 4]) == []
+
+    @pytest.mark.parametrize("stages", [[3, 4], [2, 4], [2, 3, 3, 4], [2, 3], [1, 2, 3, 4]],
+                             ids=["late-start", "gap", "duplicate", "early-end", "early-start"])
+    def test_broken_runs_flagged(self, stages):
+        assert len(self.breaks(stages)) == 1
 
 
 class TestTraceFiles:
