@@ -35,10 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .rationals import ONE, ZERO, Rational, format_rational as fmt, pow2_neg
+from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
-from .trace import (AdversaryRuns, OldValueChain, TraceEvent, VerificationReport,
-                    check_final_record, rational)
+from .trace import (OldValueChain, RecordRuns, TraceEvent, VerificationReport,
+                    check_final_record, check_ratio_text, rational)
 
 
 def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
@@ -97,12 +97,13 @@ class ExpansionEngine(StageEngine):
         self._log(s1, "alpha", None, fmt(a_new))
         self._log(s1, "eta", None, fmt(e_new))
 
-        entry_total = self.beta  # B: the sum of contributions as the stage begins
+        # alpha_{s+1} - B, with B the sum of contributions as the stage begins
+        entry_gap = a_new - self.beta
         adversaries = self._read_suite(s1, first_side=1)
 
         for position, v in adversaries.items():
             i = position // 2
-            if position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.d.get(i, 0)):
+            if position % 2 and gap_below(entry_gap, v, self.d.get(i, 0)):
                 self.d[i] = self.d.get(i, 0) + 1
                 self._log(s1, "d", i, str(self.d[i]))
 
@@ -114,9 +115,11 @@ class ExpansionEngine(StageEngine):
                 self.q[i] = q_now
                 self._log(s1, "q", i, fmt(q_now))
 
+        bumped = False
         for position, v in adversaries.items():
             i = position // 2
-            if not position % 2 and abs(a_new - entry_total - v) < pow2_neg(self.c.get(i, 0)):
+            if not position % 2 and gap_below(entry_gap, v, self.c.get(i, 0)):
+                bumped = True
                 increment = self.q[i] * (e_new - self.eta.value(self.last_exp.get(i, 0)))
                 self.c[i] = self.c.get(i, 0) + 1
                 self.beta_i[i] = self.beta_i.get(i, ZERO) + increment
@@ -125,6 +128,9 @@ class ExpansionEngine(StageEngine):
                 self._log(s1, "c", i, str(self.c[i]))
                 self._log(s1, "beta_i", i, fmt(self.beta_i[i]))
 
+        if not bumped:  # beta, its text and alpha - beta stand as the stage began
+            self._log(s1, "beta", None, self._last_text["beta", None])
+            return entry_gap
         self._log(s1, "beta", None, fmt(self.beta))
         return a_new - self.beta
 
@@ -132,7 +138,7 @@ class ExpansionEngine(StageEngine):
 
     def _guarded(self, stream: ApproxStream, s: int, name: str) -> Rational:
         v = stream.value(s)
-        if not (ZERO <= v < ONE):
+        if not 0 <= v.numerator < v.denominator:
             raise StreamError(f"{name} value {v} at stage {s} not in [0,1)")
         return v
 
@@ -167,12 +173,15 @@ class _Fold:
         self.d_bumps: dict[int, list[int]] = {}
         self.growth: dict[int, dict[int, tuple[str, str]]] = {}  # stage -> i -> beta_i (old, new)
         self.chain = OldValueChain()
-        self.runs = AdversaryRuns()
+        self.runs = RecordRuns(("alpha", "eta", "beta"))
         for ev in events:
             self.stage = max(self.stage, ev.stage)
             self.chain.read(ev)
+            self.runs.read(ev)
             kind, i = ev.kind, ev.requirement
-            if kind == "alpha":
+            if kind in ("gamma", "delta"):  # most records: one a stage per adversary
+                check_ratio_text(ev.new)
+            elif kind == "alpha":
                 self.alpha = ev.new
             elif kind == "eta":
                 self.eta = self.eta_at[ev.stage] = ev.new
@@ -189,8 +198,6 @@ class _Fold:
             elif kind == "beta_i":
                 self.beta_i[i] = ev.new
                 self.growth.setdefault(ev.stage, {})[i] = (ev.old, ev.new)
-            elif kind in ("gamma", "delta"):
-                self.runs.read(ev)
         self.runs.close(self.stage)
 
     def snapshot(self) -> dict:
@@ -211,7 +218,8 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
     V2 per-index contribution cap; V3 restraint bound on lower-priority
     growth; V4 pacing along expansionary stages; V5 stabilization
     statistics; V6 each value record's old value is the last new value of
-    its kind and requirement; V7 one record a stage of each adversary.  The
+    its kind and requirement; V7 one record a stage of alpha, eta and beta
+    from stage 0, and of each adversary from its first stage.  The
     pacing comparison is >= (the construction yields equality whenever a
     single requirement carries the whole increment between consecutive
     expansionary stages).  Checks read the fold, not the final record.
@@ -279,7 +287,8 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         report.stats[f"req {i} last d change"] = d_bumps.get(i, [None])[-1]
 
     for name, breaks in (("V6 old values chain", fold.chain.breaks),
-                         ("V7 one record a stage of each adversary", fold.runs.breaks)):
+                         ("V7 one record a stage of alpha, eta, beta and each adversary",
+                          fold.runs.breaks)):
         check = report.check(name)
         for message in breaks:
             check.fail(message)

@@ -37,9 +37,9 @@ from functools import cache
 from math import isqrt
 from typing import Optional
 
-from .rationals import ZERO, Rational, format_rational as fmt, pow2_neg
+from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
-from .trace import (AdversaryRuns, OldValueChain, TraceEvent, VerificationReport,
+from .trace import (OldValueChain, RecordRuns, TraceEvent, VerificationReport,
                     check_final_record, rational)
 
 
@@ -121,7 +121,7 @@ class InjuryEngine(StageEngine):
         stream = self.suite.positions.get(position)
         if stream is None:
             return False
-        return abs(self.difference(s_next - 1) - stream.value(s_next)) < pow2_neg(param + 3)
+        return gap_below(self.difference(s_next - 1), stream.value(s_next), param + 3)
 
     # -- the stage function --------------------------------------------------
 
@@ -143,7 +143,7 @@ class InjuryEngine(StageEngine):
         for position, stream in self.suite.positions.items():
             if position >= u:
                 break
-            if abs(diff - stream.value(s1)) < pow2_neg(self.params[position] + 3):
+            if gap_below(diff, stream.value(s1), self.params[position] + 3):
                 return position
         return u
 
@@ -228,10 +228,11 @@ class _Fold:
         waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
         max_used = -1
         self.chain = OldValueChain()
-        self.runs = AdversaryRuns()
+        self.runs = RecordRuns(("alpha", "beta"))
         for ev in events:
             self.stage = max(self.stage, ev.stage)
             self.chain.read(ev)
+            self.runs.read(ev)
             kind, n = ev.kind, ev.requirement
             if kind == "alpha":
                 self.alpha = self.alpha_at[ev.stage] = ev.new
@@ -239,7 +240,6 @@ class _Fold:
                 self.beta = self.beta_at[ev.stage] = ev.new
             elif kind in ("gamma", "delta"):
                 self.adversary.setdefault(2 * n + (kind == "delta"), {})[ev.stage] = ev.new
-                self.runs.read(ev)
             elif kind == "define":
                 value = self.params[n] = int(ev.new)
                 self.defines.append((ev.stage, n, value, max_used))
@@ -288,8 +288,9 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     un-initialized act; W3 restraint obedience; W4 injury and act counts
     bounded by priority position; W5 column discipline, freshness, and
     disjoint enumerations; W6 each alpha and beta record's old value is
-    the previous record's new value; W7 one record a stage of each
-    adversary.  Checks read the fold, not the final record.
+    the previous record's new value; W7 one record a stage of alpha and
+    beta from stage 0, and of each adversary from its first stage.  Checks
+    read the fold, not the final record.
     """
     report = VerificationReport()
     fold = _Fold(events)
@@ -387,7 +388,8 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
         w5.fail("a bit value was enumerated twice")
 
     for name, breaks in (("W6 old values chain", fold.chain.breaks),
-                         ("W7 one record a stage of each adversary", fold.runs.breaks)):
+                         ("W7 one record a stage of alpha, beta and each adversary",
+                          fold.runs.breaks)):
         check = report.check(name)
         for message in breaks:
             check.fail(message)

@@ -24,6 +24,13 @@ def pow2_neg(n: int) -> Rational:
     return Fraction(1, 1 << n)
 
 
+def gap_below(x: Rational, v: Rational, k: int) -> bool:
+    """Whether |x - v| < 2^-k, k >= 0: the integer compare
+    |x_n*v_d - v_n*x_d| * 2^k < x_d*v_d, with no Fraction built and no gcd."""
+    xd, vd = x.denominator, v.denominator
+    return abs(x.numerator * vd - v.numerator * xd) << k < xd * vd
+
+
 def format_rational(x: Rational) -> str:
     """Canonical "p/q" text form (denominator always present).  Raises
     ValueError past `sys.get_int_max_str_digits()` digits; a caller that

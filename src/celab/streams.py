@@ -7,7 +7,8 @@ stage; the direction invariant and (optionally) membership in the open unit
 interval are asserted on every new value, never assumed.
 
 Generators are pure functions of (stage, materialized prefix, declared
-engine view) so that every run is bit-exact reproducible.
+engine view) so that every run is bit-exact reproducible; a generator may
+read the prefix, as the constant targets step each value from the last.
 """
 
 from __future__ import annotations
@@ -87,17 +88,20 @@ class ApproxStream:
         v = self.generator(s, self._prefix)
         if not isinstance(v, Fraction):
             raise TypeError(f"{self.label}: generator returned {type(v).__name__}")
+        # every check compares integers: v = n/d and prev in lowest terms, d > 0
+        n, d = v.numerator, v.denominator
         if self._prefix:
             prev = self._prefix[-1]
-            if self.direction is Direction.INCREASING and v < prev:
+            rise = n * prev.denominator - prev.numerator * d  # the sign of v - prev
+            if self.direction is Direction.INCREASING and rise < 0:
                 raise MonotonicityViolation(
                     f"{self.label}: value({s}) = {v} < value({s - 1}) = {prev}"
                 )
-            if self.direction is Direction.DECREASING and v > prev:
+            if self.direction is Direction.DECREASING and rise > 0:
                 raise MonotonicityViolation(
                     f"{self.label}: value({s}) = {v} > value({s - 1}) = {prev}"
                 )
-        if self.unit_interval and not (ZERO < v < ONE):
+        if self.unit_interval and not 0 < n < d:
             raise OutOfUnitInterval(f"{self.label}: value({s}) = {v} not in (0,1)")
         self._prefix.append(v)
 
@@ -112,7 +116,9 @@ def make_constant_target(
 
     Increasing: value(s) = limit * (1 - rate**(s+1));
     decreasing: value(s) = limit + (1 - limit) * rate**(s+1).
-    Both stay in (0,1) and converge to limit.
+    Both stay in (0,1) and converge to limit.  Each value after the first
+    is stepped from the previous one in the prefix, whose distance to
+    `limit` shrinks by `rate` a stage: no power of `rate` is computed.
     """
     if not (ZERO < limit < ONE):
         raise ValueError(f"limit {limit} not in (0,1)")
@@ -121,13 +127,13 @@ def make_constant_target(
 
     if direction is Direction.INCREASING:
 
-        def gen(s: int, _prefix: Sequence[Rational]) -> Rational:
-            return limit - limit * rate ** (s + 1)
+        def gen(s: int, prefix: Sequence[Rational]) -> Rational:
+            return limit - (limit - prefix[s - 1] if s else limit) * rate
 
     else:
 
-        def gen(s: int, _prefix: Sequence[Rational]) -> Rational:
-            return limit + (ONE - limit) * rate ** (s + 1)
+        def gen(s: int, prefix: Sequence[Rational]) -> Rational:
+            return limit + (prefix[s - 1] - limit if s else ONE - limit) * rate
 
     return ApproxStream(
         direction,

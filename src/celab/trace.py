@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -43,6 +44,11 @@ KINDS = {
 }
 
 
+def _json_text(text: Optional[str]) -> str:
+    """`text` as `json.dumps` writes it: an ASCII-escaped JSON string, or null."""
+    return "null" if text is None else encode_basestring_ascii(text)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
     stage: int
@@ -52,9 +58,12 @@ class TraceEvent:
     new: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps({"stage": self.stage, "event_kind": self.kind,
-                           "requirement": self.requirement, "old_value": self.old,
-                           "new_value": self.new}, separators=(",", ":"))
+        """The event's line: the bytes of `json.dumps` of its fields with
+        separators (",", ":"), formatted directly."""
+        req = "null" if self.requirement is None else self.requirement
+        return (f'{{"stage":{self.stage},"event_kind":{_json_text(self.kind)},'
+                f'"requirement":{req},"old_value":{_json_text(self.old)},'
+                f'"new_value":{_json_text(self.new)}}}')
 
     @classmethod
     def from_dict(cls, d) -> "TraceEvent":
@@ -102,6 +111,10 @@ def rational(text) -> Rational:
     raise TraceFormatError(f"value {text!r:.40} is not a p/q rational")
 
 
+def _record_name(kind: str, req: Optional[int]) -> str:
+    return kind if req is None else f"{kind} req {req}"
+
+
 class OldValueChain:
     """The trace rule that a chained record's old value is the last new
     value of its kind and requirement, or `KINDS`' initial one, checked as
@@ -117,35 +130,50 @@ class OldValueChain:
             return
         key = (ev.kind, ev.requirement)
         if ev.old != self.last.get(key, spec.initial):
-            req = "" if ev.requirement is None else f" req {ev.requirement}"
-            self.breaks.append(f"stage {ev.stage}: {ev.kind}{req} old value is not "
+            self.breaks.append(f"stage {ev.stage}: {_record_name(*key)} old value is not "
                                f"the last new value of its kind")
         self.last[key] = ev.new
 
 
-class AdversaryRuns:
-    """The trace rule that requirement i's gamma (or delta) records are one
-    a stage from stage i + 1, where an engine first reads its adversary,
-    through the last stage, checked as a fold reads them: keeps the last
-    stage of each and a message per break; `close` checks where they end."""
+def check_ratio_text(text: str) -> None:
+    """TraceFormatError unless `text` is "p/q" text: an optional "-", ASCII
+    digits, "/", ASCII digits.  Scanned by C-level methods and no int is
+    built; the digits are tested as ASCII bytes, a table lookup per byte,
+    where `str.isdigit` would look up each character's Unicode category."""
+    num, slash, den = (text.encode() if text.isascii() else b"").partition(b"/")
+    if not (slash and num.removeprefix(b"-").isdigit() and den.isdigit()):
+        raise TraceFormatError(f"value {text!r:.40} is not p/q text")
 
-    def __init__(self):
-        self.last: dict[tuple[str, int], int] = {}
+
+class RecordRuns:
+    """The trace rule that records of a kind come one a stage through the
+    last stage, checked as a fold reads them: those of each of `stage_kinds`
+    (kinds without a requirement) from stage 0, and requirement i's gamma
+    (or delta) records from stage i + 1, where an engine first reads its
+    adversary.  Keeps the last stage of each and a message per break;
+    `close` checks where they end."""
+
+    def __init__(self, stage_kinds: tuple[str, ...]):
+        self.kinds = {*stage_kinds, "gamma", "delta"}
+        self.last: dict[tuple[str, Optional[int]], int] = {
+            (kind, None): -1 for kind in stage_kinds}
         self.breaks: list[str] = []
 
     def read(self, ev: TraceEvent) -> None:
+        if ev.kind not in self.kinds:
+            return
         key = (ev.kind, ev.requirement)
         expected = self.last.get(key, ev.requirement) + 1
         if ev.stage != expected:
-            self.breaks.append(f"stage {ev.stage}: {ev.kind} req {ev.requirement} record, "
+            self.breaks.append(f"stage {ev.stage}: {_record_name(*key)} record, "
                                f"where its next record is due at stage {expected}")
         self.last[key] = ev.stage
 
     def close(self, last_stage: int) -> None:
-        for (kind, req), stage in sorted(self.last.items()):
+        for key, stage in self.last.items():
             if stage < last_stage:
-                self.breaks.append(f"{kind} req {req}: records end at stage {stage}, "
-                                   f"before the last stage {last_stage}")
+                self.breaks.append(f"{_record_name(*key)}: no records from stage {stage + 1} "
+                                   f"through the last stage {last_stage}")
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:

@@ -426,9 +426,9 @@ def test_module_entry_point_on_goldens(tmp_path, engine):
 # name -> (golden engine, record, its edit, verify exit, replay exit); the
 # record is "final" or (event kind, which of its records).  An event whose
 # field breaks its kind's layout is refused as the trace is read; a p/q
-# value that holds no rational, where a verifier parses it.  A value no
-# check parses differs from the final record (V0/W0, replay), except an
-# adversary value in lemma2, which nothing reads: a known gap.
+# value that holds no rational, where a verifier parses it, and a lemma2
+# adversary value that is not p/q text, as the fold reads it.  A value no
+# check parses differs from the final record (V0/W0, replay).
 TAMPERED = {
     "lemma2-c-requirement-null": ("lemma2", ("c", "first"), {"requirement": None}, 2, 2),
     "lemma2-final-eta-null": ("lemma2", ("eta", "last"), {"new_value": None}, 2, 2),
@@ -437,7 +437,9 @@ TAMPERED = {
     "lemma2-last-alpha-x": ("lemma2", ("alpha", "last"), {"new_value": "x"}, 1, 1),
     "lemma2-last-q-x": ("lemma2", ("q", "last"), {"new_value": "x"}, 1, 1),
     "lemma2-last-beta_i-x": ("lemma2", ("beta_i", "last"), {"new_value": "x"}, 2, 1),
-    "lemma2-last-gamma-x": ("lemma2", ("gamma", "last"), {"new_value": "x"}, 0, 0),
+    "lemma2-last-gamma-x": ("lemma2", ("gamma", "last"), {"new_value": "x"}, 2, 2),
+    "lemma2-first-delta-two-slashes": ("lemma2", ("delta", "first"), {"new_value": "1/2/3"},
+                                       2, 2),
     "prop3-last-alpha-x": ("prop3", ("alpha", "last"), {"new_value": "x"}, 2, 1),
     "prop3-middle-alpha-x": ("prop3", ("alpha", "middle"), {"new_value": "x"}, 2, 0),
     "prop3-last-gamma-x": ("prop3", ("gamma", "last"), {"new_value": "x"}, 2, 0),

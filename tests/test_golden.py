@@ -161,14 +161,15 @@ class TestAlteredFinalStage:
 class TestDeletedLemma2Record:
     """Deleting a stage record the lemma2 verifier reads fails the check
     that reads it, naming the record and its stage, instead of raising;
-    deleting one with a successor also breaks the old-value chain (V6), and
-    deleting the last eta changes the folded final record (V0)."""
+    deleting one with a successor also breaks the old-value chain (V6),
+    deleting the last eta changes the folded final record (V0), and every
+    deletion breaks the run of its kind's records (V7)."""
 
     FINAL_ETA = '{"stage":50,"event_kind":"eta"'
     BUMP_BETA = '{"stage":2,"event_kind":"beta"'
     CASES = [
-        (FINAL_ETA, ["V0", "V2"], "no eta record at final stage 50"),
-        (BUMP_BETA, ["V4", "V6"], "req 0, stages 1->2: no beta record at stage 2"),
+        (FINAL_ETA, ["V0", "V2", "V7"], "no eta record at final stage 50"),
+        (BUMP_BETA, ["V4", "V6", "V7"], "req 0, stages 1->2: no beta record at stage 2"),
     ]
     IDS = ["final-eta", "bump-beta"]
 
@@ -202,12 +203,14 @@ class TestSingleEventMutations:
     """Every single-event deletion and duplication of a golden trace goes
     through its verifier and replay without raising.  `flagged` counts the
     mutations that fail a check or replay to another state; it may only
-    grow.  Every deletion and duplication of a gamma/delta record is
-    flagged (V7/W7), and in prop3 the deletion of the define before the
-    only act fails W1 as well as W0."""
+    grow.  Every deletion and duplication of an alpha, eta, beta or
+    gamma/delta record is flagged (V7/W7), and in prop3 the deletion of the
+    define before the only act fails W1 as well as W0.  What prop3 still
+    misses is the deletion of its only act and the duplication of its
+    restraint."""
 
-    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 428),
-             ("golden_prop3", verify_injury, replay_injury, 354)]
+    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 522),
+             ("golden_prop3", verify_injury, replay_injury, 504)]
 
     @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
     def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
@@ -219,8 +222,9 @@ class TestSingleEventMutations:
                 if not report.all_green or replay(mutated) != final:
                     flagged[op, n] = report
         assert len(flagged) >= floor
-        adversary = [n for n, ev in enumerate(evs) if ev.kind in ("gamma", "delta")]
-        assert adversary and all((op, n) in flagged for op in ("del", "dup") for n in adversary)
+        runs = [n for n, ev in enumerate(evs)
+                if ev.kind in ("alpha", "eta", "beta", "gamma", "delta")]
+        assert runs and all((op, n) in flagged for op in ("del", "dup") for n in runs)
         if name == "golden_prop3":
             (act,) = [ev for ev in evs if ev.kind == "act"]
             (n,) = [n for n, ev in enumerate(evs) if ev.kind == "define"

@@ -4,6 +4,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from celab.rationals import (
     HALF,
@@ -11,9 +13,12 @@ from celab.rationals import (
     ZERO,
     Rational,
     format_rational,
+    gap_below,
     parse_rational,
     pow2_neg,
 )
+
+rationals = st.builds(Rational, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 
 
 class TestConstruction:
@@ -50,6 +55,32 @@ class TestPow2Neg:
     def test_halving_law(self):
         for n in range(50):
             assert pow2_neg(n + 1) * 2 == pow2_neg(n)
+
+
+class TestGapBelow:
+    """The integer gap test is the Fraction one, |x - v| < 2^-k."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(x=rationals, v=rationals, k=st.integers(0, 140))
+    @example(x=Rational(1, 3), v=Rational(1, 3), k=0)
+    @example(x=Rational(-5, 7), v=Rational(-5, 7), k=99)
+    @example(x=Rational(-1, 2), v=Rational(1, 2), k=0)
+    @example(x=Rational(3, 4), v=Rational(-1, 4), k=0)
+    def test_equals_fraction_form(self, x, v, k):
+        assert gap_below(x, v, k) == (abs(x - v) < pow2_neg(k))
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(x=rationals, k=st.integers(0, 140), sign=st.sampled_from((-1, 1)))
+    def test_exact_boundary_is_not_below(self, x, k, sign):
+        # |x - v| = 2^-k exactly is not below it; a hair closer is
+        edge = x + sign * pow2_neg(k)
+        assert not gap_below(x, edge, k) and not gap_below(edge, x, k)
+        inside = x + sign * (pow2_neg(k) - pow2_neg(k + 200))
+        assert gap_below(x, inside, k) and gap_below(inside, x, k)
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            gap_below(HALF, ONE, -1)
 
 
 class TestFormatting:

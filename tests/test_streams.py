@@ -1,6 +1,8 @@
 """Monotone stream machinery: targets, trackers, guards, suites."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celab.rationals import HALF, ONE, ZERO, Rational, parse_rational
 from celab.streams import (
@@ -90,6 +92,22 @@ class TestConstantTarget:
     def test_decreasing_values(self, limit, rate, stage, expect):
         st = make_constant_target(R(limit), DEC, R(rate))
         assert st.value(stage) == R(expect)
+
+    @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
+    @pytest.mark.parametrize("rate", ["1/3", "2/3", "3/4", "99/100"])
+    @settings(max_examples=4, deadline=None, database=None, derandomize=True)
+    @given(limit=st.fractions(0, 1, max_denominator=10**9).filter(lambda x: 0 < x < 1))
+    def test_stepped_values_equal_closed_form(self, direction, rate, limit):
+        # each value is stepped from the last; the closed form computes
+        # rate**(s+1) afresh
+        rate = R(rate)
+        stream = make_constant_target(limit, direction, rate)
+        for s in range(300):
+            if direction is INC:
+                closed = limit - limit * rate ** (s + 1)
+            else:
+                closed = limit + (ONE - limit) * rate ** (s + 1)
+            assert stream.value(s) == closed
 
     def test_converges_to_limit(self):
         for direction in (INC, DEC):

@@ -4,14 +4,17 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from celab.rationals import Rational
 from celab.trace import (
-    AdversaryRuns,
     CheckResult,
+    RecordRuns,
     TraceEvent,
     TraceFormatError,
     VerificationReport,
+    check_ratio_text,
     rational,
     read_trace,
     write_trace,
@@ -30,6 +33,19 @@ class TestTraceEvents:
             "new_value": "3/32",
         }
         assert TraceEvent.from_dict(d) == ev
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(stage=st.integers(0, 10**12), kind=st.text(),
+           requirement=st.none() | st.integers(0, 10**12),
+           old=st.none() | st.text(), new=st.none() | st.text())
+    @example(stage=0, kind="gamma", requirement=None, old='"\\\x00\x1f\x7f',
+             new="\u00e9\u2028\U0001f600\ud800")
+    def test_line_is_json_dumps(self, stage, kind, requirement, old, new):
+        # the directly formatted line has the bytes json.dumps writes
+        ev = TraceEvent(stage, kind, requirement, old, new)
+        assert ev.to_json() == json.dumps(
+            {"stage": stage, "event_kind": kind, "requirement": requirement,
+             "old_value": old, "new_value": new}, separators=(",", ":"))
 
     def test_typed_accessors(self):
         # an integer value is checked as the line is read, a p/q value by
@@ -91,7 +107,7 @@ class TestTraceEvents:
 class TestAdversaryRuns:
     @staticmethod
     def breaks(stages, last_stage=4):
-        runs = AdversaryRuns()
+        runs = RecordRuns(())
         for stage in stages:
             runs.read(TraceEvent(stage, "delta", 1, None, "1/2"))
         runs.close(last_stage)
@@ -104,6 +120,45 @@ class TestAdversaryRuns:
                              ids=["late-start", "gap", "duplicate", "early-end", "early-start"])
     def test_broken_runs_flagged(self, stages):
         assert len(self.breaks(stages)) == 1
+
+
+class TestStageValueRuns:
+    """A kind without a requirement runs from stage 0 through the last
+    stage; kinds the rule is not given are not audited."""
+
+    @staticmethod
+    def breaks(stages, last_stage=3):
+        runs = RecordRuns(("alpha", "beta"))
+        for stage in stages:
+            runs.read(TraceEvent(stage, "alpha", None, "0/1", "1/2"))
+            runs.read(TraceEvent(stage, "q", 0, "0/1", "1/2"))
+        for stage in range(last_stage + 1):
+            runs.read(TraceEvent(stage, "beta", None, "0/1", "1/2"))
+        runs.close(last_stage)
+        return runs.breaks
+
+    def test_one_record_a_stage_from_zero(self):
+        assert self.breaks([0, 1, 2, 3]) == []
+
+    @pytest.mark.parametrize("stages", [[1, 2, 3], [0, 2, 3], [0, 1, 1, 2, 3], [0, 1, 2]],
+                             ids=["late-start", "gap", "duplicate", "early-end"])
+    def test_broken_runs_flagged(self, stages):
+        assert len(self.breaks(stages)) == 1
+
+    def test_kind_with_no_records_flagged(self):
+        assert self.breaks([]) == ["alpha: no records from stage 0 through the last stage 3"]
+
+
+class TestRatioText:
+    @pytest.mark.parametrize("text", ["1/2", "-3/4", "0/1", "12345678901234567890/3"])
+    def test_accepted(self, text):
+        check_ratio_text(text)
+
+    @pytest.mark.parametrize("text", ["x", "", "1", "/2", "1/", "-/2", "+1/2", "1/-2", " 1/2",
+                                      "1/2 ", "1/2/3", "--1/2", "1.5/2", "\u00b2/3", "\u0663/4"])
+    def test_refused(self, text):
+        with pytest.raises(TraceFormatError):
+            check_ratio_text(text)
 
 
 class TestTraceFiles:
