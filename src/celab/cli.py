@@ -26,7 +26,7 @@ from .solovay import (
     check_clause_c,
     speedup,
 )
-from .streams import ApproxStream, Direction
+from .streams import ApproxStream, Direction, StreamError
 from .trace import read_trace, write_trace, TraceFormatError
 
 EXIT_OK = 0
@@ -59,7 +59,10 @@ def cmd_run(args) -> int:
     if rc.engine != args.engine:
         raise ConfigError(f"config engine is {rc.engine!r}, expected {args.engine!r}")
     entry = ENGINES[rc.engine]
-    engine = entry.run(entry.build(rc))
+    try:
+        engine = entry.run(entry.build(rc))
+    except StreamError as e:  # a stream the config defines broke its contract
+        raise ConfigError(str(e)) from None
     snapshot = engine.snapshot()
     out = _out_dir(args)
     trace_path = out / f"{rc.engine}.trace.jsonl"

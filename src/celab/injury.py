@@ -193,6 +193,10 @@ def run_injury(config: InjuryConfig) -> InjuryEngine:
     return engine
 
 
+# the kind of an act's enumeration record, by the parity of its position
+_ENUMERATION = ("enumerate_B", "enumerate_A")
+
+
 @dataclass
 class _Act:
     """One act as the trace fold records it."""
@@ -200,7 +204,9 @@ class _Act:
     position: int
     stage: int
     param: Optional[int]  # the bit parameter in effect, None if none was
+    bit: int  # the act's own value
     next_init: int = 0  # stage of the position's next initialization, T + 1 if none
+    records: tuple[str, ...] = ()  # the kinds of its enumeration and restraint records read
 
 
 class _Fold:
@@ -227,9 +233,14 @@ class _Fold:
         self.enum_b: list[int] = []
         waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
         max_used = -1
+        self.act_faults: list[str] = []  # W8
+        pending: Optional[_Act] = None  # the act whose stage is being read
         self.chain = OldValueChain()
         self.runs = RecordRuns(("alpha", "beta"))
         for ev in events:
+            if pending is not None and (ev.stage != pending.stage or ev.kind == "act"):
+                self._close_act(pending)
+                pending = None
             self.stage = max(self.stage, ev.stage)
             self.chain.read(ev)
             self.runs.read(ev)
@@ -246,14 +257,20 @@ class _Fold:
                 self.used.add(value)
                 max_used = max(max_used, value)
             elif kind == "act":
-                act = _Act(n, ev.stage, self.params.get(n))
+                act = pending = _Act(n, ev.stage, self.params.get(n), int(ev.new))
+                if act.param is not None and act.bit != act.param:
+                    self.act_faults.append(f"position {n}: act at stage {ev.stage} with bit "
+                                           f"{act.bit}, not its parameter {act.param}")
                 self.acts.append(act)
                 waiting.setdefault(n, []).append(act)
             elif kind == "enumerate_A":
+                self._act_record(pending, ev)
                 self.enum_a.append(int(ev.new))
             elif kind == "enumerate_B":
+                self._act_record(pending, ev)
                 self.enum_b.append(int(ev.new))
             elif kind == "restraint":
+                self._act_record(pending, ev)
                 value = self.restraints[n] = int(ev.new)
                 self.used.add(value)
                 max_used = max(max_used, value)
@@ -263,10 +280,33 @@ class _Fold:
                 self.inits[n] = self.inits.get(n, 0) + 1
                 for act in waiting.pop(n, ()):
                     act.next_init = ev.stage
+        if pending is not None:
+            self._close_act(pending)
         for acts in waiting.values():
             for act in acts:
                 act.next_init = self.stage + 1
         self.runs.close(self.stage)
+
+    def _act_record(self, act: Optional[_Act], ev: TraceEvent) -> None:
+        """An enumeration or restraint record must follow, in its stage, the
+        act at its position that has none of its kind yet, and hold the
+        act's bit (plus 3 for a restraint).  The enumeration is enumerate_A
+        at an odd position and enumerate_B at an even one."""
+        n = ev.requirement
+        kind = "restraint" if ev.kind == "restraint" else _ENUMERATION[n % 2]
+        if act is None or act.position != n or ev.kind != kind or kind in act.records:
+            self.act_faults.append(f"{ev.kind} req {n} at stage {ev.stage} without its act")
+            return
+        act.records += (kind,)
+        want = act.bit + 3 if kind == "restraint" else act.bit
+        if int(ev.new) != want:
+            self.act_faults.append(f"{ev.kind} req {n} at stage {ev.stage}: {ev.new}, "
+                                   f"not {want} from the act's bit")
+
+    def _close_act(self, act: _Act) -> None:
+        if len(act.records) != 2:
+            self.act_faults.append(f"position {act.position}: act at stage {act.stage} "
+                                   f"without its enumeration and restraint")
 
     def snapshot(self) -> dict:
         """The final record the trace folds to."""
@@ -289,8 +329,12 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     bounded by priority position; W5 column discipline, freshness, and
     disjoint enumerations; W6 each alpha and beta record's old value is
     the previous record's new value; W7 one record a stage of alpha and
-    beta from stage 0, and of each adversary from its first stage.  Checks
-    read the fold, not the final record.
+    beta from stage 0, and of each adversary from its first stage; W8 each
+    act's bit is its position's parameter in effect, and the act is
+    followed in its stage by exactly one enumeration (enumerate_A at an
+    odd position, enumerate_B at an even one) holding that bit and one
+    restraint holding the bit + 3, and no enumeration or restraint comes
+    without its act.  Checks read the fold, not the final record.
     """
     report = VerificationReport()
     fold = _Fold(events)
@@ -389,7 +433,9 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
 
     for name, breaks in (("W6 old values chain", fold.chain.breaks),
                          ("W7 one record a stage of alpha, beta and each adversary",
-                          fold.runs.breaks)):
+                          fold.runs.breaks),
+                         ("W8 each act with its parameter, enumeration and restraint",
+                          fold.act_faults)):
         check = report.check(name)
         for message in breaks:
             check.fail(message)

@@ -80,8 +80,11 @@ class SubMachine:
         """Run the tail for at most `budget` steps.
 
         Returns (status, steps): ("halt", steps) on halting, ("running",
-        None) if the budget ran out or the machine diverged structurally,
-        ("invalid", None) if the tail is not a program.
+        None) if the budget ran out or the program provably never halts
+        (it runs off the end, or `ExecState.step` finds it pumping),
+        ("invalid", None) if the tail is not a program.  A program that
+        never halts is answered as soon as that is proven, however large
+        the budget.
         """
         program = self.decode(tail)
         if program is None:
@@ -93,25 +96,40 @@ class SubMachine:
             status = exec_state.step(self.ops)
             if status == HALTED:
                 return (HALTED, exec_state.steps)
-            if status == INVALID:  # ran off the end: diverges
+            if status == INVALID:  # never halts
                 return (RUNNING, None)
         return (RUNNING, None)
 
 
 class ExecState:
-    """Mutable execution state of one counter program."""
+    """Mutable execution state of one counter program.
 
-    __slots__ = ("program", "pc", "regs", "steps")
+    Besides pc and registers it keeps what the pumping test of `step`
+    compares: `jump_regs`, the registers at the last jump to pc 0 (the
+    start counts as one), and `zero_tested`, the bitmask of registers a
+    djz has found zero since then."""
+
+    __slots__ = ("program", "pc", "regs", "steps", "jump_regs", "zero_tested")
 
     def __init__(self, program: list[int]):
         self.program = program
         self.pc = 0
         self.regs = [0, 0, 0]
         self.steps = 0
+        self.jump_regs = (0, 0, 0)
+        self.zero_tested = 0
 
     def step(self, ops: tuple[tuple[str, int], ...]) -> str:
         """One step under a decoded opcode table; INVALID once the program
-        has run off the end (it will never halt)."""
+        provably never halts.
+
+        That is the case when it has run off the end, or when it pumps: at
+        a jmp, every register is >= its value at the last jump to pc 0 and
+        every register a djz found zero since then is equal to it.  From
+        the new state the segment since that jump repeats with every
+        register shifted up by some delta >= 0, delta = 0 on each
+        zero-tested register, so each djz takes the same branch again; the
+        segment held no halt, so by induction the program never halts."""
         if self.pc >= len(self.program):
             return INVALID
         kind, k = ops[self.program[self.pc]]
@@ -121,6 +139,14 @@ class ExecState:
         if kind == "nop":
             self.pc += 1
         elif kind == "jmp":
+            r0, r1, r2 = self.regs
+            q0, q1, q2 = self.jump_regs
+            zero = self.zero_tested
+            if (r0 >= q0 and r1 >= q1 and r2 >= q2 and not (
+                    zero & 1 and r0 != q0 or zero & 2 and r1 != q1 or zero & 4 and r2 != q2)):
+                return INVALID
+            self.jump_regs = (r0, r1, r2)
+            self.zero_tested = 0
             self.pc = 0
         elif kind == "inc":
             self.regs[k] += 1
@@ -130,6 +156,7 @@ class ExecState:
                 self.regs[k] -= 1
                 self.pc += 1
             else:
+                self.zero_tested |= 1 << k
                 self.pc += 2
         return RUNNING
 
@@ -189,9 +216,15 @@ class OmegaEnumeration:
     still-live program advances one step per stage.
 
     Seeding builds the decodable programs straight from the dispatch table,
-    so it costs O(valid programs), not O(2^L).  The Kraft sum is kept as a
-    running integer numerator over 2^L, so a stage costs O(live programs)
-    plus O(1) for omega, however many programs have halted.
+    so it costs O(valid programs), not O(2^L).  A program leaves the pool
+    when it halts or provably never halts: it runs off the end, or it
+    pumps (`ExecState.step`: at a jmp no register is below its value at
+    the last jump to pc 0, and every register a djz found zero since then
+    is unchanged).  The Kraft sum is kept as a running integer numerator
+    over 2^L, and prefix-freeness is checked against the set of every
+    prefix of a halted program.  So a stage costs O(programs that can
+    still halt) plus O(L) per new halt, however many programs loop or have
+    halted.
     """
 
     def __init__(self, machine: ToyMachine, max_length: int):
@@ -200,6 +233,7 @@ class OmegaEnumeration:
         self.machine = machine
         self.max_length = max_length
         self.halted: dict[str, int] = {}  # program -> halting time
+        self._halt_prefixes: set[str] = set()  # every prefix of a halted program
         self._kraft = 0  # omega = _kraft / 2**max_length
         self._omega_by_stage: list[Rational] = [ZERO]  # omega(0) = 0
         self._seed_pool()
@@ -232,6 +266,7 @@ class OmegaEnumeration:
             self._advance_one()
 
     def _advance_one(self) -> None:
+        kraft = self._kraft
         # trivial programs halt in 1 step, discovered at the first stage
         for program, _sub in self._trivial_pending:
             self._record_halt(program)
@@ -244,18 +279,26 @@ class OmegaEnumeration:
             elif status == RUNNING:
                 survivors.append((program, sub, exec_state))
         self._live = survivors
+        if self._kraft == kraft:  # no halt at this stage
+            self._omega_by_stage.append(self._omega_by_stage[-1])
+            return
         omega = Rational(self._kraft, 1 << self.max_length)
         if omega >= ONE:
             raise MachineDefinitionError(f"Kraft sum reached {omega}")
         self._omega_by_stage.append(omega)
 
     def _record_halt(self, program: str) -> None:
-        for other in self.halted:
-            if other.startswith(program) or program.startswith(other):
-                raise MachineDefinitionError(
-                    f"halting programs not prefix-free: {program!r} vs {other!r}"
-                )
+        """Record a halt; a program that is a prefix of a halted one, or
+        extends one, is refused, naming the earliest-discovered such halt."""
+        if program in self._halt_prefixes or any(
+                program[:n] in self.halted for n in range(1, len(program))):
+            other = next(other for other in self.halted
+                         if other.startswith(program) or program.startswith(other))
+            raise MachineDefinitionError(
+                f"halting programs not prefix-free: {program!r} vs {other!r}"
+            )
         self.halted[program] = len(self._omega_by_stage)
+        self._halt_prefixes.update(program[:n] for n in range(1, len(program) + 1))
         self._kraft += 1 << (self.max_length - len(program))
 
     def omega(self, s: int) -> Rational:
@@ -274,14 +317,15 @@ def omega_stream(
 
     Positive scale gives an increasing stream, negative a decreasing one.
     The stream is unit-interval flagged only when the affine image of [0,1)
-    provably stays inside (0,1).
+    provably stays inside (0,1): the image of omega_0 = 0, `offset`, is
+    reached and must lie strictly inside, while offset + scale, the image
+    of 1, is never reached and may be an end point.
     """
     if scale == ZERO:
         raise ValueError("scale must be nonzero")
     enum = OmegaEnumeration(machine, max_length)
     direction = Direction.INCREASING if scale > ZERO else Direction.DECREASING
-    lo, hi = sorted((offset, offset + scale))
-    in_unit = ZERO < lo and hi <= ONE
+    in_unit = ZERO < offset < ONE and ZERO <= offset + scale <= ONE
 
     def gen(s: int, _prefix) -> Rational:
         return offset + scale * enum.omega(s)

@@ -390,15 +390,19 @@ def test_values_past_the_int_digit_limit(tmp_path, capsys):
 GOLDENS = Path(__file__).parent / "data"
 
 
+def module_env() -> dict:
+    """The environment for `python -m celab.cli` on the package under test."""
+    src = str(Path(celab.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_module(trace) -> dict:
     """`python -m celab.cli verify` and `replay` on `trace`, side by side:
     command -> (exit code, stdout, stderr)."""
-    src = str(Path(celab.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     procs = {command: subprocess.Popen(
         [sys.executable, "-m", "celab.cli", command, "--trace", str(trace)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=module_env())
         for command in ("verify", "replay")}
     results = {}
     for command, proc in procs.items():
@@ -421,6 +425,35 @@ def test_module_entry_point_on_goldens(tmp_path, engine):
         for command, (returncode, out, err) in run_module(trace).items():
             assert returncode == code, out + err
             assert err == ""
+
+
+# name -> (config edit, exit code, stderr) for lemma2 configs with an omega
+# stream that once made `run-lemma2` exit 1 with a traceback.  A decreasing
+# omega image from offset 1 never reaches 1 after stage 0, so it is not
+# held to the open unit interval; an alpha that leaves [0, 1) is a config
+# error.
+OMEGA_CONFIGS = {
+    "R-adversary-from-one": (
+        {"suite": [{"index": 0, "role": "R", "kind": "omega", "machine": "pair",
+                    "max_length": 10, "offset": "1/1", "scale": "-1/2"}]},
+        EXIT_OK, ""),
+    "alpha-past-one": (
+        {"alpha": {"kind": "omega", "machine": "pair", "max_length": 10,
+                   "offset": "19/20", "scale": "1/2"}},
+        EXIT_CONFIG_ERROR, "config error: alpha value 329/320 at stage 1 not in [0,1)\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(OMEGA_CONFIGS))
+def test_omega_stream_config_never_raises(tmp_path, case):
+    edit, code, stderr = OMEGA_CONFIGS[case]
+    cfg = write_config(tmp_path, {**LEMMA2_CONFIG, "stages": 40, **edit})
+    proc = subprocess.run(
+        [sys.executable, "-m", "celab.cli", "run-lemma2", "--config", cfg,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, env=module_env(), timeout=120)
+    assert "Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 # name -> (golden engine, record, its edit, verify exit, replay exit); the

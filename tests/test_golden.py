@@ -4,6 +4,7 @@ The two files under tests/data/ are committed run records.  Any change to
 engine semantics, event ordering, or serialization shows up as a diff here.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -204,13 +205,13 @@ class TestSingleEventMutations:
     through its verifier and replay without raising.  `flagged` counts the
     mutations that fail a check or replay to another state; it may only
     grow.  Every deletion and duplication of an alpha, eta, beta or
-    gamma/delta record is flagged (V7/W7), and in prop3 the deletion of the
-    define before the only act fails W1 as well as W0.  What prop3 still
-    misses is the deletion of its only act and the duplication of its
-    restraint."""
+    gamma/delta record is flagged (V7/W7).  In prop3 every mutation is
+    flagged: the deletion of the define before the only act fails W1 as
+    well as W0, and the deletion of the act or the duplication of its
+    enumeration or restraint fails W8."""
 
     CASES = [("golden_lemma2", verify_expansion, replay_expansion, 522),
-             ("golden_prop3", verify_injury, replay_injury, 504)]
+             ("golden_prop3", verify_injury, replay_injury, 506)]
 
     @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
     def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
@@ -226,6 +227,7 @@ class TestSingleEventMutations:
                 if ev.kind in ("alpha", "eta", "beta", "gamma", "delta")]
         assert runs and all((op, n) in flagged for op in ("del", "dup") for n in runs)
         if name == "golden_prop3":
+            assert len(flagged) == 2 * len(evs)
             (act,) = [ev for ev in evs if ev.kind == "act"]
             (n,) = [n for n, ev in enumerate(evs) if ev.kind == "define"
                     and ev.requirement == act.requirement and ev.stage < act.stage]
@@ -233,3 +235,46 @@ class TestSingleEventMutations:
             assert report.first_failure().startswith("W0 ")
             (w1,) = [c for c in report.checks if c.name.startswith("W1 ")]
             assert "position 0: act at stage 2 with no parameter in effect" in w1.failures
+
+
+class TestProp3ActRecords:
+    """W8 ties the only act of the prop3 golden (position 0, bit 0, stage 2)
+    to its parameter, its enumerate_B and its restraint, naming the broken
+    record; no other check reads the act's value."""
+
+    @staticmethod
+    def edit(evs, kind, new):
+        return [dataclasses.replace(ev, new=new) if ev.kind == kind else ev for ev in evs]
+
+    CASES = {
+        "act-deleted": (lambda evs: [ev for ev in evs if ev.kind != "act"],
+                        ["enumerate_B req 0 at stage 2 without its act",
+                         "restraint req 0 at stage 2 without its act"]),
+        "restraint-duplicated": (lambda evs: [ev for ev in evs for _ in
+                                              range(2 if ev.kind == "restraint" else 1)],
+                                 ["restraint req 0 at stage 2 without its act"]),
+        "enumeration-deleted": (lambda evs: [ev for ev in evs if ev.kind != "enumerate_B"],
+                                ["position 0: act at stage 2 without its enumeration "
+                                 "and restraint"]),
+        "act-value": (lambda evs: TestProp3ActRecords.edit(evs, "act", "1"),
+                      ["position 0: act at stage 2 with bit 1, not its parameter 0",
+                       "enumerate_B req 0 at stage 2: 0, not 1 from the act's bit",
+                       "restraint req 0 at stage 2: 3, not 4 from the act's bit"]),
+        "enumeration-value": (lambda evs: TestProp3ActRecords.edit(evs, "enumerate_B", "1"),
+                              ["enumerate_B req 0 at stage 2: 1, not 0 from the act's bit"]),
+        "restraint-value": (lambda evs: TestProp3ActRecords.edit(evs, "restraint", "4"),
+                            ["restraint req 0 at stage 2: 4, not 3 from the act's bit"]),
+    }
+
+    def test_golden_passes(self):
+        _, evs, final = read_trace(DATA / "golden_prop3.trace.jsonl")
+        (w8,) = [c for c in verify_injury(evs, final).checks if c.name.startswith("W8 ")]
+        assert w8.passed
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_mutation_fails_w8(self, case):
+        mutate, failures = self.CASES[case]
+        _, evs, final = read_trace(DATA / "golden_prop3.trace.jsonl")
+        report = verify_injury(mutate(evs), final)
+        (w8,) = [c for c in report.checks if c.name.startswith("W8 ")]
+        assert w8.failures == failures

@@ -3,11 +3,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from celab import omega
 from celab.omega import (
     HALTED,
     INVALID,
+    MICRO_OPS,
     MachineDefinitionError,
     OmegaEnumeration,
     STANDARD_TABLE,
@@ -172,8 +175,20 @@ class TestOmegaEnumeration:
         # guard directly
         enum = OmegaEnumeration(bundled_machines()["mini"], 6)
         enum.advance_to(2)
-        with pytest.raises(MachineDefinitionError):
+        with pytest.raises(MachineDefinitionError,
+                           match=r"^halting programs not prefix-free: '00' vs '0'$"):
             enum._record_halt("0" + "0")  # extends the halted program "0"
+
+    def test_halting_prefix_freeness_guard_prefix_of_a_halt(self):
+        # pair's 2-instruction programs 0 110 000 xxx halt at stage 1; a
+        # prefix of one of them conflicts with the earliest discovered
+        enum = OmegaEnumeration(bundled_machines()["pair"], 10)
+        enum.advance_to(1)
+        first = next(p for p in enum.halted if p.startswith("0110000"))
+        assert first == "0110000000"
+        with pytest.raises(MachineDefinitionError,
+                           match=r"^halting programs not prefix-free: '0110' vs '0110000000'$"):
+            enum._record_halt("0110")
 
 
 class TestOmegaStream:
@@ -188,6 +203,19 @@ class TestOmegaStream:
             assert down.value(s) == R("3/4") - R("1/2") * w
         assert up.direction is INC
         assert down.direction is Direction.DECREASING
+
+    @pytest.mark.parametrize("offset, scale, flagged", [
+        ("1/4", "1/2", True), ("1/4", "3/4", True), ("0/1", "1/2", False),
+        ("1/2", "3/4", False), ("3/4", "-1/2", True), ("3/4", "-3/4", True),
+        ("1/1", "-1/2", False), ("1/4", "-1/2", False)])
+    def test_unit_interval_flag(self, offset, scale, flagged):
+        # offset = the value at stage 0 is reached, offset + scale never is
+        stream = omega_stream(bundled_machines()["pair"], 8, offset=R(offset), scale=R(scale))
+        assert stream.unit_interval is flagged
+        if not flagged:
+            return
+        for s in range(20):
+            assert ZERO < stream.value(s) < ONE
 
     def test_zero_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -347,3 +375,138 @@ class TestRunningKraftSum:
         assert enum.omega(0) == ZERO
         with pytest.raises(MachineDefinitionError, match=r"^Kraft sum reached 1$"):
             enum.omega(1)
+
+
+def unpruned_run(opcodes, body, budget):
+    """The halting time of a counter program within `budget` steps, or None:
+    a plain interpreter over the opcode names that stops only when the
+    program halts, runs off the end or the budget ends."""
+    pc, regs = 0, [0, 0, 0]
+    for t in range(1, budget + 1):
+        if pc >= len(body):
+            return None
+        op = opcodes[body[pc]]
+        if op == "halt":
+            return t
+        if op == "jmp":
+            pc = 0
+        elif op.startswith("inc"):
+            regs[int(op[3])] += 1
+            pc += 1
+        elif op.startswith("djz") and regs[int(op[3])] == 0:
+            pc += 2
+        else:
+            if op.startswith("djz"):
+                regs[int(op[3])] -= 1
+            pc += 1
+    return None
+
+
+def counter_tail(body):
+    return "1" * len(body) + "0" + "".join(format(n, "03b") for n in body)
+
+
+def unpruned_halts(machine, max_length, budget):
+    """program -> halting time for every program of length <= L that halts
+    within `budget` steps, each run by `unpruned_run`."""
+    halts = {}
+    for code, sub in machine.dispatch:
+        if sub.trivial:
+            if len(code) <= max_length:
+                halts[code] = 1
+            continue
+        for k in range((max_length - len(code) - 1) // 4 + 1):
+            for body in product(range(8), repeat=k):
+                t = unpruned_run(sub.opcodes, body, budget)
+                if t is not None:
+                    halts[code + counter_tail(body)] = t
+    return halts
+
+
+opcode_tables = st.lists(st.sampled_from(sorted(MICRO_OPS)), min_size=8, max_size=8)
+
+
+@st.composite
+def toy_machines(draw):
+    """A prefix-free dispatch of one to four codes of up to four bits, each
+    routed to the trivial sub or to one of two random opcode tables."""
+    codes = []
+    for code in draw(st.lists(st.text("01", min_size=1, max_size=4), min_size=1, max_size=6)):
+        if not any(code.startswith(c) or c.startswith(code) for c in codes):
+            codes.append(code)
+    tables = [draw(opcode_tables) for _ in range(2)]
+    subs = [SubMachine("unit", trivial=True)] + [
+        SubMachine(f"counter{n}", opcodes=tuple(table)) for n, table in enumerate(tables)]
+    return ToyMachine(tuple((code, draw(st.sampled_from(subs))) for code in codes[:4]))
+
+
+class TestPumpingPrune:
+    """Dropping the programs that provably pump forever changes no halt and
+    no value of Omega, and it is what makes a stage cost O(programs that
+    can still halt)."""
+
+    STAGES = 200
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(machine=toy_machines(), max_length=st.integers(1, 14))
+    def test_matches_unpruned_interpreter(self, machine, max_length):
+        expected = unpruned_halts(machine, max_length, self.STAGES)
+        if sum(Rational(1, 1 << len(p)) for p in expected) >= ONE:
+            return  # trivial codes covering every string: the Kraft guard fires
+        enum = OmegaEnumeration(machine, max_length)
+        enum.advance_to(self.STAGES)
+        assert enum.halted == expected
+        for s in range(self.STAGES + 1):
+            want = sum((Rational(1, 1 << len(p)) for p, t in expected.items() if t <= s),
+                       start=ZERO)
+            assert enum.omega(s) == want
+
+    @pytest.mark.parametrize("name", sorted(bundled_machines()))
+    def test_bundled_machines_match_unpruned_interpreter(self, name):
+        # at L = 18 pair seeds every 4-instruction counter_a program, among
+        # them djz0, halt, inc0, jmp (see test_jump_that_does_not_pump)
+        machine = bundled_machines()[name]
+        expected = unpruned_halts(machine, 18, self.STAGES)
+        enum = OmegaEnumeration(machine, 18)
+        enum.advance_to(self.STAGES)
+        assert enum.halted == expected
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(table=opcode_tables, body=st.lists(st.integers(0, 7), max_size=8))
+    def test_long_programs_match_unpruned_interpreter(self, table, body):
+        # up to 8 instructions: room for a jump whose pumping test fails
+        # and a later pass that halts
+        t = unpruned_run(table, body, self.STAGES)
+        want = ("running", None) if t is None else (HALTED, t)
+        assert SubMachine("c", opcodes=tuple(table)).run(counter_tail(body), self.STAGES) == want
+
+    @pytest.mark.parametrize("name, max_length, halts", [
+        ("pair", 16, 287), ("mini", 18, 144), ("silent", 17, 0)])
+    def test_benchmark_pools_empty_by_stage_10(self, name, max_length, halts):
+        # the pools seed 1,170, 585 and 585 counter programs; the 590 that
+        # never halt all pump, so no program is stepped after stage 10
+        enum = OmegaEnumeration(bundled_machines()[name], max_length)
+        enum.advance_to(10)
+        assert enum._live == []
+        assert len(enum.halted) == halts
+
+    def test_pumping_program_answers_at_once(self):
+        c = counter()
+        # [DERIVED] inc0, jmp: at the first jmp r0 = 1 >= 0 and no djz ran
+        assert c.run("110001110", budget=10**9) == ("running", None)
+        # [DERIVED] djz0, halt, jmp on r0 = 0: djz skips the halt, the jmp
+        # finds r0 zero-tested and unchanged
+        assert c.run("1110100000110", budget=10**9) == ("running", None)
+
+    def test_jump_that_does_not_pump(self):
+        c = counter()
+        # [DERIVED] djz0, halt, inc0, jmp: the first pass skips the halt on
+        # r0 = 0 and leaves r0 = 1, so the zero-tested r0 changed; the
+        # second pass decrements r0 and halts at step 5
+        assert c.run(counter_tail([4, 0, 1, 6]), budget=10) == (HALTED, 5)
+        # [DERIVED] djz1, jmp, djz0, halt, inc1, inc0, jmp: the first pass
+        # finds r1 and r0 zero, skips the halt and jumps at (1, 1, 0); the
+        # second decrements r1 and jumps at (1, 0, 0), below the last
+        # jump's r1 though no djz found a zero; the third decrements r0 and
+        # halts at step 10
+        assert c.run(counter_tail([5, 6, 4, 0, 2, 1, 6]), budget=20) == (HALTED, 10)
