@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .config import (ENGINES, ConfigError, Engine, _load_machine, build_stream, load_config,
@@ -135,12 +136,13 @@ def _traced_engine(header: dict) -> Engine:
 
 
 def _fold_trace(path: str, fold):
-    """`fold(engine entry, events, final record)` on the trace at `path`; a
-    trace that cannot be read, or a malformed value a check parses, is a
-    configuration error."""
+    """`fold(engine entry, events, final record)` on the trace at `path`,
+    its events read as the fold reads them; a trace that cannot be read,
+    or a malformed value a check parses, is a configuration error."""
     try:
         header, events, final = read_trace(path)
-        return fold(_traced_engine(header), events, final)
+        with closing(events):
+            return fold(_traced_engine(header), events, final)
     except (OSError, TraceFormatError) as e:
         raise ConfigError(f"cannot read trace {path}: {e}") from None
 

@@ -33,7 +33,8 @@ kind and requirement; a run is bit-exactly replayable from its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
@@ -155,90 +156,188 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
     return engine
 
 
+class _StageEnd:
+    """The beta and eta records a stage ends with, None where it has none;
+    parsed once, when a pacing pair first reads them."""
+
+    def __init__(self, stage: int, beta: Optional[str], eta: Optional[str]):
+        self.stage, self.beta, self.eta = stage, beta, eta
+        self._values: Optional[tuple[Rational, Rational]] = None
+
+    def values(self) -> tuple[Rational, Rational]:
+        if self._values is None:
+            self._values = rational(self.beta), rational(self.eta)
+        return self._values
+
+
+class _StageChecks:
+    """V3 and V4, run as each stage of a lemma2 trace closes.  Keeps, per
+    requirement, its d records so far and the stage end of its last c
+    record, and the failures found, keyed by where the whole-trace report
+    lists them.  Requirements first seen after a stage can still fail V3
+    there, with bound 2^-0: a stage whose positive growth exceeds 1 is
+    kept until the end for them."""
+
+    def __init__(self):
+        self.d_count: dict[int, int] = {}  # j -> d records so far
+        self.known: set[int] = set()  # requirements with a d or beta_i record so far
+        self.relevant: list[int] = []  # sorted(known)
+        self.bump: dict[int, _StageEnd] = {}  # i -> the stage end of its last c record
+        self.deferred: list[tuple[int, dict[int, Rational], frozenset[int]]] = []
+        self.v3: list[tuple[tuple[int, int], str]] = []  # ((stage, j), message)
+        self.v4: list[tuple[tuple[int, int], str]] = []  # ((i, later stage), message)
+
+    def close(self, stage: int, beta: Optional[str], eta: Optional[str], c_bumped: list[int],
+              d_bumped: list[int], growth: dict[int, tuple[str, str]]) -> None:
+        """Stage `stage` has been read: the beta and eta it ends with, its c
+        and d records' requirements, and its beta_i records."""
+        for j in d_bumped:
+            self.d_count[j] = self.d_count.get(j, 0) + 1
+        if not self.known.issuperset(d_bumped) or not self.known.issuperset(growth):
+            self.known.update(d_bumped, growth)
+            self.relevant = sorted(self.known)
+        if growth:
+            incs = {i: rational(new) - rational(old) for i, (old, new) in growth.items()}
+            for j in self.relevant:
+                self._restrain(stage, j, incs, self.d_count.get(j, 0))
+            if sum(inc for inc in incs.values() if inc > 0) > ONE:
+                self.deferred.append((stage, incs, frozenset(self.known)))
+        if c_bumped:
+            end = _StageEnd(stage, beta, eta)
+            for i in c_bumped:
+                if i in self.bump:
+                    self._pace(i, self.bump[i], end)
+                self.bump[i] = end
+
+    def _restrain(self, stage: int, j: int, incs: dict[int, Rational], d_j: int) -> None:
+        total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
+        if total > pow2_neg(d_j):
+            self.v3.append(((stage, j),
+                            f"stage {stage}: growth below priority {j} is {total} > 2^-{d_j}"))
+
+    def _pace(self, i: int, first: _StageEnd, second: _StageEnd) -> None:
+        t1, t2 = first.stage, second.stage
+        key = (i, t2)
+        gaps = [f"{kind} record at stage {end.stage}"
+                for kind in ("beta", "eta") for end in (first, second)
+                if getattr(end, kind) is None]
+        if gaps:
+            self.v4.append((key, f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}"))
+            return
+        (beta1, eta1), (beta2, eta2) = first.values(), second.values()
+        if i == 0:
+            q = Rational(1, 2)
+        else:
+            q = pow2_neg(i + max((n for j, n in self.d_count.items() if j < i), default=0) + 1)
+        lhs, rhs = beta2 - beta1, q * (eta2 - eta1)
+        if not lhs >= rhs:
+            self.v4.append((key, f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}"))
+
+    def finish(self) -> None:
+        """V3 at each kept stage for the requirements first seen after it."""
+        for stage, incs, known in self.deferred:
+            for j in self.relevant:
+                if j not in known:
+                    self._restrain(stage, j, incs, 0)
+
+
 class _Fold:
     """One forward pass over a lemma2 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
-    as their trace text; a check parses only what it compares."""
+    as their trace text; a check parses only what it compares.  Given
+    `checks`, it also keeps the old-value chain and record runs and hands
+    each stage to `checks` as it closes; either way it keeps O(requirements)
+    state, never a stage's records once the stage has closed."""
 
-    def __init__(self, events: list[TraceEvent]):
-        self.stage = 0
+    def __init__(self, events: Iterable[TraceEvent], checks: Optional[_StageChecks] = None):
         self.alpha = self.eta = self.beta = "0/1"  # the latest records
-        self.eta_at: dict[int, str] = {}  # stage -> eta, likewise beta
-        self.beta_at: dict[int, str] = {}
+        self.eta_stage: Optional[int] = None  # the stage of the latest eta record
         self.c: dict[int, int] = {}  # i -> latest logged counter, likewise d
         self.d: dict[int, int] = {}
         self.q: dict[int, str] = {}
         self.beta_i: dict[int, str] = {}
-        self.c_bumps: dict[int, list[int]] = {}  # i -> stages of its c bumps
-        self.d_bumps: dict[int, list[int]] = {}
-        self.growth: dict[int, dict[int, tuple[str, str]]] = {}  # stage -> i -> beta_i (old, new)
+        self.last_c: dict[int, int] = {}  # i -> stage of its latest c record, likewise d
+        self.last_d: dict[int, int] = {}
         self.chain = OldValueChain()
         self.runs = RecordRuns(("alpha", "eta", "beta"))
+        checking = checks is not None
+        read_chain, read_runs = self.chain.read, self.runs.read
+        # the stage being read: its last eta and beta, c and d records, and
+        # beta_i records (i -> (old, new))
+        open_stage, eta, beta = 0, None, None
+        c_bumped: list[int] = []
+        d_bumped: list[int] = []
+        growth: dict[int, tuple[str, str]] = {}
         for ev in events:
-            self.stage = max(self.stage, ev.stage)
-            self.chain.read(ev)
-            self.runs.read(ev)
+            if ev.stage > open_stage:  # a record of an earlier stage fails V7
+                if checking:
+                    checks.close(open_stage, beta, eta, c_bumped, d_bumped, growth)
+                open_stage, eta, beta = ev.stage, None, None
+                c_bumped, d_bumped, growth = [], [], {}
+            if checking:
+                read_chain(ev)
+                read_runs(ev)
             kind, i = ev.kind, ev.requirement
             if kind in ("gamma", "delta"):  # most records: one a stage per adversary
                 check_ratio_text(ev.new)
             elif kind == "alpha":
                 self.alpha = ev.new
             elif kind == "eta":
-                self.eta = self.eta_at[ev.stage] = ev.new
+                self.eta = eta = ev.new
+                self.eta_stage = ev.stage
             elif kind == "beta":
-                self.beta = self.beta_at[ev.stage] = ev.new
+                self.beta = beta = ev.new
             elif kind == "c":
                 self.c[i] = int(ev.new)
-                self.c_bumps.setdefault(i, []).append(ev.stage)
+                self.last_c[i] = ev.stage
+                c_bumped.append(i)
             elif kind == "d":
                 self.d[i] = int(ev.new)
-                self.d_bumps.setdefault(i, []).append(ev.stage)
+                self.last_d[i] = ev.stage
+                d_bumped.append(i)
             elif kind == "q":
                 self.q[i] = ev.new
             elif kind == "beta_i":
                 self.beta_i[i] = ev.new
-                self.growth.setdefault(ev.stage, {})[i] = (ev.old, ev.new)
+                growth[i] = (ev.old, ev.new)
+        self.stage = open_stage  # the last, since stages only advance
+        if checking:
+            checks.close(open_stage, beta, eta, c_bumped, d_bumped, growth)
+            checks.finish()
         self.runs.close(self.stage)
 
     def snapshot(self) -> dict:
         """The final record the trace folds to."""
         return _snapshot(self.stage, self.alpha, self.eta, self.beta, self.c, self.d, self.q,
-                         self.beta_i, {i: stages[-1] for i, stages in self.c_bumps.items()})
+                         self.beta_i, self.last_c)
 
 
-def replay_expansion(events: list[TraceEvent]) -> dict:
+def replay_expansion(events: Iterable[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot (no generators re-run)."""
     return _Fold(events).snapshot()
 
 
-def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationReport:
+def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
     V0 the final record is the one the trace folds to; V1 total below one;
     V2 per-index contribution cap; V3 restraint bound on lower-priority
     growth; V4 pacing along expansionary stages; V5 stabilization
     statistics; V6 each value record's old value is the last new value of
-    its kind and requirement; V7 one record a stage of alpha, eta and beta
-    from stage 0, and of each adversary from its first stage.  The
-    pacing comparison is >= (the construction yields equality whenever a
-    single requirement carries the whole increment between consecutive
-    expansionary stages).  Checks read the fold, not the final record.
+    its kind and requirement; V7 records in stage order, and one record a
+    stage of alpha, eta and beta from stage 0, and of each adversary from
+    its first stage.  The pacing comparison is >= (the construction yields
+    equality whenever a single requirement carries the whole increment
+    between consecutive expansionary stages).  Checks read the fold, not
+    the final record.  One pass over `events`, in O(requirements) memory:
+    V3 and V4 run as each stage closes, and their failures are listed in
+    order of stage and requirement (V3) and of requirement and stage (V4).
     """
     report = VerificationReport()
-    fold = _Fold(events)
+    checks = _StageChecks()
+    fold = _Fold(events, checks)
     T = fold.stage
     check_final_record(report, "V0 final record is the folded trace's", fold.snapshot(), final)
-    c_bumps, d_bumps = fold.c_bumps, fold.d_bumps
-    parsed = cache(rational)  # a bump stage's beta and eta serve two pairs
-
-    def d_at(j: int, t: int) -> int:
-        return sum(1 for b in d_bumps.get(j, ()) if b <= t)
-
-    def q_at(i: int, t: int) -> Rational:
-        if i == 0:
-            return Rational(1, 2)
-        max_d = max((d_at(j, t) for j in d_bumps if j < i), default=0)
-        return pow2_neg(i + max_d + 1)
 
     v1 = report.check("V1 total below one")
     beta_T = rational(fold.beta)
@@ -246,45 +345,25 @@ def verify_expansion(events: list[TraceEvent], final: dict) -> VerificationRepor
         v1.fail(f"beta_T = {beta_T} >= 1")
 
     v2 = report.check("V2 contribution cap 2^-(i+1) * eta")
-    if T not in fold.eta_at:
+    if fold.eta_stage != T:
         v2.fail(f"no eta record at final stage {T}")
     else:
-        eta_T = rational(fold.eta_at[T])
+        eta_T = rational(fold.eta)
         for i, text in sorted(fold.beta_i.items()):
             contribution = rational(text)
             if not contribution <= pow2_neg(i + 1) * eta_T:
                 v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
 
-    v3 = report.check("V3 restraint bound on lower-priority growth")
-    relevant = sorted(set(d_bumps) | {j for incs in fold.growth.values() for j in incs})
-    for stage, logged in sorted(fold.growth.items()):
-        incs = {i: rational(new) - rational(old) for i, (old, new) in logged.items()}
-        for j in relevant:
-            total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
-            if total > pow2_neg(d_at(j, stage)):
-                v3.fail(
-                    f"stage {stage}: growth below priority {j} is {total} "
-                    f"> 2^-{d_at(j, stage)}"
-                )
-
-    v4 = report.check("V4 pacing along expansionary stages")
-    for i, stages in sorted(c_bumps.items()):
-        for t1, t2 in zip(stages, stages[1:]):
-            gaps = [f"{kind} record at stage {t}"
-                    for kind, table in (("beta", fold.beta_at), ("eta", fold.eta_at))
-                    for t in (t1, t2) if t not in table]
-            if gaps:
-                v4.fail(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
-                continue
-            lhs = parsed(fold.beta_at[t2]) - parsed(fold.beta_at[t1])
-            rhs = q_at(i, t2) * (parsed(fold.eta_at[t2]) - parsed(fold.eta_at[t1]))
-            if not lhs >= rhs:
-                v4.fail(f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}")
+    for name, failures in (("V3 restraint bound on lower-priority growth", checks.v3),
+                           ("V4 pacing along expansionary stages", checks.v4)):
+        check = report.check(name)
+        for _, message in sorted(failures, key=itemgetter(0)):
+            check.fail(message)
 
     report.check("V5 stabilization statistics")
-    for i in sorted(set(c_bumps) | set(d_bumps)):
-        report.stats[f"req {i} last c change"] = c_bumps.get(i, [None])[-1]
-        report.stats[f"req {i} last d change"] = d_bumps.get(i, [None])[-1]
+    for i in sorted(set(fold.last_c) | set(fold.last_d)):
+        report.stats[f"req {i} last c change"] = fold.last_c.get(i)
+        report.stats[f"req {i} last d change"] = fold.last_d.get(i)
 
     for name, breaks in (("V6 old values chain", fold.chain.breaks),
                          ("V7 one record a stage of alpha, eta, beta and each adversary",

@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from math import isqrt
-from typing import Optional
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
@@ -205,55 +205,189 @@ class _Act:
     stage: int
     param: Optional[int]  # the bit parameter in effect, None if none was
     bit: int  # the act's own value
-    next_init: int = 0  # stage of the position's next initialization, T + 1 if none
     records: tuple[str, ...] = ()  # the kinds of its enumeration and restraint records read
+    order: int = 0  # acts read before it
+    base: Optional[Rational] = None  # its side's value as its stage ends (W3)
+    restrained: bool = True  # no W3 failure found yet
+
+
+class _Segment:
+    """The acts at one position since its last initialization: W1 reads
+    the first, W2 the last, W3 each."""
+
+    def __init__(self):
+        self.acts: list[_Act] = []
+        self.attention: Optional[str] = None  # W1's failure after the first act
+        self.separation: list[tuple[tuple[int, int], str]] = []  # W2's, for the last act
+
+
+class _StageChecks:
+    """W1-W3 and W5, run as a prop3 trace is read.  Keeps the live
+    segments, at most one act each in a run the engine made, and the
+    previous stage's alpha - beta; checks for a stage run once it has
+    closed, since an initialization in it ends a segment before it.
+    Failures are keyed by where the whole-trace report lists them."""
+
+    def __init__(self):
+        self.live: dict[int, _Segment] = {}  # position -> segment not yet initialized
+        self.acts_read = 0
+        self.prev_stage, self.prev_diff = -1, ZERO
+        # the last closed stage's alpha and beta texts, and their values
+        self.texts: tuple[str, str] = ("", "")
+        self.alpha = self.beta = self.diff = ZERO
+        self.w1: list[tuple[tuple[int, int], str]] = []  # ((position, stop), message)
+        self.w2: list[tuple[tuple[int, int], str]] = []  # ((position, stage), message)
+        self.w3: list[tuple[tuple[int, int], str]] = []  # ((position, act order), message)
+        self.w5: list[str] = []
+
+    def define(self, stage: int, position: int, value: int, max_assigned: int) -> None:
+        column, _ = unpair(value)
+        if column != position:
+            self.w5.append(f"position {position}: value {value} in column {column}")
+        if value <= max_assigned:
+            self.w5.append(f"position {position}: value {value} not fresh at stage "
+                           f"{stage} (max assigned {max_assigned})")
+
+    def act(self, act: _Act) -> None:
+        act.order, self.acts_read = self.acts_read, self.acts_read + 1
+        segment = self.live.setdefault(act.position, _Segment())
+        segment.acts.append(act)
+        segment.separation = []  # W2 reads only the last act
+
+    def initialize(self, position: int, stage: int) -> None:
+        segment = self.live.pop(position, None)
+        if segment is not None:
+            self._end(position, segment, stage)
+
+    def _end(self, position: int, segment: _Segment, stop: int) -> None:
+        first, key = segment.acts[0], (position, stop)
+        if len(segment.acts) > 1:
+            self.w1.append((key, f"position {position}: acts at "
+                                 f"{[a.stage for a in segment.acts]} in one segment"))
+        if first.param is None:
+            self.w1.append((key, f"position {position}: act at stage {first.stage} "
+                                 f"with no parameter in effect"))
+        elif segment.attention is not None:
+            self.w1.append((key, segment.attention))
+
+    def close(self, t: int, alpha_text: Optional[str], beta_text: Optional[str],
+              adversary: dict[int, str]) -> None:
+        """Stage t has been read: its last alpha, beta and adversary values."""
+        texts = (alpha_text or "0/1", beta_text or "0/1")  # 0 at a stage without records
+        if texts != self.texts:
+            self.texts = texts
+            self.alpha, self.beta = rational(texts[0]), rational(texts[1])
+            self.diff = self.alpha - self.beta
+        alpha, beta, diff = self.alpha, self.beta, self.diff
+        prev = self.prev_diff if self.prev_stage == t - 1 else ZERO
+        skipped = self.prev_stage + 1 if self.prev_stage + 1 < t else None
+        for position, segment in self.live.items():
+            first, last = segment.acts[0], segment.acts[-1]
+            text = adversary.get(position)
+            attention = (text is not None and t > first.stage and first.param is not None
+                         and segment.attention is None)
+            separation = text is not None and t > last.stage and last.param is not None
+            if attention or separation:
+                v = rational(text)
+                if attention and gap_below(prev, v, first.param + 3):
+                    segment.attention = (f"position {position}: requires attention at "
+                                         f"stage {t} after acting at {first.stage}")
+                if separation:
+                    self._separate(position, segment, last.param, t, diff, v)
+            side = beta if position % 2 else alpha
+            for act in segment.acts:
+                if act.param is None or not act.restrained:
+                    continue
+                if t == act.stage:
+                    act.base = side
+                elif act.base is not None:
+                    cap = pow2_neg(act.param + 2)
+                    # a value the side has kept since the act's stage has not grown
+                    for stage, value in ((skipped, ZERO), (t, side)):
+                        if (stage is not None and value is not act.base
+                                and value - act.base >= cap):
+                            act.restrained = False
+                            self.w3.append(((position, act.order),
+                                            f"position {position}: growth {value - act.base} "
+                                            f"at stage {stage} >= {cap}"))
+                            break
+        self.prev_stage, self.prev_diff = t, diff
+
+    def _separate(self, position: int, segment: _Segment, param: int, t: int,
+                  diff: Rational, v: Rational) -> None:
+        """W2 at stage t for the segment's last act; kept until the
+        segment ends, and counted only if it never does."""
+        i, parity = divmod(position, 2)
+        margin = pow2_neg(param + 2)
+        if parity == 0:
+            if not diff < v - margin:
+                segment.separation.append(
+                    ((position, t), f"L_{i} at stage {t}: {diff} not < {v} - {margin}"))
+        elif not diff > v + margin:
+            segment.separation.append(
+                ((position, t), f"R_{i} at stage {t}: {diff} not > {v} + {margin}"))
+
+    def finish(self, last_stage: int) -> None:
+        """End the segments no initialization ended: their last acts are
+        the ones W2 reads."""
+        for position, segment in self.live.items():
+            self._end(position, segment, last_stage + 1)
+            self.w2.extend(segment.separation)
 
 
 class _Fold:
     """One forward pass over a prop3 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
-    as their trace text; a check parses only what it compares."""
+    as their trace text; a check parses only what it compares.  Given
+    `checks`, it also keeps the old-value chain and record runs and hands
+    each record and closed stage to `checks`; either way it keeps no
+    stage's values once the stage has closed."""
 
-    def __init__(self, events: list[TraceEvent]):
-        self.stage = 0
+    def __init__(self, events: Iterable[TraceEvent], checks: Optional[_StageChecks] = None):
         self.alpha = self.beta = "0/1"  # the latest records
-        self.alpha_at: dict[int, str] = {}  # stage -> alpha, likewise beta
-        self.beta_at: dict[int, str] = {}
-        # position -> stage -> adversary value (gamma_i at 2i, delta_i at 2i+1)
-        self.adversary: dict[int, dict[int, str]] = {}
         # position -> bit parameter, restraint; absent = undefined
         self.params: dict[int, int] = {}
         self.restraints: dict[int, int] = {}
         self.used: set[int] = set()
-        # (stage, position, value, max of the values used before it)
-        self.defines: list[tuple[int, int, int, int]] = []
-        self.acts: list[_Act] = []
+        self.enum_a: set[int] = set()
+        self.enum_b: set[int] = set()
+        self.enumerated_twice = False
+        self.defines = 0
+        self.acts: Counter[int] = Counter()  # position -> acts
         self.inits: dict[int, int] = {}  # position -> initializations
-        self.enum_a: list[int] = []
-        self.enum_b: list[int] = []
-        waiting: dict[int, list[_Act]] = {}  # position -> acts before its next initialization
         max_used = -1
         self.act_faults: list[str] = []  # W8
         pending: Optional[_Act] = None  # the act whose stage is being read
         self.chain = OldValueChain()
         self.runs = RecordRuns(("alpha", "beta"))
+        checking = checks is not None
+        read_chain, read_runs = self.chain.read, self.runs.read
+        # the stage being read: its last alpha, beta and adversary records
+        # (position -> value: gamma_i at 2i, delta_i at 2i+1)
+        open_stage, alpha, beta, adversary = 0, None, None, {}
         for ev in events:
             if pending is not None and (ev.stage != pending.stage or ev.kind == "act"):
                 self._close_act(pending)
                 pending = None
-            self.stage = max(self.stage, ev.stage)
-            self.chain.read(ev)
-            self.runs.read(ev)
+            if ev.stage > open_stage:  # a record of an earlier stage fails W7
+                if checking:
+                    checks.close(open_stage, alpha, beta, adversary)
+                open_stage, alpha, beta, adversary = ev.stage, None, None, {}
+            if checking:
+                read_chain(ev)
+                read_runs(ev)
             kind, n = ev.kind, ev.requirement
             if kind == "alpha":
-                self.alpha = self.alpha_at[ev.stage] = ev.new
+                self.alpha = alpha = ev.new
             elif kind == "beta":
-                self.beta = self.beta_at[ev.stage] = ev.new
+                self.beta = beta = ev.new
             elif kind in ("gamma", "delta"):
-                self.adversary.setdefault(2 * n + (kind == "delta"), {})[ev.stage] = ev.new
+                adversary[2 * n + (kind == "delta")] = ev.new
             elif kind == "define":
                 value = self.params[n] = int(ev.new)
-                self.defines.append((ev.stage, n, value, max_used))
+                if checking:
+                    checks.define(ev.stage, n, value, max_used)
+                self.defines += 1
                 self.used.add(value)
                 max_used = max(max_used, value)
             elif kind == "act":
@@ -261,14 +395,15 @@ class _Fold:
                 if act.param is not None and act.bit != act.param:
                     self.act_faults.append(f"position {n}: act at stage {ev.stage} with bit "
                                            f"{act.bit}, not its parameter {act.param}")
-                self.acts.append(act)
-                waiting.setdefault(n, []).append(act)
+                self.acts[n] += 1
+                if checking:
+                    checks.act(act)
             elif kind == "enumerate_A":
                 self._act_record(pending, ev)
-                self.enum_a.append(int(ev.new))
+                self._enumerate(self.enum_a, int(ev.new))
             elif kind == "enumerate_B":
                 self._act_record(pending, ev)
-                self.enum_b.append(int(ev.new))
+                self._enumerate(self.enum_b, int(ev.new))
             elif kind == "restraint":
                 self._act_record(pending, ev)
                 value = self.restraints[n] = int(ev.new)
@@ -278,14 +413,20 @@ class _Fold:
                 self.params.pop(n, None)
                 self.restraints.pop(n, None)
                 self.inits[n] = self.inits.get(n, 0) + 1
-                for act in waiting.pop(n, ()):
-                    act.next_init = ev.stage
+                if checking:
+                    checks.initialize(n, ev.stage)
         if pending is not None:
             self._close_act(pending)
-        for acts in waiting.values():
-            for act in acts:
-                act.next_init = self.stage + 1
+        self.stage = open_stage  # the last, since stages only advance
+        if checking:
+            checks.close(open_stage, alpha, beta, adversary)
+            checks.finish(self.stage)
         self.runs.close(self.stage)
+
+    def _enumerate(self, bits: set[int], bit: int) -> None:
+        if bit in bits:
+            self.enumerated_twice = True
+        bits.add(bit)
 
     def _act_record(self, act: Optional[_Act], ev: TraceEvent) -> None:
         """An enumeration or restraint record must follow, in its stage, the
@@ -310,16 +451,16 @@ class _Fold:
 
     def snapshot(self) -> dict:
         """The final record the trace folds to."""
-        return _snapshot(self.stage, set(self.enum_a), set(self.enum_b), self.alpha, self.beta,
+        return _snapshot(self.stage, self.enum_a, self.enum_b, self.alpha, self.beta,
                          self.params, self.restraints, self.used)
 
 
-def replay_injury(events: list[TraceEvent]) -> dict:
+def replay_injury(events: Iterable[TraceEvent]) -> dict:
     """Fold a trace back into a final-state snapshot."""
     return _Fold(events).snapshot()
 
 
-def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
+def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationReport:
     """Exact invariant checks over a completed run, from its trace alone.
 
     W0 the final record is the one the trace folds to; W1 one act per
@@ -328,107 +469,42 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
     un-initialized act; W3 restraint obedience; W4 injury and act counts
     bounded by priority position; W5 column discipline, freshness, and
     disjoint enumerations; W6 each alpha and beta record's old value is
-    the previous record's new value; W7 one record a stage of alpha and
-    beta from stage 0, and of each adversary from its first stage; W8 each
-    act's bit is its position's parameter in effect, and the act is
-    followed in its stage by exactly one enumeration (enumerate_A at an
-    odd position, enumerate_B at an even one) holding that bit and one
-    restraint holding the bit + 3, and no enumeration or restraint comes
-    without its act.  Checks read the fold, not the final record.
+    the previous record's new value; W7 records in stage order, and one
+    record a stage of alpha and beta from stage 0, and of each adversary
+    from its first stage; W8 each act's bit is its position's parameter
+    in effect, and the act is followed in its stage by exactly one
+    enumeration (enumerate_A at an odd position, enumerate_B at an even
+    one) holding that bit and one restraint holding the bit + 3, and no
+    enumeration or restraint comes without its act.  Checks read the
+    fold, not the final record.  One pass over `events`, keeping the live
+    acts: W1-W3 list their failures by position, then by segment, stage
+    or act.
     """
     report = VerificationReport()
-    fold = _Fold(events)
-    T = fold.stage
+    checks = _StageChecks()
+    fold = _Fold(events, checks)
     check_final_record(report, "W0 final record is the folded trace's", fold.snapshot(), final)
-    parsed = cache(rational)
-    alpha = [parsed(fold.alpha_at.get(t, "0/1")) for t in range(T + 1)]
-    beta = [parsed(fold.beta_at.get(t, "0/1")) for t in range(T + 1)]
-
-    def attention(position: int, t: int, param: int) -> bool:
-        """requires-attention predicate at stage t; False if the adversary
-        value is unknown (not participating yet)."""
-        vals = fold.adversary.get(position, {})
-        if t not in vals:
-            return False
-        gap = abs(alpha[t - 1] - beta[t - 1] - parsed(vals[t]))
-        return gap < pow2_neg(param + 3)
-
-    w1 = report.check("W1 one act per initialization segment")
-    segments: dict[tuple[int, int], list[_Act]] = {}  # acts by position and next initialization
-    for act in fold.acts:
-        segments.setdefault((act.position, act.next_init), []).append(act)
-    for (position, stop), acts in sorted(segments.items()):
-        if len(acts) > 1:
-            w1.fail(f"position {position}: acts at {[a.stage for a in acts]} in one segment")
-        act = acts[0]
-        if act.param is None:
-            w1.fail(f"position {position}: act at stage {act.stage} with no parameter in effect")
-            continue
-        for t in range(act.stage + 1, min(stop, T + 1)):
-            if attention(position, t, act.param):
-                w1.fail(
-                    f"position {position}: requires attention at stage {t} "
-                    f"after acting at {act.stage}"
-                )
-                break
-
-    w2 = report.check("W2 separation margin after final act")
-    last_acts = {act.position: act for act in fold.acts}
-    for position, act in sorted(last_acts.items()):
-        if act.next_init <= T or act.param is None:
-            continue
-        i, parity = divmod(position, 2)
-        margin = pow2_neg(act.param + 2)
-        vals = fold.adversary.get(position, {})
-        for t in range(act.stage + 1, T + 1):
-            if t not in vals:
-                continue
-            diff, v = alpha[t] - beta[t], parsed(vals[t])
-            if parity == 0:
-                if not diff < v - margin:
-                    w2.fail(f"L_{i} at stage {t}: {diff} not < {v} - {margin}")
-            else:
-                if not diff > v + margin:
-                    w2.fail(f"R_{i} at stage {t}: {diff} not > {v} + {margin}")
-
-    w3 = report.check("W3 restraint obedience")
-    for act in sorted(fold.acts, key=lambda a: a.position):
-        if act.param is None:  # failed W1
-            continue
-        cap = pow2_neg(act.param + 2)
-        # an L act restrains later growth of alpha, an R act of beta
-        side = beta if act.position % 2 else alpha
-        for t in range(act.stage + 1, min(act.next_init, T + 1)):
-            if not side[t] - side[act.stage] < cap:
-                w3.fail(
-                    f"position {act.position}: growth {side[t] - side[act.stage]} "
-                    f"at stage {t} >= {cap}"
-                )
-                break
+    for name, failures in (("W1 one act per initialization segment", checks.w1),
+                           ("W2 separation margin after final act", checks.w2),
+                           ("W3 restraint obedience", checks.w3)):
+        check = report.check(name)
+        for _, message in sorted(failures, key=itemgetter(0)):
+            check.fail(message)
 
     w4 = report.check("W4 injury and act bounds")
-    n_acts = Counter(act.position for act in fold.acts)
-    for position in sorted(set(fold.inits) | set(n_acts)):
+    for position in sorted(set(fold.inits) | set(fold.acts)):
         n_init = fold.inits.get(position, 0)
         if n_init > 2**position - 1:
             w4.fail(f"position {position}: {n_init} initializations > {2**position - 1}")
-        if n_acts[position] > 2**position:
-            w4.fail(f"position {position}: {n_acts[position]} acts > {2**position}")
+        if fold.acts[position] > 2**position:
+            w4.fail(f"position {position}: {fold.acts[position]} acts > {2**position}")
 
     w5 = report.check("W5 column discipline and freshness")
-    for stage, position, value, max_assigned in fold.defines:
-        column, _ = unpair(value)
-        if column != position:
-            w5.fail(f"position {position}: value {value} in column {column}")
-        if value <= max_assigned:
-            w5.fail(
-                f"position {position}: value {value} not fresh at stage "
-                f"{stage} (max assigned {max_assigned})"
-            )
-    a_set, b_set = set(fold.enum_a), set(fold.enum_b)
-    if a_set & b_set:
-        w5.fail(f"values enumerated into both sets: {sorted(a_set & b_set)}")
-    if len(fold.enum_a) != len(a_set) or len(fold.enum_b) != len(b_set):
+    for message in checks.w5:
+        w5.fail(message)
+    if fold.enum_a & fold.enum_b:
+        w5.fail(f"values enumerated into both sets: {sorted(fold.enum_a & fold.enum_b)}")
+    if fold.enumerated_twice:
         w5.fail("a bit value was enumerated twice")
 
     for name, breaks in (("W6 old values chain", fold.chain.breaks),
@@ -440,8 +516,8 @@ def verify_injury(events: list[TraceEvent], final: dict) -> VerificationReport:
         for message in breaks:
             check.fail(message)
 
-    report.stats["stages"] = T
-    report.stats["acts"] = len(fold.acts)
+    report.stats["stages"] = fold.stage
+    report.stats["acts"] = sum(fold.acts.values())
     report.stats["initializations"] = sum(fold.inits.values())
-    report.stats["defines"] = len(fold.defines)
+    report.stats["defines"] = fold.defines
     return report

@@ -1,8 +1,10 @@
 """Line-delimited trace records and verification reports.
 
-A trace file is JSONL: a header line describing the run, one line per
-event with the fixed field set {stage, event_kind, requirement, old_value,
-new_value}, and a final line carrying the end-of-run state snapshot.
+A trace file is UTF-8 JSONL: a header line describing the run, one line
+per event with the fixed field set {stage, event_kind, requirement,
+old_value, new_value} in non-decreasing stage order, and a final line
+carrying the end-of-run state snapshot.  `read_trace` hands the events to a
+fold one line at a time.
 Rationals are serialized as exact "p/q" strings, never decimals, so traces
 are bit-identical across platforms and diffable as golden files.
 """
@@ -13,8 +15,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from json.scanner import make_scanner
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .rationals import Rational, parse_rational
 
@@ -146,20 +149,27 @@ def check_ratio_text(text: str) -> None:
 
 
 class RecordRuns:
-    """The trace rule that records of a kind come one a stage through the
-    last stage, checked as a fold reads them: those of each of `stage_kinds`
-    (kinds without a requirement) from stage 0, and requirement i's gamma
-    (or delta) records from stage i + 1, where an engine first reads its
-    adversary.  Keeps the last stage of each and a message per break;
-    `close` checks where they end."""
+    """The trace rules that records come in non-decreasing stage order and
+    that records of a kind come one a stage through the last stage, checked
+    as a fold reads them: those of each of `stage_kinds` (kinds without a
+    requirement) from stage 0, and requirement i's gamma (or delta) records
+    from stage i + 1, where an engine first reads its adversary.  Keeps the
+    stage of the previous record and the last stage of each kind, and a
+    message per break; `close` checks where they end."""
 
     def __init__(self, stage_kinds: tuple[str, ...]):
         self.kinds = {*stage_kinds, "gamma", "delta"}
         self.last: dict[tuple[str, Optional[int]], int] = {
             (kind, None): -1 for kind in stage_kinds}
+        self.stage = 0  # of the previous record
         self.breaks: list[str] = []
 
     def read(self, ev: TraceEvent) -> None:
+        if ev.stage != self.stage:
+            if ev.stage < self.stage:
+                self.breaks.append(f"stage {ev.stage}: {_record_name(ev.kind, ev.requirement)} "
+                                   f"record after a stage {self.stage} record")
+            self.stage = ev.stage
         if ev.kind not in self.kinds:
             return
         key = (ev.kind, ev.requirement)
@@ -185,35 +195,131 @@ def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final:
         fh.write(json.dumps({"record": "final", **final}, separators=(",", ":")) + "\n")
 
 
-def read_trace(path: Path | str) -> tuple[dict, list[TraceEvent], dict]:
-    """The header, events and final record of a trace file; the header and
-    final record are returned without their framing "record" key."""
-    path = Path(path)
-    header: Optional[dict] = None
-    final: Optional[dict] = None
-    events: list[TraceEvent] = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
+_scan = make_scanner(json.JSONDecoder())
+
+
+def _text(raw: bytes) -> str:
+    """A trace line's text, stripped as `str.strip` strips it: "" for a
+    blank line; TraceFormatError if it is not UTF-8."""
+    try:
+        return raw.decode("utf-8").strip()
+    except UnicodeDecodeError as e:
+        raise TraceFormatError(f"not UTF-8: {e}") from None
+
+
+def _json(line: str):
+    """The JSON value of a stripped line, read as `json.loads` reads it;
+    TraceFormatError if it holds not one JSON value.  One scanner call
+    decodes a well-formed line; `json.loads` runs only to word the error."""
+    try:
+        value, end = _scan(line, 0)
+    except (StopIteration, json.JSONDecodeError):
+        end = -1
+    if end != len(line):
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise TraceFormatError(f"bad JSON: {e}") from None
+    return value
+
+
+def _framing(value, record: str, where: str) -> dict:
+    """The header or final record the first or last non-blank line holds,
+    without its "record" key; TraceFormatError unless it holds one."""
+    if not (isinstance(value, dict) and value.pop("record", None) == record):
+        raise TraceFormatError(f"the {where} line is not a {record} record")
+    return value
+
+
+def _event(value) -> TraceEvent:
+    """The event an event line's value holds; a header or final record,
+    or any other framing "record", is refused."""
+    if type(value) is dict and "record" in value:
+        record = value["record"]
+        if record == "header":
+            raise TraceFormatError("a header record past the first line")
+        if record == "final":
+            raise TraceFormatError("a final record before the last line")
+        raise TraceFormatError(f"unknown record {record!r:.40}")
+    return TraceEvent.from_dict(value)
+
+
+def _last_line(fh) -> tuple[int, bytes]:
+    """The offset and bytes of the last non-blank line of a file opened in
+    binary, or (-1, b"") if it has none; reads back from the end, a longer
+    span each time, until the span holds the whole line."""
+    end = fh.seek(0, 2)
+    span = 1 << 12
+    while True:
+        start = max(0, end - span)
+        fh.seek(start)
+        lines = fh.read(end - start).split(b"\n")
+        at = end
+        for k in range(len(lines) - 1, 0 if start else -1, -1):  # lines[0] may be cut
+            at -= len(lines[k])
+            if lines[k].strip() and lines[k].decode("utf-8", "replace").strip():
+                return at, lines[k]
+            at -= 1
+        if not start:
+            return -1, b""
+        span *= 4
+
+
+def _events(path: Path, offset: int, first: int, stop: int) -> Iterator[TraceEvent]:
+    """The events of the lines from byte `offset` up to byte `stop`, the
+    first numbered `first`, read one line at a time."""
+    with path.open("rb") as fh:
+        fh.seek(offset)
+        for lineno, raw in enumerate(fh, first):
+            if offset >= stop:
+                return
+            offset += len(raw)
             try:
-                d = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise TraceFormatError(f"{path}:{lineno}: bad JSON: {e}") from None
-            record = d.pop("record", None) if isinstance(d, dict) else None
-            if record == "header":
-                header = d
-            elif record == "final":
-                final = d
-            else:
-                try:
-                    events.append(TraceEvent.from_dict(d))
-                except TraceFormatError as e:
-                    raise TraceFormatError(f"{path}:{lineno}: {e}") from None
-    if header is None or final is None:
-        raise TraceFormatError(f"{path}: missing header or final record")
-    return header, events, final
+                line = _text(raw)
+                if not line:
+                    continue
+                ev = _event(_json(line))
+            except TraceFormatError as e:
+                raise TraceFormatError(f"{path}:{lineno}: {e}") from None
+            yield ev
+
+
+def read_trace(path: Path | str) -> tuple[dict, Iterator[TraceEvent], dict]:
+    """The header, events and final record of a UTF-8 trace file.  The
+    header and the final record, its first and last non-blank lines, are
+    read at once and returned without their framing "record" key.  The
+    events are a one-pass iterator over the lines between them, decoded as
+    it advances; it opens the file when first advanced and closes it when
+    exhausted or closed.  A bad line raises TraceFormatError naming it."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        offset = 0
+        for lineno, raw in enumerate(fh, 1):
+            offset += len(raw)
+            try:
+                line = _text(raw)
+                if not line:
+                    continue
+                header = _framing(_json(line), "header", "first")
+            except TraceFormatError as e:
+                raise TraceFormatError(f"{path}:{lineno}: {e}") from None
+            break
+        else:
+            raise TraceFormatError(f"{path}: missing header or final record")
+        final_at, raw = _last_line(fh)
+        if final_at < offset:
+            raise TraceFormatError(f"{path}: missing header or final record")
+        try:
+            final = _framing(_json(_text(raw)), "final", "last")
+        except TraceFormatError as e:
+            fh.seek(0)
+            at = 0
+            for lineno, raw in enumerate(fh, 1):  # only to name the line
+                if at == final_at:
+                    break
+                at += len(raw)
+            raise TraceFormatError(f"{path}:{lineno}: {e}") from None
+    return header, _events(path, offset, lineno + 1, final_at), final
 
 
 @dataclass

@@ -457,11 +457,14 @@ def test_omega_stream_config_never_raises(tmp_path, case):
 
 
 # name -> (golden engine, record, its edit, verify exit, replay exit); the
-# record is "final" or (event kind, which of its records).  An event whose
-# field breaks its kind's layout is refused as the trace is read; a p/q
-# value that holds no rational, where a verifier parses it, and a lemma2
-# adversary value that is not p/q text, as the fold reads it.  A value no
-# check parses differs from the final record (V0/W0, replay).
+# record is "final" or (event kind, which of its records), or "lines" for an
+# edit of the file's lines as bytes.  An event whose field breaks its kind's
+# layout is refused as the trace is read, and so is a line that is not
+# UTF-8 or a framing record (header, final, or another "record") between
+# the first and last lines; a p/q value that holds no rational, where a
+# verifier parses it, and a lemma2 adversary value that is not p/q text, as
+# the fold reads it.  A value no check parses differs from the final record
+# (V0/W0, replay).
 TAMPERED = {
     "lemma2-c-requirement-null": ("lemma2", ("c", "first"), {"requirement": None}, 2, 2),
     "lemma2-final-eta-null": ("lemma2", ("eta", "last"), {"new_value": None}, 2, 2),
@@ -490,24 +493,35 @@ TAMPERED = {
     "lemma2-final-no-beta": ("lemma2", "final", {"beta": None}, 1, 1),
     "prop3-final-A-x": ("prop3", "final", {"A": "x"}, 1, 1),
     "prop3-final-stage-text": ("prop3", "final", {"stage": "50"}, 1, 1),
+    "prop3-second-header": ("prop3", "lines", lambda lines: [*lines[:100], lines[0],
+                                                             *lines[100:]], 2, 2),
+    "prop3-event-record-other": ("prop3", ("gamma", "middle"), {"record": "other"}, 2, 2),
+    "prop3-final-mid-file": ("prop3", "lines", lambda lines: [*lines[:100], lines[-1],
+                                                              *lines[100:]], 2, 2),
+    "prop3-byte-ff": ("prop3", "lines", lambda lines: [*lines[:100], lines[100] + b"\xff",
+                                                       *lines[101:]], 2, 2),
 }
 
 
 @pytest.mark.parametrize("case", list(TAMPERED))
 def test_tampered_golden_never_raises(tmp_path, case):
     engine, record, edit, verify_code, replay_code = TAMPERED[case]
-    lines = (GOLDENS / f"golden_{engine}.trace.jsonl").read_text().splitlines()
-    if record == "final":
-        n = len(lines) - 1
+    lines = (GOLDENS / f"golden_{engine}.trace.jsonl").read_bytes().splitlines()
+    if record == "lines":
+        lines = edit(lines)
     else:
-        kind, which = record
-        found = [n for n, line in enumerate(lines) if json.loads(line).get("event_kind") == kind]
-        n = found[{"first": 0, "middle": len(found) // 2, "last": -1}[which]]
-    edited = {**json.loads(lines[n]), **edit}
-    lines[n] = json.dumps({k: v for k, v in edited.items()
-                           if not (record == "final" and v is None)})
+        if record == "final":
+            n = len(lines) - 1
+        else:
+            kind, which = record
+            found = [n for n, line in enumerate(lines)
+                     if json.loads(line).get("event_kind") == kind]
+            n = found[{"first": 0, "middle": len(found) // 2, "last": -1}[which]]
+        edited = {**json.loads(lines[n]), **edit}
+        lines[n] = json.dumps({k: v for k, v in edited.items()
+                               if not (record == "final" and v is None)}).encode()
     trace = tmp_path / "tampered.trace.jsonl"
-    trace.write_text("\n".join(lines) + "\n")
+    trace.write_bytes(b"\n".join(lines) + b"\n")
     results = run_module(trace)
     assert {command: code for command, (code, _, _) in results.items()} == {
         "verify": verify_code, "replay": replay_code}

@@ -216,6 +216,7 @@ class TestSingleEventMutations:
     @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
     def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
         _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
+        evs = list(evs)
         flagged = {}
         for n in range(len(evs)):
             for op, mutated in (("del", evs[:n] + evs[n + 1:]), ("dup", evs[:n + 1] + evs[n:])):
@@ -235,6 +236,26 @@ class TestSingleEventMutations:
             assert report.first_failure().startswith("W0 ")
             (w1,) = [c for c in report.checks if c.name.startswith("W1 ")]
             assert "position 0: act at stage 2 with no parameter in effect" in w1.failures
+
+    def test_record_moved_a_stage_back_in_place(self, tmp_path, capsys):
+        """The folds read records in stage order: the prop3 golden's 6th
+        define moved from stage 7 to 6 where it stands fails W7 alone, and
+        `celab verify` exits 1 on it; replay folds to the recorded state."""
+        lines = (DATA / "golden_prop3.trace.jsonl").read_text().splitlines()
+        n = [n for n, line in enumerate(lines) if '"event_kind":"define"' in line][5]
+        assert lines[n].startswith('{"stage":7,')
+        lines[n] = lines[n].replace('{"stage":7,', '{"stage":6,')
+        trace = tmp_path / "moved.trace.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        _, evs, final = read_trace(trace)
+        report = verify_injury(evs, final)
+        assert [c.name[:2] for c in report.checks if not c.passed] == ["W7"]
+        assert report.first_failure() == ("W7 one record a stage of alpha, beta and each "
+                                           "adversary: stage 6: define req 5 record after a "
+                                           "stage 7 record")
+        assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
+        assert main(["replay", "--trace", str(trace)]) == EXIT_OK
+        capsys.readouterr()
 
 
 class TestProp3ActRecords:

@@ -1,12 +1,17 @@
 """Trace serialization round-trips and report rendering."""
 
+import gc
 import json
+import os
 import sys
+import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from celab.config import ENGINES, load_config
 from celab.rationals import Rational
 from celab.trace import (
     CheckResult,
@@ -129,10 +134,10 @@ class TestStageValueRuns:
     @staticmethod
     def breaks(stages, last_stage=3):
         runs = RecordRuns(("alpha", "beta"))
-        for stage in stages:
-            runs.read(TraceEvent(stage, "alpha", None, "0/1", "1/2"))
-            runs.read(TraceEvent(stage, "q", 0, "0/1", "1/2"))
-        for stage in range(last_stage + 1):
+        for stage in range(last_stage + 1):  # in stage order
+            for _ in range(stages.count(stage)):
+                runs.read(TraceEvent(stage, "alpha", None, "0/1", "1/2"))
+                runs.read(TraceEvent(stage, "q", 0, "0/1", "1/2"))
             runs.read(TraceEvent(stage, "beta", None, "0/1", "1/2"))
         runs.close(last_stage)
         return runs.breaks
@@ -170,7 +175,7 @@ class TestTraceFiles:
         final = {"engine": "lemma2", "stage": 7, "beta": "1/16"}
         write_trace(path, header, events, final)
         h, evs, f = read_trace(path)
-        assert evs == events
+        assert list(evs) == events
         assert h == header and f == final  # without the framing "record" key
         # one JSON object per line: header + events + final
         assert len(path.read_text().splitlines()) == 4
@@ -186,6 +191,120 @@ class TestTraceFiles:
         path.write_text("not json\n")
         with pytest.raises(TraceFormatError):
             read_trace(path)
+
+    HEADER = b'{"record":"header","engine":"prop3"}'
+    FINAL = b'{"record":"final","engine":"prop3","stage":0}'
+    EVENT = (b'{"stage":0,"event_kind":"alpha","requirement":null,"old_value":null,'
+             b'"new_value":"0/1"}')
+
+    @pytest.mark.parametrize("line, problem", [
+        (HEADER, "a header record past the first line"),
+        (FINAL, "a final record before the last line"),
+        (EVENT[:-1] + b',"record":"other"}', "unknown record 'other'"),
+        (EVENT[:-1] + b',"record":null}', "unknown record None"),
+        (EVENT.replace(b"alpha", b"alph\xff"), "not UTF-8"),
+    ], ids=["header", "final", "record-other", "record-null", "byte-ff"])
+    def test_misplaced_or_undecodable_line_named(self, tmp_path, line, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\n".join([self.HEADER, self.EVENT, b"", line, self.EVENT,
+                                      self.FINAL, b" "]) + b"\n")
+        _, events, _ = read_trace(path)
+        assert next(events).kind == "alpha"
+        with pytest.raises(TraceFormatError, match=f"^{path}:4: {problem}"):
+            next(events)
+
+    def test_events_are_one_pass_and_close_their_file(self, tmp_path):
+        path = tmp_path / "run.trace.jsonl"
+        events = [TraceEvent(s, "alpha", None, None, "0/1") for s in range(3)]
+        write_trace(path, {"engine": "prop3"}, events, {"engine": "prop3"})
+        _, read, _ = read_trace(path)
+        assert iter(read) is read
+        assert list(read) == events and list(read) == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, read, _ = read_trace(path)
+            next(read)
+            del read  # abandoned part-way: closing it closes the file
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    @staticmethod
+    def expected_events(path, line: str):
+        """What an event line between header and final reads as, when read
+        as `json.loads(line.strip())` reads it: a list of events, or the
+        message of the TraceFormatError naming it."""
+        try:
+            d = json.loads(line.strip()) if line.strip() else None
+        except json.JSONDecodeError as e:
+            return f"{path}:2: bad JSON: {e}"
+        if d is None and not line.strip():
+            return []
+        if isinstance(d, dict) and "record" in d:
+            return None  # a framing record: refused, tested above
+        try:
+            return [TraceEvent.from_dict(d)]
+        except TraceFormatError as e:
+            return f"{path}:2: {e}"
+
+    FRAGMENTS = ['{', '}', '[', ']', ':', ',', '"', '\\', ' ', '\t', '\r', '\xa0', '\u2028',
+                 '\ufeff', '"stage"', '"event_kind"', '"alpha"', '"requirement"', '"new_value"',
+                 '"old_value"', '"0/1"', 'null', 'NaN', 'true', '0', '1', '-', '.', 'e', 'x']
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(line=st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join)
+           | st.builds(lambda pre, post: pre + TestTraceFiles.EVENT.decode() + post,
+                       st.sampled_from(["", " ", "\t", "\ufeff", "\xa0", "\r"]),
+                       st.sampled_from(["", " ", "\r", "\u2028", "x", "{}", " 1", "\x0c"])))
+    def test_event_line_read_as_json_loads_reads_it(self, tmp_path_factory, line):
+        path = tmp_path_factory.mktemp("line") / "t.jsonl"
+        path.write_bytes(b"\n".join([self.HEADER, line.encode(), self.FINAL]) + b"\n")
+        expected = self.expected_events(path, line)
+        if expected is None:
+            return
+        try:
+            got = list(read_trace(path)[1])
+        except TraceFormatError as e:
+            got = str(e)
+        assert got == expected
+
+
+class TestBoundedFoldMemory:
+    """Verify and replay of a trace file keep O(state) memory: the events
+    are read one line at a time and the folds keep no stage's values once
+    it has closed.  Six constant-target adversaries with rate 1/7 make
+    long values; over 300 stages the traced peak was at most 0.16 of the
+    file for either engine (Python 3.10 and 3.11), against 1.5 to 2.3 when
+    every event was held in a list."""
+
+    BOUND = 0.25  # peak traced bytes / trace file bytes
+
+    @pytest.mark.parametrize("command", ["verify", "replay"])
+    @pytest.mark.parametrize("engine", ["lemma2", "prop3"])
+    def test_peak_below_a_fraction_of_the_file(self, tmp_path, engine, command):
+        target = {"kind": "constant_target", "rate": "1/7"}
+        config = {"engine": engine, "stages": 300,
+                  "suite": [{**target, "index": i, "role": "LR"[i % 2], "limit": f"{i + 1}/8"}
+                            for i in range(6)]}
+        if engine == "lemma2":
+            config |= {"alpha": {**target, "limit": "2/3"}, "eta": {**target, "limit": "1/2"}}
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        entry = ENGINES[engine]
+        run = entry.run(entry.build(load_config(tmp_path / "run.json")))
+        path = tmp_path / "run.trace.jsonl"
+        final = run.snapshot()
+        write_trace(path, {"engine": engine}, run.events, final)
+        del run
+        tracemalloc.start()
+        try:
+            _, events, recorded = read_trace(path)
+            if command == "verify":
+                assert entry.verify(events, recorded).all_green
+            else:
+                assert entry.replay(events) == final
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.BOUND * os.path.getsize(path)
 
 
 class TestReports:
