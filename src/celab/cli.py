@@ -28,7 +28,7 @@ from .solovay import (
     speedup,
 )
 from .streams import ApproxStream, Direction, StreamError
-from .trace import read_trace, write_trace, TraceFormatError
+from .trace import differing_keys, read_trace, write_trace, TraceFormatError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,12 +64,12 @@ def cmd_run(args) -> int:
         engine = entry.run(entry.build(rc))
     except StreamError as e:  # a stream the config defines broke its contract
         raise ConfigError(str(e)) from None
-    snapshot = engine.snapshot()
     out = _out_dir(args)
     trace_path = out / f"{rc.engine}.trace.jsonl"
     write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
-                engine.events, snapshot)
-    report = entry.verify(engine.events, snapshot)
+                engine.events, engine.snapshot())
+    del engine  # free its events: the report is of the trace, read back as `celab verify` does
+    report = _verify_trace(trace_path)
     (out / f"{rc.engine}.report.txt").write_text(report.render_text() + "\n")
     (out / f"{rc.engine}.report.json").write_text(
         json.dumps(report.to_dict(), indent=2) + "\n"
@@ -135,10 +135,10 @@ def _traced_engine(header: dict) -> Engine:
     return ENGINES[name]
 
 
-def _fold_trace(path: str, fold):
+def _fold_trace(path: Path | str, fold):
     """`fold(engine entry, events, final record)` on the trace at `path`,
     its events read as the fold reads them; a trace that cannot be read,
-    or a malformed value a check parses, is a configuration error."""
+    or a record that breaks its kind's layout, is a configuration error."""
     try:
         header, events, final = read_trace(path)
         with closing(events):
@@ -147,8 +147,12 @@ def _fold_trace(path: str, fold):
         raise ConfigError(f"cannot read trace {path}: {e}") from None
 
 
+def _verify_trace(path: Path | str):
+    return _fold_trace(path, lambda entry, events, final: entry.verify(events, final))
+
+
 def cmd_verify(args) -> int:
-    report = _fold_trace(args.trace, lambda entry, events, final: entry.verify(events, final))
+    report = _verify_trace(args.trace)
     print(report.render_text())
     if report.all_green:
         return EXIT_OK
@@ -162,11 +166,10 @@ def cmd_replay(args) -> int:
     if rebuilt == recorded:
         print("replay: final state reproduced bit-exactly")
         return EXIT_OK
-    for key in sorted(set(rebuilt) | set(recorded)):
-        if rebuilt.get(key) != recorded.get(key):
-            print(f"replay mismatch at {key!r}:")
-            print(f"  recorded: {recorded.get(key)}")
-            print(f"  replayed: {rebuilt.get(key)}")
+    for key in differing_keys(rebuilt, recorded):
+        print(f"replay mismatch at {key!r}:")
+        print(f"  recorded: {recorded.get(key)}")
+        print(f"  replayed: {rebuilt.get(key)}")
     return EXIT_CHECK_FAILED
 
 

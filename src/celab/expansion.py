@@ -38,8 +38,7 @@ from typing import Iterable, Optional
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
-from .trace import (OldValueChain, RecordRuns, TraceEvent, VerificationReport,
-                    check_final_record, check_ratio_text, rational)
+from .trace import RecordRules, TraceEvent, VerificationReport, check_final_record, rational
 
 
 def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
@@ -245,7 +244,7 @@ class _Fold:
     """One forward pass over a lemma2 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
     as their trace text; a check parses only what it compares.  Given
-    `checks`, it also keeps the old-value chain and record runs and hands
+    `checks`, it also reads each record into its `RecordRules` and hands
     each stage to `checks` as it closes; either way it keeps O(requirements)
     state, never a stage's records once the stage has closed."""
 
@@ -258,10 +257,9 @@ class _Fold:
         self.beta_i: dict[int, str] = {}
         self.last_c: dict[int, int] = {}  # i -> stage of its latest c record, likewise d
         self.last_d: dict[int, int] = {}
-        self.chain = OldValueChain()
-        self.runs = RecordRuns(("alpha", "eta", "beta"))
+        self.rules = RecordRules(("alpha", "eta", "beta"))
         checking = checks is not None
-        read_chain, read_runs = self.chain.read, self.runs.read
+        read_rules = self.rules.read
         # the stage being read: its last eta and beta, c and d records, and
         # beta_i records (i -> (old, new))
         open_stage, eta, beta = 0, None, None
@@ -275,12 +273,11 @@ class _Fold:
                 open_stage, eta, beta = ev.stage, None, None
                 c_bumped, d_bumped, growth = [], [], {}
             if checking:
-                read_chain(ev)
-                read_runs(ev)
+                read_rules(ev)
             kind, i = ev.kind, ev.requirement
             if kind in ("gamma", "delta"):  # most records: one a stage per adversary
-                check_ratio_text(ev.new)
-            elif kind == "alpha":
+                continue  # no check reads them
+            if kind == "alpha":
                 self.alpha = ev.new
             elif kind == "eta":
                 self.eta = eta = ev.new
@@ -304,7 +301,7 @@ class _Fold:
         if checking:
             checks.close(open_stage, beta, eta, c_bumped, d_bumped, growth)
             checks.finish()
-        self.runs.close(self.stage)
+            self.rules.close(self.stage)
 
     def snapshot(self) -> dict:
         """The final record the trace folds to."""
@@ -365,9 +362,9 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
         report.stats[f"req {i} last c change"] = fold.last_c.get(i)
         report.stats[f"req {i} last d change"] = fold.last_d.get(i)
 
-    for name, breaks in (("V6 old values chain", fold.chain.breaks),
+    for name, breaks in (("V6 old values chain", fold.rules.chain_breaks),
                          ("V7 one record a stage of alpha, eta, beta and each adversary",
-                          fold.runs.breaks)):
+                          fold.rules.run_breaks)):
         check = report.check(name)
         for message in breaks:
             check.fail(message)

@@ -39,8 +39,7 @@ from typing import Iterable, Optional
 
 from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
-from .trace import (OldValueChain, RecordRuns, TraceEvent, VerificationReport,
-                    check_final_record, rational)
+from .trace import RecordRules, TraceEvent, VerificationReport, check_final_record, rational
 
 
 def pair(k: int, n: int) -> int:
@@ -339,7 +338,7 @@ class _Fold:
     """One forward pass over a prop3 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
     as their trace text; a check parses only what it compares.  Given
-    `checks`, it also keeps the old-value chain and record runs and hands
+    `checks`, it also reads each record into its `RecordRules` and hands
     each record and closed stage to `checks`; either way it keeps no
     stage's values once the stage has closed."""
 
@@ -358,10 +357,9 @@ class _Fold:
         max_used = -1
         self.act_faults: list[str] = []  # W8
         pending: Optional[_Act] = None  # the act whose stage is being read
-        self.chain = OldValueChain()
-        self.runs = RecordRuns(("alpha", "beta"))
+        self.rules = RecordRules(("alpha", "beta"))
         checking = checks is not None
-        read_chain, read_runs = self.chain.read, self.runs.read
+        read_rules = self.rules.read
         # the stage being read: its last alpha, beta and adversary records
         # (position -> value: gamma_i at 2i, delta_i at 2i+1)
         open_stage, alpha, beta, adversary = 0, None, None, {}
@@ -374,8 +372,7 @@ class _Fold:
                     checks.close(open_stage, alpha, beta, adversary)
                 open_stage, alpha, beta, adversary = ev.stage, None, None, {}
             if checking:
-                read_chain(ev)
-                read_runs(ev)
+                read_rules(ev)
             kind, n = ev.kind, ev.requirement
             if kind == "alpha":
                 self.alpha = alpha = ev.new
@@ -421,7 +418,7 @@ class _Fold:
         if checking:
             checks.close(open_stage, alpha, beta, adversary)
             checks.finish(self.stage)
-        self.runs.close(self.stage)
+            self.rules.close(self.stage)
 
     def _enumerate(self, bits: set[int], bit: int) -> None:
         if bit in bits:
@@ -507,9 +504,9 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     if fold.enumerated_twice:
         w5.fail("a bit value was enumerated twice")
 
-    for name, breaks in (("W6 old values chain", fold.chain.breaks),
+    for name, breaks in (("W6 old values chain", fold.rules.chain_breaks),
                          ("W7 one record a stage of alpha, beta and each adversary",
-                          fold.runs.breaks),
+                          fold.rules.run_breaks),
                          ("W8 each act with its parameter, enumeration and restraint",
                           fold.act_faults)):
         check = report.check(name)

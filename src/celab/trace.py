@@ -7,19 +7,25 @@ carrying the end-of-run state snapshot.  `read_trace` hands the events to a
 fold one line at a time.
 Rationals are serialized as exact "p/q" strings, never decimals, so traces
 are bit-identical across platforms and diffable as golden files.
+
+This module owns every rule of a single record: `KINDS` lays out each
+kind's fields, and `TraceEvent.from_dict` refuses a record that breaks its
+layout, an integer value that is not ASCII digits, or a p/q value that is
+not p/q text, new or old, as each line is read.  `RecordRules` checks the rules between
+records (stage order, the old-value chain, one record a stage) for a fold,
+so the engines' folds keep only what their records mean.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterator, NamedTuple, Optional
 
-from .rationals import Rational, parse_rational
+from .rationals import Rational
 
 
 class TraceFormatError(Exception):
@@ -52,8 +58,16 @@ def _json_text(text: Optional[str]) -> str:
     return "null" if text is None else encode_basestring_ascii(text)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+def is_ratio_text(text) -> bool:
+    """Whether `text` is p/q text: an optional "-", ASCII digits, "/", and
+    ASCII digits not all zero.  Scanned by C-level methods and no int is
+    built; the digits are tested as ASCII bytes, a table lookup per byte,
+    where `str.isdigit` would look up each character's Unicode category."""
+    num, _, den = (text.encode() if type(text) is str and text.isascii() else b"").partition(b"/")
+    return num.removeprefix(b"-").isdigit() and den.isdigit() and den.lstrip(b"0") != b""
+
+
+class TraceEvent(NamedTuple):
     stage: int
     kind: str
     requirement: Optional[int] = None
@@ -72,8 +86,8 @@ class TraceEvent:
     def from_dict(cls, d) -> "TraceEvent":
         """The event an event line holds; TraceFormatError if a field is
         missing, of the wrong type, or not what `KINDS` lays out for its
-        kind.  A p/q value is not scanned here: `rational` checks it where
-        a verifier parses it."""
+        kind, or if its new or old value is not the integer or p/q text
+        its kind logs."""
         if not isinstance(d, dict) or "stage" not in d or "event_kind" not in d:
             raise TraceFormatError("an event must be an object with stage and event_kind")
         stage, kind, req = d["stage"], d["event_kind"], d.get("requirement")
@@ -88,102 +102,81 @@ class TraceEvent:
             problem = "requirement is not " + ("a non-negative integer" if named else "null")
         elif not (type(new) is str if value else new is None):
             problem = "new_value is not " + ("a string" if value else "null")
+        elif value == "p/q" and not is_ratio_text(new):
+            problem = "new_value is not p/q text"
         elif value == "int" and not (new.isascii() and new.isdigit()):
             problem = "new_value is not an integer"
         elif not (old is None or chains and type(old) is str):
             problem = "old_value is not " + ("a string or null" if chains else "null")
+        elif old is not None and not (is_ratio_text(old) if value == "p/q"
+                                      else old.isascii() and old.isdigit()):
+            problem = "old_value is not " + ("p/q text" if value == "p/q" else "an integer")
         else:
             return cls(stage, kind, req, old, new)
         raise TraceFormatError(f"stage {stage} {kind}: {problem}")
 
 
-_RATIONAL_TEXT = re.compile(r"\s*[+-]?\d+(/[+-]?\d+)?\s*")
-
-
 def rational(text) -> Rational:
-    """The value a record's p/q text holds; TraceFormatError if it holds
-    none.  Text past the interpreter's int digit limit still raises its
-    ValueError, as `parse_rational` does."""
-    try:
-        return parse_rational(text)
-    except ValueError:
-        if _RATIONAL_TEXT.fullmatch(text):
-            raise
-    except (AttributeError, ZeroDivisionError):
-        pass
-    raise TraceFormatError(f"value {text!r:.40} is not a p/q rational")
+    """The value p/q text holds; TraceFormatError if `text` is not p/q
+    text.  Text past the interpreter's int digit limit raises its
+    ValueError."""
+    if not is_ratio_text(text):
+        raise TraceFormatError(f"value {text!r:.40} is not p/q text")
+    num, _, den = text.partition("/")
+    return Rational(int(num), int(den))
 
 
 def _record_name(kind: str, req: Optional[int]) -> str:
     return kind if req is None else f"{kind} req {req}"
 
 
-class OldValueChain:
-    """The trace rule that a chained record's old value is the last new
-    value of its kind and requirement, or `KINDS`' initial one, checked as
-    a fold reads: keeps the last new value of each and a message per break."""
-
-    def __init__(self):
-        self.last: dict[tuple[str, Optional[int]], Optional[str]] = {}
-        self.breaks: list[str] = []
-
-    def read(self, ev: TraceEvent) -> None:
-        spec = KINDS[ev.kind]
-        if not spec.chains:
-            return
-        key = (ev.kind, ev.requirement)
-        if ev.old != self.last.get(key, spec.initial):
-            self.breaks.append(f"stage {ev.stage}: {_record_name(*key)} old value is not "
-                               f"the last new value of its kind")
-        self.last[key] = ev.new
-
-
-def check_ratio_text(text: str) -> None:
-    """TraceFormatError unless `text` is "p/q" text: an optional "-", ASCII
-    digits, "/", ASCII digits.  Scanned by C-level methods and no int is
-    built; the digits are tested as ASCII bytes, a table lookup per byte,
-    where `str.isdigit` would look up each character's Unicode category."""
-    num, slash, den = (text.encode() if text.isascii() else b"").partition(b"/")
-    if not (slash and num.removeprefix(b"-").isdigit() and den.isdigit()):
-        raise TraceFormatError(f"value {text!r:.40} is not p/q text")
-
-
-class RecordRuns:
-    """The trace rules that records come in non-decreasing stage order and
-    that records of a kind come one a stage through the last stage, checked
-    as a fold reads them: those of each of `stage_kinds` (kinds without a
-    requirement) from stage 0, and requirement i's gamma (or delta) records
-    from stage i + 1, where an engine first reads its adversary.  Keeps the
-    stage of the previous record and the last stage of each kind, and a
-    message per break; `close` checks where they end."""
+class RecordRules:
+    """The rules between a trace's records, checked as a fold reads them.
+    Records come in non-decreasing stage order.  A chained record's old
+    value is the last new value of its kind and requirement, or `KINDS`'
+    initial one.  Records of a kind come one a stage through the last
+    stage: those of each of `stage_kinds` (kinds without a requirement)
+    from stage 0, and requirement i's gamma (or delta) records from stage
+    i + 1, where an engine first reads its adversary.  Keeps the stage of
+    the previous record and the last new value and last stage of each kind
+    and requirement; `chain_breaks` and `run_breaks` hold a message per
+    break, and `close` checks where the runs end."""
 
     def __init__(self, stage_kinds: tuple[str, ...]):
-        self.kinds = {*stage_kinds, "gamma", "delta"}
-        self.last: dict[tuple[str, Optional[int]], int] = {
+        self.run_kinds = {*stage_kinds, "gamma", "delta"}
+        self.last_new: dict[tuple[str, Optional[int]], Optional[str]] = {}
+        self.last_stage: dict[tuple[str, Optional[int]], int] = {
             (kind, None): -1 for kind in stage_kinds}
         self.stage = 0  # of the previous record
-        self.breaks: list[str] = []
+        self.chain_breaks: list[str] = []
+        self.run_breaks: list[str] = []
 
     def read(self, ev: TraceEvent) -> None:
-        if ev.stage != self.stage:
-            if ev.stage < self.stage:
-                self.breaks.append(f"stage {ev.stage}: {_record_name(ev.kind, ev.requirement)} "
-                                   f"record after a stage {self.stage} record")
-            self.stage = ev.stage
-        if ev.kind not in self.kinds:
-            return
-        key = (ev.kind, ev.requirement)
-        expected = self.last.get(key, ev.requirement) + 1
-        if ev.stage != expected:
-            self.breaks.append(f"stage {ev.stage}: {_record_name(*key)} record, "
-                               f"where its next record is due at stage {expected}")
-        self.last[key] = ev.stage
+        stage, kind, req, old, new = ev
+        if stage != self.stage:
+            if stage < self.stage:
+                self.run_breaks.append(f"stage {stage}: {_record_name(kind, req)} "
+                                       f"record after a stage {self.stage} record")
+            self.stage = stage
+        key = (kind, req)
+        spec = KINDS[kind]
+        if spec.chains:
+            if old != self.last_new.get(key, spec.initial):
+                self.chain_breaks.append(f"stage {stage}: {_record_name(*key)} old value is "
+                                         f"not the last new value of its kind")
+            self.last_new[key] = new
+        if kind in self.run_kinds:
+            expected = self.last_stage.get(key, req) + 1
+            if stage != expected:
+                self.run_breaks.append(f"stage {stage}: {_record_name(*key)} record, "
+                                       f"where its next record is due at stage {expected}")
+            self.last_stage[key] = stage
 
     def close(self, last_stage: int) -> None:
-        for key, stage in self.last.items():
+        for key, stage in self.last_stage.items():
             if stage < last_stage:
-                self.breaks.append(f"{_record_name(*key)}: no records from stage {stage + 1} "
-                                   f"through the last stage {last_stage}")
+                self.run_breaks.append(f"{_record_name(*key)}: no records from stage "
+                                       f"{stage + 1} through the last stage {last_stage}")
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:
@@ -375,9 +368,14 @@ class VerificationReport:
                 "stats": self.stats}
 
 
+def differing_keys(a: dict, b: dict) -> list:
+    """The keys of either record whose values differ, in sorted order; a
+    key one record lacks reads as None there."""
+    return [key for key in sorted(set(a) | set(b)) if a.get(key) != b.get(key)]
+
+
 def check_final_record(report: VerificationReport, name: str, folded: dict, final: dict):
     """Check that the final record is the one its trace folds to, naming keys, not values."""
     check = report.check(name)
-    for key in sorted(set(folded) | set(final)):
-        if folded.get(key) != final.get(key):
-            check.fail(f"final record's {key!r} is not the folded trace's")
+    for key in differing_keys(folded, final):
+        check.fail(f"final record's {key!r} is not the folded trace's")

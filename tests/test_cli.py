@@ -12,6 +12,8 @@ import pytest
 
 import celab
 from celab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from celab.config import ENGINES
+from celab.trace import KINDS, TraceEvent, TraceFormatError, read_trace
 
 LEMMA2_CONFIG = {
     "engine": "lemma2",
@@ -169,6 +171,19 @@ class TestVerifyAndReplay:
         trace = tmp_path / "prop3.trace.jsonl"
         assert main(["replay", "--trace", str(trace)]) == EXIT_OK
         assert main(["verify", "--trace", str(trace)]) == EXIT_OK
+
+    @pytest.mark.parametrize("config", [LEMMA2_CONFIG, PROP3_CONFIG], ids=["lemma2", "prop3"])
+    def test_run_report_is_verify_of_its_trace(self, tmp_path, capsys, config):
+        engine = config["engine"]
+        assert main([f"run-{engine}", "--config", write_config(tmp_path, config),
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        capsys.readouterr()
+        trace = tmp_path / f"{engine}.trace.jsonl"
+        assert main(["verify", "--trace", str(trace)]) == EXIT_OK
+        assert (tmp_path / f"{engine}.report.txt").read_text() == capsys.readouterr().out
+        _, events, final = read_trace(trace)
+        report = json.loads(json.dumps(ENGINES[engine].verify(events, final).to_dict()))
+        assert json.loads((tmp_path / f"{engine}.report.json").read_text()) == report
 
     def test_unreadable_trace_is_config_error(self, tmp_path):
         assert main(["verify", "--trace",
@@ -458,27 +473,31 @@ def test_omega_stream_config_never_raises(tmp_path, case):
 
 # name -> (golden engine, record, its edit, verify exit, replay exit); the
 # record is "final" or (event kind, which of its records), or "lines" for an
-# edit of the file's lines as bytes.  An event whose field breaks its kind's
-# layout is refused as the trace is read, and so is a line that is not
-# UTF-8 or a framing record (header, final, or another "record") between
-# the first and last lines; a p/q value that holds no rational, where a
-# verifier parses it, and a lemma2 adversary value that is not p/q text, as
-# the fold reads it.  A value no check parses differs from the final record
-# (V0/W0, replay).
+# edit of the file's lines as bytes.  One rule for an event line: a record
+# whose field breaks its kind's layout, or whose value is not the integer or
+# p/q text its kind logs, is refused as the trace is read, and so is a line
+# that is not UTF-8 or a framing record (header, final, or another "record")
+# between the first and last lines; both commands exit 2 on it, whatever the
+# kind and wherever the record.  A tampered final record fails V0/W0 and
+# replay.
 TAMPERED = {
     "lemma2-c-requirement-null": ("lemma2", ("c", "first"), {"requirement": None}, 2, 2),
     "lemma2-final-eta-null": ("lemma2", ("eta", "last"), {"new_value": None}, 2, 2),
-    "lemma2-last-beta-x": ("lemma2", ("beta", "last"), {"new_value": "x"}, 2, 1),
+    "lemma2-last-beta-x": ("lemma2", ("beta", "last"), {"new_value": "x"}, 2, 2),
     "lemma2-last-beta-null": ("lemma2", ("beta", "last"), {"new_value": None}, 2, 2),
-    "lemma2-last-alpha-x": ("lemma2", ("alpha", "last"), {"new_value": "x"}, 1, 1),
-    "lemma2-last-q-x": ("lemma2", ("q", "last"), {"new_value": "x"}, 1, 1),
-    "lemma2-last-beta_i-x": ("lemma2", ("beta_i", "last"), {"new_value": "x"}, 2, 1),
+    "lemma2-last-alpha-x": ("lemma2", ("alpha", "last"), {"new_value": "x"}, 2, 2),
+    "lemma2-middle-alpha-x": ("lemma2", "lines",
+                              lambda lines: rechained(lines, "alpha", "middle", "x"), 2, 2),
+    "lemma2-last-q-x": ("lemma2", ("q", "last"), {"new_value": "x"}, 2, 2),
+    "lemma2-last-beta_i-x": ("lemma2", ("beta_i", "last"), {"new_value": "x"}, 2, 2),
+    "lemma2-last-beta_i-old-x": ("lemma2", ("beta_i", "last"), {"old_value": "x"}, 2, 2),
     "lemma2-last-gamma-x": ("lemma2", ("gamma", "last"), {"new_value": "x"}, 2, 2),
     "lemma2-first-delta-two-slashes": ("lemma2", ("delta", "first"), {"new_value": "1/2/3"},
                                        2, 2),
-    "prop3-last-alpha-x": ("prop3", ("alpha", "last"), {"new_value": "x"}, 2, 1),
-    "prop3-middle-alpha-x": ("prop3", ("alpha", "middle"), {"new_value": "x"}, 2, 0),
-    "prop3-last-gamma-x": ("prop3", ("gamma", "last"), {"new_value": "x"}, 2, 0),
+    "prop3-last-alpha-x": ("prop3", ("alpha", "last"), {"new_value": "x"}, 2, 2),
+    "prop3-middle-alpha-x": ("prop3", ("alpha", "middle"), {"new_value": "x"}, 2, 2),
+    "prop3-first-gamma-x": ("prop3", ("gamma", "first"), {"new_value": "x"}, 2, 2),
+    "prop3-last-gamma-x": ("prop3", ("gamma", "last"), {"new_value": "x"}, 2, 2),
     "prop3-gamma-requirement-null": ("prop3", ("gamma", "first"), {"requirement": None}, 2, 2),
     "prop3-define-requirement-null": ("prop3", ("define", "first"), {"requirement": None}, 2, 2),
     "prop3-act-requirement-null": ("prop3", ("act", "first"), {"requirement": None}, 2, 2),
@@ -503,6 +522,26 @@ TAMPERED = {
 }
 
 
+def line_of(lines, kind, which) -> int:
+    """The line number of the first, middle or last record of `kind`."""
+    found = [n for n, line in enumerate(lines) if json.loads(line).get("event_kind") == kind]
+    return found[{"first": 0, "middle": len(found) // 2, "last": -1}[which]]
+
+
+def rechained(lines, kind, which, new) -> list:
+    """`lines` with that record's new value set to `new`, and the next
+    record of its kind and requirement holding `new` as its old value."""
+    n = line_of(lines, kind, which)
+    record = {**json.loads(lines[n]), "new_value": new}
+    lines = [*lines[:n], json.dumps(record).encode(), *lines[n + 1:]]
+    for m in range(n + 1, len(lines)):
+        later = json.loads(lines[m])
+        if (later.get("event_kind"), later.get("requirement")) == (kind, record["requirement"]):
+            lines[m] = json.dumps({**later, "old_value": new}).encode()
+            return lines
+    raise AssertionError(f"no {kind} record after line {n}")
+
+
 @pytest.mark.parametrize("case", list(TAMPERED))
 def test_tampered_golden_never_raises(tmp_path, case):
     engine, record, edit, verify_code, replay_code = TAMPERED[case]
@@ -510,13 +549,7 @@ def test_tampered_golden_never_raises(tmp_path, case):
     if record == "lines":
         lines = edit(lines)
     else:
-        if record == "final":
-            n = len(lines) - 1
-        else:
-            kind, which = record
-            found = [n for n, line in enumerate(lines)
-                     if json.loads(line).get("event_kind") == kind]
-            n = found[{"first": 0, "middle": len(found) // 2, "last": -1}[which]]
+        n = len(lines) - 1 if record == "final" else line_of(lines, *record)
         edited = {**json.loads(lines[n]), **edit}
         lines[n] = json.dumps({k: v for k, v in edited.items()
                                if not (record == "final" and v is None)}).encode()
@@ -538,8 +571,8 @@ def test_tampered_golden_never_raises(tmp_path, case):
 
 
 # (golden engine, event kind, edit of its first record); the edited record
-# is malformed at read (a field of the wrong type) or at fold (an integer
-# value that is not one)
+# is malformed (a field of the wrong type, or an integer value that is not
+# one) and refused as it is read
 MALFORMED = {
     "c-new-null": ("lemma2", "c", lambda r: {**r, "new_value": None}),
     "c-new-x": ("lemma2", "c", lambda r: {**r, "new_value": "x"}),
@@ -566,3 +599,37 @@ def test_malformed_trace_record_is_config_error(tmp_path, capsys, command, case)
     assert captured.out == ""
     assert captured.err.startswith(f"config error: cannot read trace {trace}")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["lemma2", "prop3"])
+def test_every_malformed_ratio_is_config_error(tmp_path, capsys, engine):
+    # every p/q value of a golden, new or old, of any kind and at any line,
+    # set in turn to each text that is not p/q text, is refused as its record
+    # is read; with the new value each record takes in rotation, both
+    # commands exit 2
+    lines = (GOLDENS / f"golden_{engine}.trace.jsonl").read_text().splitlines()
+    trace = tmp_path / "malformed.trace.jsonl"
+    bad_texts = ("x", "1/0", " 1/2", "+1/2", "5")
+    swept = []
+    for n in range(1, len(lines) - 1):
+        record = json.loads(lines[n])
+        kind = record["event_kind"]
+        if KINDS[kind].value != "p/q":
+            continue
+        fields = ("new_value",) if record["old_value"] is None else ("new_value", "old_value")
+        for field in fields:
+            for bad in bad_texts:
+                with pytest.raises(TraceFormatError) as refused:
+                    TraceEvent.from_dict({**record, field: bad})
+                assert str(refused.value) == (f"stage {record['stage']} {kind}: "
+                                              f"{field} is not p/q text")
+        problem = f"stage {record['stage']} {kind}: new_value is not p/q text"
+        edited = json.dumps({**record, "new_value": bad_texts[len(swept) % len(bad_texts)]})
+        trace.write_text("\n".join([*lines[:n], edited, *lines[n + 1:]]) + "\n")
+        for command in ("verify", "replay"):
+            assert main([command, "--trace", str(trace)]) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr() == (
+                "", f"config error: cannot read trace {trace}: {trace}:{n + 1}: {problem}\n")
+        swept.append(kind)
+    assert set(swept) == ({"alpha", "eta", "beta", "q", "beta_i", "gamma", "delta"}
+                          if engine == "lemma2" else {"alpha", "beta", "gamma", "delta"})

@@ -1,7 +1,5 @@
 """Paced-growth stage engine: hand-audited stages, invariants, replay."""
 
-from dataclasses import replace
-
 import pytest
 
 from celab.expansion import (
@@ -203,5 +201,5 @@ class TestVerifyAndReplay:
         # the checks read the trace: the same total as its last beta record fails V1 too
         *events, last = engine.events
         assert last.kind == "beta"
-        report = verify_expansion([*events, replace(last, new="5/4")], engine.snapshot())
+        report = verify_expansion([*events, last._replace(new="5/4")], engine.snapshot())
         assert [c.name[:2] for c in report.checks if not c.passed] == ["V0", "V1"]

@@ -4,7 +4,6 @@ The two files under tests/data/ are committed run records.  Any change to
 engine semantics, event ordering, or serialization shows up as a diff here.
 """
 
-import dataclasses
 import json
 from pathlib import Path
 
@@ -265,7 +264,7 @@ class TestProp3ActRecords:
 
     @staticmethod
     def edit(evs, kind, new):
-        return [dataclasses.replace(ev, new=new) if ev.kind == kind else ev for ev in evs]
+        return [ev._replace(new=new) if ev.kind == kind else ev for ev in evs]
 
     CASES = {
         "act-deleted": (lambda evs: [ev for ev in evs if ev.kind != "act"],

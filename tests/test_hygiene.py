@@ -1,9 +1,9 @@
 """Source hygiene: every name a library module imports is used in it,
 every private top-level name it defines is read in it, no library module
-uses an `assert` statement (it vanishes under `python -O`), and only the
-config loader and the trace reader use `parse_rational` (a check that
-parses trace text goes through `trace.rational`, which refuses bad text
-as a format error)."""
+uses an `assert` statement (it vanishes under `python -O`), only the
+config loader uses `parse_rational` (a check that parses trace text goes
+through `trace.rational`, which refuses bad text as a format error), and
+only the trace module applies the p/q text rule."""
 
 import ast
 from pathlib import Path
@@ -52,15 +52,17 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
-PARSERS = {"config.py", "trace.py"}  # the modules that may read rationals from text
+PARSERS = {"config.py"}  # the modules that may read rationals from text leniently
+# the p/q text rule of trace records, and the name it had before
+RATIO_TEXT_RULE = ("is_ratio_text", "check_ratio_text")
 
 
-def parse_rational_uses(source: str) -> list[str]:
-    """Lines that read `parse_rational`, called or passed on."""
+def uses(source: str, *names: str) -> list[str]:
+    """Lines that read one of `names`, called or passed on."""
     return [f"line {line}" for line in sorted(
         node.lineno for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Name) and node.id == "parse_rational"
-        or isinstance(node, ast.Attribute) and node.attr == "parse_rational")]
+        if isinstance(node, ast.Name) and node.id in names
+        or isinstance(node, ast.Attribute) and node.attr in names)]
 
 
 def assert_statements(source: str) -> list[str]:
@@ -103,11 +105,23 @@ def test_detects_an_assert_statement():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in PARSERS],
                          ids=lambda p: p.name)
 def test_parse_rational_only_in_readers(path):
-    assert parse_rational_uses(path.read_text()) == []
+    assert uses(path.read_text(), "parse_rational") == []
 
 
 def test_detects_a_parse_rational_use():
     source = ("from .rationals import parse_rational\nfrom . import rationals\n\n\n"
               "def f(text):\n    return parse_rational(text)\n\n\n"
               "g = cache(rationals.parse_rational)\n")
-    assert parse_rational_uses(source) == ["line 6", "line 9"]
+    assert uses(source, "parse_rational") == ["line 6", "line 9"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "trace.py"],
+                         ids=lambda p: p.name)
+def test_ratio_text_rule_only_in_trace(path):
+    assert uses(path.read_text(), *RATIO_TEXT_RULE) == []
+
+
+def test_detects_a_ratio_text_rule_use():
+    source = ("from .trace import check_ratio_text, is_ratio_text\nfrom . import trace\n\n\n"
+              "def f(ev):\n    check_ratio_text(ev.new)\n    return trace.is_ratio_text(ev.old)\n")
+    assert uses(source, *RATIO_TEXT_RULE) == ["line 6", "line 7"]

@@ -15,11 +15,11 @@ from celab.config import ENGINES, load_config
 from celab.rationals import Rational
 from celab.trace import (
     CheckResult,
-    RecordRuns,
+    RecordRules,
     TraceEvent,
     TraceFormatError,
     VerificationReport,
-    check_ratio_text,
+    is_ratio_text,
     rational,
     read_trace,
     write_trace,
@@ -53,15 +53,26 @@ class TestTraceEvents:
              "old_value": old, "new_value": new}, separators=(",", ":"))
 
     def test_typed_accessors(self):
-        # an integer value is checked as the line is read, a p/q value by
-        # `rational` where a verifier parses it
+        # integer and p/q values are both checked as the line is read, and
+        # `rational` holds p/q text to the same rule
         line = {"stage": 1, "event_kind": "c", "requirement": 0, "old_value": "0"}
         assert TraceEvent.from_dict({**line, "new_value": "5"}).new == "5"
         for new in (None, "x", "1/2", "-1", " 5", "\u00b2"):
             with pytest.raises(TraceFormatError):
                 TraceEvent.from_dict({**line, "new_value": new})
-        assert rational("3/4") == Rational(3, 4) and rational("5") == 5
-        for text in (None, "x", "", "1/0", "1/2/3", "0x10"):
+        line = {"stage": 1, "event_kind": "q", "requirement": 0, "old_value": "1/2"}
+        assert TraceEvent.from_dict({**line, "new_value": "-1/4"}).new == "-1/4"
+        for new in (None, "x", "5", "1/0", "+1/2", " 1/2", "1/2/3"):
+            with pytest.raises(TraceFormatError):
+                TraceEvent.from_dict({**line, "new_value": new})
+        # an old value is held to its kind's rule too
+        for kind, new, old in (("q", "1/2", "5"), ("q", "1/2", "1/0"), ("c", "2", "1/2"),
+                               ("c", "2", " 1")):
+            with pytest.raises(TraceFormatError, match="old_value"):
+                TraceEvent.from_dict({**line, "event_kind": kind, "new_value": new,
+                                      "old_value": old})
+        assert rational("3/4") == Rational(3, 4) and rational("-6/4") == Rational(-3, 2)
+        for text in (None, "x", "", "5", "1/0", "1/00", "1/2/3", "0x10"):
             with pytest.raises(TraceFormatError):
                 rational(text)
 
@@ -112,11 +123,12 @@ class TestTraceEvents:
 class TestAdversaryRuns:
     @staticmethod
     def breaks(stages, last_stage=4):
-        runs = RecordRuns(())
+        rules = RecordRules(())
         for stage in stages:
-            runs.read(TraceEvent(stage, "delta", 1, None, "1/2"))
-        runs.close(last_stage)
-        return runs.breaks
+            rules.read(TraceEvent(stage, "delta", 1, None, "1/2"))
+        rules.close(last_stage)
+        assert rules.chain_breaks == []  # adversary records do not chain
+        return rules.run_breaks
 
     def test_one_record_a_stage_from_requirement_plus_one(self):
         assert self.breaks([2, 3, 4]) == []
@@ -133,14 +145,14 @@ class TestStageValueRuns:
 
     @staticmethod
     def breaks(stages, last_stage=3):
-        runs = RecordRuns(("alpha", "beta"))
+        rules = RecordRules(("alpha", "beta"))
         for stage in range(last_stage + 1):  # in stage order
             for _ in range(stages.count(stage)):
-                runs.read(TraceEvent(stage, "alpha", None, "0/1", "1/2"))
-                runs.read(TraceEvent(stage, "q", 0, "0/1", "1/2"))
-            runs.read(TraceEvent(stage, "beta", None, "0/1", "1/2"))
-        runs.close(last_stage)
-        return runs.breaks
+                rules.read(TraceEvent(stage, "alpha", None, "0/1", "1/2"))
+                rules.read(TraceEvent(stage, "q", 0, "0/1", "1/2"))
+            rules.read(TraceEvent(stage, "beta", None, "0/1", "1/2"))
+        rules.close(last_stage)
+        return rules.run_breaks
 
     def test_one_record_a_stage_from_zero(self):
         assert self.breaks([0, 1, 2, 3]) == []
@@ -157,13 +169,13 @@ class TestStageValueRuns:
 class TestRatioText:
     @pytest.mark.parametrize("text", ["1/2", "-3/4", "0/1", "12345678901234567890/3"])
     def test_accepted(self, text):
-        check_ratio_text(text)
+        assert is_ratio_text(text)
 
     @pytest.mark.parametrize("text", ["x", "", "1", "/2", "1/", "-/2", "+1/2", "1/-2", " 1/2",
-                                      "1/2 ", "1/2/3", "--1/2", "1.5/2", "\u00b2/3", "\u0663/4"])
+                                      "1/2 ", "1/2/3", "--1/2", "1.5/2", "\u00b2/3", "\u0663/4",
+                                      "1/0", "3/000", None, 5])
     def test_refused(self, text):
-        with pytest.raises(TraceFormatError):
-            check_ratio_text(text)
+        assert not is_ratio_text(text)
 
 
 class TestTraceFiles:
