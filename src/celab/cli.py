@@ -138,12 +138,16 @@ def _traced_engine(header: dict) -> Engine:
 def _fold_trace(path: Path | str, fold):
     """`fold(engine entry, events, final record)` on the trace at `path`,
     its events read as the fold reads them; a trace that cannot be read,
-    or a record that breaks its kind's layout, is a configuration error."""
+    or a record that breaks its kind's layout, is a configuration error.
+    A TraceFormatError's message starts with `path` (and the line), so the
+    error names the file once."""
     try:
         header, events, final = read_trace(path)
         with closing(events):
             return fold(_traced_engine(header), events, final)
-    except (OSError, TraceFormatError) as e:
+    except TraceFormatError as e:
+        raise ConfigError(f"cannot read trace {e}") from None
+    except OSError as e:
         raise ConfigError(f"cannot read trace {path}: {e}") from None
 
 

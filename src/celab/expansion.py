@@ -94,8 +94,8 @@ class ExpansionEngine(StageEngine):
     def _stage(self, s1: int) -> Rational:
         a_new = self._guarded(self.alpha, s1, "alpha")
         e_new = self._guarded(self.eta, s1, "eta")
-        self._log(s1, "alpha", None, fmt(a_new))
-        self._log(s1, "eta", None, fmt(e_new))
+        self._log(s1, "alpha", None, self.alpha.text(a_new))
+        self._log(s1, "eta", None, self.eta.text(e_new))
 
         # alpha_{s+1} - B, with B the sum of contributions as the stage begins
         entry_gap = a_new - self.beta
@@ -107,13 +107,23 @@ class ExpansionEngine(StageEngine):
                 self.d[i] = self.d.get(i, 0) + 1
                 self._log(s1, "d", i, str(self.d[i]))
 
+        # q_i = 2^-(i + top + 1), top the largest d_j over j < i (0 if none):
+        # one pass in priority order, where each R_j comes before L_i, j < i;
+        # q_i is 1/2^e exactly, so its denominator has e + 1 bits
+        top = 0
         for position in self.suite.positions:
             i = position // 2
             if i > s1:
                 break
-            if not position % 2 and self.q.get(i) != (q_now := self.q_of(i)):
-                self.q[i] = q_now
-                self._log(s1, "q", i, fmt(q_now))
+            if position % 2:
+                if (d := self.d.get(i, 0)) > top:
+                    top = d
+                continue
+            e = i + top + 1
+            q = self.q.get(i)
+            if q is None or q.denominator.bit_length() != e + 1:
+                self.q[i] = q = pow2_neg(e)
+                self._log(s1, "q", i, fmt(q))
 
         bumped = False
         for position, v in adversaries.items():

@@ -327,8 +327,11 @@ def omega_stream(
     direction = Direction.INCREASING if scale > ZERO else Direction.DECREASING
     in_unit = ZERO < offset < ONE and ZERO <= offset + scale <= ONE
 
-    def gen(s: int, _prefix) -> Rational:
-        return offset + scale * enum.omega(s)
+    def gen(s: int, prefix) -> Rational:
+        w = enum.omega(s)
+        if s and w is enum.omega(s - 1):  # no halt at stage s: the image holds too
+            return prefix[-1]
+        return offset + scale * w
 
     return ApproxStream(direction, gen, unit_interval=in_unit,
                         label=label or f"omega(L={max_length})")

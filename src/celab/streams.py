@@ -4,7 +4,9 @@ skeleton of the stage engines that play against them.
 An increasing stream is the computational stand-in for a left-c.e. real,
 a decreasing one for a right-c.e. real.  Streams are materialized stage by
 stage; the direction invariant and (optionally) membership in the open unit
-interval are asserted on every new value, never assumed.
+interval are asserted on every new value, never assumed: only a held value,
+the previous value's own object, which passed both when it first appeared,
+is appended as it is.
 
 Generators are pure functions of (stage, materialized prefix, declared
 engine view) so that every run is bit-exact reproducible; a generator may
@@ -63,6 +65,7 @@ class ApproxStream:
         self.label = label
         self._prefix: list[Rational] = []
         self.faults: list[str] = []
+        self._last: tuple[Optional[Rational], str] = (None, "")  # see `text`
 
     def __repr__(self) -> str:
         return f"ApproxStream({self.direction.value}, {self.label!r}, |prefix|={len(self._prefix)})"
@@ -86,13 +89,22 @@ class ApproxStream:
     def _materialize_next(self) -> None:
         s = len(self._prefix)
         v = self.generator(s, self._prefix)
+        # a held value, the previous value's own object (a tracker holding),
+        # passed both checks when it first appeared and can break neither:
+        # only a new object is checked
+        if s and v is self._prefix[-1]:
+            self._prefix.append(v)
+            return
         if not isinstance(v, Fraction):
             raise TypeError(f"{self.label}: generator returned {type(v).__name__}")
         # every check compares integers: v = n/d and prev in lowest terms, d > 0
         n, d = v.numerator, v.denominator
-        if self._prefix:
+        if s:
             prev = self._prefix[-1]
-            rise = n * prev.denominator - prev.numerator * d  # the sign of v - prev
+            pn, pd = prev.numerator, prev.denominator
+            k, r = divmod(d, pd)
+            # the sign of v - prev: one big-by-small product when pd divides d
+            rise = n - pn * k if not r else n * pd - pn * d
             if self.direction is Direction.INCREASING and rise < 0:
                 raise MonotonicityViolation(
                     f"{self.label}: value({s}) = {v} < value({s - 1}) = {prev}"
@@ -105,6 +117,14 @@ class ApproxStream:
             raise OutOfUnitInterval(f"{self.label}: value({s}) = {v} not in (0,1)")
         self._prefix.append(v)
 
+    def text(self, v: Rational) -> str:
+        """`format_rational(v)` for a value of this stream, formatted once
+        per distinct value: the last (value, text) pair is kept, so a held
+        value reuses its text."""
+        if v is not self._last[0]:
+            self._last = (v, fmt(v))
+        return self._last[1]
+
 
 def make_constant_target(
     limit: Rational,
@@ -116,24 +136,21 @@ def make_constant_target(
 
     Increasing: value(s) = limit * (1 - rate**(s+1));
     decreasing: value(s) = limit + (1 - limit) * rate**(s+1).
-    Both stay in (0,1) and converge to limit.  Each value after the first
-    is stepped from the previous one in the prefix, whose distance to
-    `limit` shrinks by `rate` a stage: no power of `rate` is computed.
+    Both stay in (0,1) and converge to limit.  Each value is stepped from
+    the one before, value(s) = limit*(1-rate) + rate*value(s-1), with
+    value(-1) = 0 increasing and 1 decreasing: two Fraction operations a
+    stage, a product and a sum, since limit*(1-rate) is computed once.
+    No power of `rate` is computed.
     """
     if not (ZERO < limit < ONE):
         raise ValueError(f"limit {limit} not in (0,1)")
     if not (ZERO < rate < ONE):
         raise ValueError(f"rate {rate} not in (0,1)")
+    base = limit * (ONE - rate)
+    before = ZERO if direction is Direction.INCREASING else ONE  # value(-1)
 
-    if direction is Direction.INCREASING:
-
-        def gen(s: int, prefix: Sequence[Rational]) -> Rational:
-            return limit - (limit - prefix[s - 1] if s else limit) * rate
-
-    else:
-
-        def gen(s: int, prefix: Sequence[Rational]) -> Rational:
-            return limit + (prefix[s - 1] - limit if s else ONE - limit) * rate
+    def gen(s: int, prefix: Sequence[Rational]) -> Rational:
+        return base + rate * (prefix[s - 1] if s else before)
 
     return ApproxStream(
         direction,
@@ -170,20 +187,22 @@ def make_tracker(
         if t < 0:
             return prev
         raw = engine_view.difference(t)
+        rn, rd = raw.numerator, raw.denominator
+        rise = rn * prev.denominator - prev.numerator * rd  # the sign of raw - prev
         if direction is Direction.INCREASING:
-            if raw <= prev:
-                if raw < prev:
+            if rise <= 0:
+                if rise:
                     stream.faults.append(f"stage {s}: target below increasing tracker; holding")
                 return prev
-            if raw >= ONE:
+            if rn >= rd:  # raw >= 1
                 return (prev + ONE) / 2
             return raw
         else:
-            if raw >= prev:
-                if raw > prev:
+            if rise >= 0:
+                if rise:
                     stream.faults.append(f"stage {s}: target above decreasing tracker; holding")
                 return prev
-            if raw <= ZERO:
+            if rn <= 0:  # raw <= 0
                 return prev / 2
             return raw
 
@@ -294,7 +313,7 @@ class StageEngine:
                     break
                 if position % 2 == side:
                     values[position] = v = stream.value(s1)
-                    self._log(s1, ("gamma", "delta")[side], position // 2, fmt(v))
+                    self._log(s1, ("gamma", "delta")[side], position // 2, stream.text(v))
         return values
 
     def _log(self, stage, kind, req, new=None) -> None:

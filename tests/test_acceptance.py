@@ -6,6 +6,7 @@ fails here.  The conftest hook prints one PASS/FAIL line per criterion at
 the end of the session.
 """
 
+import hashlib
 import io
 import json
 import random
@@ -199,6 +200,18 @@ def test_criterion_1_expansion_invariants(lemma2_battery):
         names = [c.name for c in report.checks]
         for tag in ("V1", "V2", "V3", "V4"):
             assert any(n.startswith(tag) for n in names)
+
+
+# every logged value of the 20 battery runs, pinned: rates 1/3, 2/3 and 3/4
+# at 2,000 stages, trackers and omega streams, none of which the goldens
+# (constant targets at rate 1/2) reach
+LEMMA2_BATTERY_SHA256 = "a90b279ba094367e0d9388bf51d9d308d94ab0dcda5308e0952ed1ee2d4b20ae"
+
+
+def test_lemma2_battery_events_are_pinned(lemma2_battery):
+    lines = "".join(f"{ev.stage} {ev.kind} {ev.requirement} {ev.new}\n"
+                    for _, engine, _limits in lemma2_battery for ev in engine.events)
+    assert hashlib.sha256(lines.encode()).hexdigest() == LEMMA2_BATTERY_SHA256
 
 
 # --------------------------------------------------------------------------

@@ -561,7 +561,8 @@ def test_tampered_golden_never_raises(tmp_path, case):
     for code, out, err in results.values():
         assert "Traceback" not in err
         if code == EXIT_CONFIG_ERROR:
-            assert err.startswith(f"config error: cannot read trace {trace}")
+            assert err.startswith(f"config error: cannot read trace {trace}:")
+            assert err.count(str(trace)) == 1  # the file is named once
             assert err.count("\n") == 1 and out == ""
         else:
             assert err == ""
@@ -597,7 +598,8 @@ def test_malformed_trace_record_is_config_error(tmp_path, capsys, command, case)
     assert main([command, "--trace", str(trace)]) == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"config error: cannot read trace {trace}")
+    assert captured.err.startswith(f"config error: cannot read trace {trace}:")
+    assert captured.err.count(str(trace)) == 1  # the file is named once
     assert captured.err.count("\n") == 1
 
 
@@ -629,7 +631,7 @@ def test_every_malformed_ratio_is_config_error(tmp_path, capsys, engine):
         for command in ("verify", "replay"):
             assert main([command, "--trace", str(trace)]) == EXIT_CONFIG_ERROR
             assert capsys.readouterr() == (
-                "", f"config error: cannot read trace {trace}: {trace}:{n + 1}: {problem}\n")
+                "", f"config error: cannot read trace {trace}:{n + 1}: {problem}\n")
         swept.append(kind)
     assert set(swept) == ({"alpha", "eta", "beta", "q", "beta_i", "gamma", "delta"}
                           if engine == "lemma2" else {"alpha", "beta", "gamma", "delta"})

@@ -119,6 +119,40 @@ class TestHandAuditedStages:
         assert engine.q[2] == engine.q_of(2)
         assert engine.d[0] >= 1  # the decreasing adversary does get hit
 
+    def test_logged_q_is_q_of_at_every_stage(self):
+        # the stage function finds every q_i in one pass over the positions;
+        # q_of is the definition: at each stage every q_i present equals it,
+        # and a q record is logged exactly where it changed
+        def target(limit, direction, rate):
+            return make_constant_target(R(limit), direction, R(rate))
+
+        cfg = ExpansionConfig(
+            alpha=target("5/7", INC, "1/3"),
+            eta=target("1/2", INC, "2/3"),
+            suite=lambda view: AdversarySuite([
+                SuiteEntry(0, "R", target("1/5", DEC, "1/3")),
+                SuiteEntry(1, "L", target("2/7", INC, "3/4")),
+                SuiteEntry(1, "R", make_tracker(view, DEC, 0, R("15/16"))),
+                SuiteEntry(2, "R", target("3/5", DEC, "2/3")),
+                SuiteEntry(3, "L", make_tracker(view, INC, 1, R("1/16"))),
+                SuiteEntry(4, "L", target("1/9", INC, "1/2")),
+                SuiteEntry(4, "R", target("2/9", DEC, "1/2")),
+            ]),
+            stages=60,
+        )
+        engine = ExpansionEngine(cfg)
+        before: dict = {}
+        for _ in range(cfg.stages):
+            engine.step()
+            s = engine.s
+            now = {i: engine.q_of(i) for i in (1, 3, 4) if i <= s}
+            assert engine.q == now
+            logged = {ev.requirement: R(ev.new) for ev in engine.events
+                      if ev.stage == s and ev.kind == "q"}
+            assert logged == {i: q for i, q in now.items() if before.get(i) != q}
+            before = now
+        assert len(engine.d) == 4 and len(set(before.values())) > 1
+
 
 class TestEngineBasics:
     def test_zero_stage_run(self):

@@ -69,6 +69,17 @@ class TestBitExactRegeneration:
         assert fresh.read_text() == (DATA / "golden_prop3.trace.jsonl").read_text()
 
 
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_cli_run_of_the_committed_config_rewrites_it(self, name, tmp_path, capsys):
+        # tests/data/golden_<name>.config.json is the config of each golden;
+        # `celab run-<name>` on it writes the golden byte for byte
+        config = DATA / f"golden_{name}.config.json"
+        assert main([f"run-{name}", "--config", str(config), "--out-dir", str(tmp_path)]) == EXIT_OK
+        written = (tmp_path / f"{name}.trace.jsonl").read_bytes()
+        assert written == (DATA / f"golden_{name}.trace.jsonl").read_bytes()
+        capsys.readouterr()
+
+
 class TestHandAuditedOpenings:
     """[DERIVED by hand] the first stages of both golden files, recomputed
     on paper; see test_expansion.py / test_injury.py for the arithmetic."""

@@ -204,6 +204,20 @@ class TestOmegaStream:
         assert up.direction is INC
         assert down.direction is Direction.DECREASING
 
+    @pytest.mark.parametrize("name", ["pair", "mini"])
+    def test_value_object_held_while_no_program_halts(self, name):
+        # at a stage with no new halt the stream returns its previous value's
+        # own object, so the value is neither re-checked nor re-formatted
+        machine = bundled_machines()[name]
+        stream = omega_stream(machine, 10, offset=R("3/4"), scale=R("-1/2"))
+        enum = OmegaEnumeration(machine, 10)
+        held = []
+        for s in range(1, 60):
+            assert stream.value(s) == R("3/4") - R("1/2") * enum.omega(s)
+            held.append(stream.value(s) is stream.value(s - 1))
+            assert held[-1] is (enum.omega(s) == enum.omega(s - 1))
+        assert any(held) and not all(held)
+
     @pytest.mark.parametrize("offset, scale, flagged", [
         ("1/4", "1/2", True), ("1/4", "3/4", True), ("0/1", "1/2", False),
         ("1/2", "3/4", False), ("3/4", "-1/2", True), ("3/4", "-3/4", True),

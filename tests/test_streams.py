@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from celab.rationals import HALF, ONE, ZERO, Rational, parse_rational
+import celab.streams
+from celab.rationals import HALF, ONE, ZERO, Rational, format_rational, parse_rational
 from celab.streams import (
     AdversarySuite,
     ApproxStream,
@@ -22,6 +23,18 @@ DEC = Direction.DECREASING
 
 def R(text):
     return parse_rational(text)
+
+
+def exact(examples):
+    """Derandomized hypothesis settings: a run is reproducible."""
+    return settings(max_examples=examples, deadline=None, database=None, derandomize=True)
+
+
+def non_dyadic(low, high):
+    """Fractions strictly between `low` and `high` whose denominator is not
+    a power of two."""
+    return st.builds(Rational, st.integers(-10**6, 10**6), st.integers(3, 10**6)).filter(
+        lambda x: low < x < high and x.denominator & (x.denominator - 1))
 
 
 class TestApproxStream:
@@ -66,6 +79,87 @@ class TestApproxStream:
         with pytest.raises(ValueError):
             st.value(-1)
 
+    @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
+    @exact(150)
+    @given(prev=st.fractions(-4, 4, max_denominator=10**12), k=st.integers(1, 10**6),
+           m=st.integers(-10**13, 10**13), other=st.fractions(-4, 4, max_denominator=10**12),
+           form=st.sampled_from(["divisible", "any", "equal"]))
+    def test_direction_check_is_fraction_order(self, direction, prev, k, m, other, form):
+        # the check raises exactly when Fraction order says the value moved
+        # the wrong way, whether the previous denominator divides the new
+        # one (m / (prev_d * k) in lowest terms), or not, or the new value
+        # equals the previous one in a distinct object
+        if form == "divisible":
+            v = Rational(m, prev.denominator * k)
+        elif form == "any":
+            v = other
+        else:
+            v = Rational(prev.numerator, prev.denominator)
+            assert v is not prev
+        stream = ApproxStream(direction, lambda s, _p: (prev, v)[s], unit_interval=False)
+        stream.value(0)
+        if v < prev if direction is INC else v > prev:
+            with pytest.raises(MonotonicityViolation):
+                stream.value(1)
+            assert stream.materialized == 1
+        else:
+            assert stream.value(1) is v
+
+    @pytest.mark.parametrize("divides", [True, False])
+    def test_direction_check_at_the_margin(self, divides):
+        # the values next to prev at a large denominator, one on each side:
+        # prev's denominator 3**199 divides 3**200, and not 7**150
+        prev = Rational(3**199 + 1, 3**199)
+        if divides:
+            below, above = (Rational(prev.numerator * 3 + e, 3**200) for e in (-1, 1))
+        else:
+            below = Rational(prev.numerator * 7**150 // prev.denominator, 7**150)
+            above = below + Rational(1, 7**150)
+        assert below < prev < above
+        assert {v.denominator % prev.denominator == 0 for v in (below, above)} == {divides}
+        for v, wrong in ((below, INC), (above, DEC)):
+            for direction in (INC, DEC):
+                stream = ApproxStream(direction, lambda s, _p, v=v: (prev, v)[s],
+                                      unit_interval=False)
+                stream.value(0)
+                if direction is wrong:
+                    with pytest.raises(MonotonicityViolation):
+                        stream.value(1)
+                else:
+                    assert stream.value(1) is v
+
+    def test_held_value_is_appended_unchecked_and_keeps_its_text(self, monkeypatch):
+        # a generator that returns the previous value's own object is
+        # holding: the value passed both checks when it first appeared, so
+        # it is appended as it is, and `text` reuses its text
+        formatted = []
+
+        def counting_fmt(x):
+            formatted.append(x)
+            return format_rational(x)
+
+        monkeypatch.setattr(celab.streams, "fmt", counting_fmt)
+        stream = ApproxStream(INC, lambda s, p: p[-1] if s % 3 else Rational(s + 1, s + 2),
+                              unit_interval=True)
+        texts = [stream.text(stream.value(s)) for s in range(9)]
+        assert texts == [format_rational(Rational(3 * (s // 3) + 1, 3 * (s // 3) + 2))
+                         for s in range(9)]
+        assert formatted == [Rational(1, 2), Rational(4, 5), Rational(7, 8)]
+        assert texts[1] is texts[0] and texts[5] is texts[3]
+        # a check a held value skips: a value outside (0,1), let in while
+        # the stream was not unit-interval flagged, is held unchecked; an
+        # equal value in a new object is checked, and refused
+        outside = Rational(3, 2)
+        held = ApproxStream(INC, lambda s, p: p[-1] if s else outside, unit_interval=False)
+        held.value(0)
+        held.unit_interval = True
+        assert held.value(1) is outside
+        fresh = ApproxStream(INC, lambda s, p: Rational(3, 2), unit_interval=False)
+        fresh.value(0)
+        fresh.unit_interval = True
+        with pytest.raises(OutOfUnitInterval):
+            fresh.value(1)
+
 
 class TestConstantTarget:
     # [DERIVED] closed forms: increasing limit*(1 - rate**(s+1)),
@@ -108,6 +202,20 @@ class TestConstantTarget:
             else:
                 closed = limit + (ONE - limit) * rate ** (s + 1)
             assert stream.value(s) == closed
+
+    @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
+    @exact(50)
+    @given(limit=non_dyadic(0, 1), rate=non_dyadic(0, 1))
+    def test_values_equal_closed_form_at_any_rate(self, direction, limit, rate):
+        # non-dyadic limits and rates; each value is the canonical Fraction,
+        # so its p/q text is the closed form's too
+        stream = make_constant_target(limit, direction, rate)
+        power = ONE
+        for s in range(81):
+            power *= rate
+            closed = limit * (ONE - power) if direction is INC else limit + (ONE - limit) * power
+            assert stream.value(s) == closed
+            assert format_rational(stream.value(s)) == format_rational(closed)
 
     def test_converges_to_limit(self):
         for direction in (INC, DEC):
@@ -175,6 +283,35 @@ class TestTracker:
         st = make_tracker(FakeView(targets), direction, lag=0, start=start)
         st.value(2)
         assert st.faults == [message]
+
+    @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
+    @exact(100)
+    @given(lag=st.integers(0, 2), start=non_dyadic(0, 1),
+           diffs=st.lists(st.one_of(st.sampled_from([R("-1/3"), ZERO, R("1/3"), HALF,
+                                                     R("2/3"), ONE, R("4/3")]),
+                                    st.fractions(-2, 2, max_denominator=60)),
+                          min_size=1, max_size=40))
+    def test_matches_fraction_reference(self, direction, lag, start, diffs):
+        # the tracker compares on integers; the reference compares Fractions,
+        # including the clamps at raw >= 1 and raw <= 0
+        view = FakeView([])
+        view.diffs = diffs
+        stream = make_tracker(view, direction, lag, start)
+        values, faults = [start], []
+        for s in range(1, len(diffs) + lag + 1):
+            prev, t = values[-1], s - 1 - lag
+            raw = diffs[t] if t >= 0 else prev
+            if direction is INC:
+                if raw < prev:
+                    faults.append(f"stage {s}: target below increasing tracker; holding")
+                v = prev if raw <= prev else (prev + ONE) / 2 if raw >= ONE else raw
+            else:
+                if raw > prev:
+                    faults.append(f"stage {s}: target above decreasing tracker; holding")
+                v = prev if raw >= prev else prev / 2 if raw <= ZERO else raw
+            values.append(v)
+        assert [stream.value(s) for s in range(len(values))] == values
+        assert stream.faults == faults
 
     def test_decreasing_tracker_clamps_at_zero_target(self):
         view = FakeView(["0/1", "0/1"])
