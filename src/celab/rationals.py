@@ -17,6 +17,17 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
+def coprime(n: int, d: int) -> Rational:
+    """The Fraction n/d for ints n, d with d > 0 and gcd(n, d) == 1, built
+    without the gcd `Fraction(n, d)` computes: the caller vouches for lowest
+    terms, and the result equals, hashes and prints as `Fraction(n, d)`.
+    (Python 3.12's private `Fraction._from_coprime_ints` does the same.)"""
+    x = object.__new__(Fraction)
+    x._numerator = n
+    x._denominator = d
+    return x
+
+
 def pow2_neg(n: int) -> Rational:
     """Exactly 1/2**n for n >= 0 (the ubiquitous dyadic threshold)."""
     if n < 0:

@@ -8,9 +8,12 @@ interval are asserted on every new value, never assumed: only a held value,
 the previous value's own object, which passed both when it first appeared,
 is appended as it is.
 
-Generators are pure functions of (stage, materialized prefix, declared
-engine view) so that every run is bit-exact reproducible; a generator may
-read the prefix, as the constant targets step each value from the last.
+A generator's value is fixed by (stage, materialized prefix, declared
+engine view), so every run is bit-exact reproducible.  `ApproxStream` calls
+its generator exactly once per stage, in stage order, so a generator may
+keep state between calls: a constant target keeps the powers of its rate's
+numerator and denominator and computes each value from its closed form on
+integers, in lowest terms with no Fraction arithmetic (`make_constant_target`).
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
 
-from .rationals import ONE, ZERO, Rational, format_rational as fmt
+from .rationals import ONE, ZERO, Rational, coprime, format_rational as fmt
 from .trace import KINDS, TraceEvent
 
 
@@ -136,28 +140,47 @@ def make_constant_target(
 
     Increasing: value(s) = limit * (1 - rate**(s+1));
     decreasing: value(s) = limit + (1 - limit) * rate**(s+1).
-    Both stay in (0,1) and converge to limit.  Each value is stepped from
-    the one before, value(s) = limit*(1-rate) + rate*value(s-1), with
-    value(-1) = 0 increasing and 1 decreasing: two Fraction operations a
-    stage, a product and a sum, since limit*(1-rate) is computed once.
-    No power of `rate` is computed.
+    Both stay in (0,1) and converge to limit.
+
+    Each value is computed from its closed form on integers.  With
+    limit = p/q, rate = a/b, n = s+1, X = b**n - a**n and P = p increasing,
+    q - p decreasing, the value is P*X/(q*b**n) increasing and
+    1 - P*X/(q*b**n) decreasing.  As gcd(P, q) = gcd(X, b) = 1, the gcd of
+    P*X and q*b**n is gcd(P, b**n) * gcd(X, q): two gcds, each with a small
+    argument, give the value in lowest terms, built with no further gcd by
+    `rationals.coprime`.  The generator keeps a**n and b**n, so a stage
+    costs two big-by-small products; it must be called once per stage, in
+    order, as `ApproxStream` does, and raises ValueError otherwise.
     """
     if not (ZERO < limit < ONE):
         raise ValueError(f"limit {limit} not in (0,1)")
     if not (ZERO < rate < ONE):
         raise ValueError(f"rate {rate} not in (0,1)")
-    base = limit * (ONE - rate)
-    before = ZERO if direction is Direction.INCREASING else ONE  # value(-1)
+    p, q = limit.numerator, limit.denominator
+    a, b = rate.numerator, rate.denominator
+    increasing = direction is Direction.INCREASING
+    big_p = p if increasing else q - p
+    label = label or f"target({limit},{direction.value},{rate})"
+    stage, an, bn = 0, 1, 1  # the stage due next, a**stage, b**stage
 
     def gen(s: int, prefix: Sequence[Rational]) -> Rational:
-        return base + rate * (prefix[s - 1] if s else before)
+        nonlocal stage, an, bn
+        if s != stage:
+            raise ValueError(f"{label}: stage {s} asked for, stage {stage} due")
+        stage += 1
+        an *= a
+        bn *= b
+        x = bn - an
+        g = gcd(big_p, bn) * gcd(x, q)
+        num, den = big_p * x, q * bn
+        if g != 1:
+            num //= g
+            den //= g
+        return coprime(num if increasing else den - num, den)
 
-    return ApproxStream(
-        direction,
-        gen,
-        unit_interval=True,
-        label=label or f"target({limit},{direction.value},{rate})",
-    )
+    # gen reads no stream: a stream and its generator in a cycle would keep
+    # every value alive until the cyclic collector runs
+    return ApproxStream(direction, gen, unit_interval=True, label=label)
 
 
 def make_tracker(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import celab
-from celab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, main
+from celab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, build_parser, main
 from celab.config import ENGINES
 from celab.trace import KINDS, TraceEvent, TraceFormatError, read_trace
 
@@ -270,6 +270,21 @@ def test_malformed_solovay_input_is_config_error(argv, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"config error: {message}")
+
+
+def test_one_parser_serves_every_call():
+    # built once per process; a parse leaves nothing behind for the next one
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["omega", "enumerate", "--length", "6", "--stages", "3"])
+    verify = parser.parse_args(["verify", "--trace", "t.jsonl"])
+    again = parser.parse_args(["omega", "enumerate", "--length", "7", "--stages", "4"])
+    assert vars(verify) == {"command": "verify", "trace": "t.jsonl", "func": verify.func}
+    assert (first.length, first.stages, first.machine) == (6, 3, "pair")
+    assert (again.length, again.stages, again.machine) == (7, 4, "pair")
+    with pytest.raises(SystemExit):
+        parser.parse_args(["verify"])
+    assert parser.parse_args(["replay", "--trace", "u"]).trace == "u"
 
 
 def test_non_object_suite_entry_is_config_error(tmp_path, capsys):

@@ -3,24 +3,27 @@
 import gc
 import json
 import weakref
+from pathlib import Path
 
 import pytest
 
 from celab.config import (
     ENGINES,
+    HARD_CAP,
     ConfigError,
     build_stream,
     build_suite,
     config_from_dict,
     load_config,
 )
-from celab.expansion import ExpansionConfig
+from celab.expansion import ExpansionConfig, ExpansionEngine
 from celab.injury import InjuryConfig
 from celab.rationals import parse_rational
 from celab.streams import Direction
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
+CAP_CONFIG = Path(__file__).resolve().parent / "data" / "cap_lemma2.config.json"
 
 
 def R(text):
@@ -60,6 +63,17 @@ class TestRunConfig:
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "ghost.json")
+
+    def test_cap_config_is_at_the_cap(self):
+        # the committed config that measurements at the stage cap run
+        rc = load_config(CAP_CONFIG)
+        assert rc.engine == "lemma2" and rc.stages == HARD_CAP
+        assert [(e["index"], e["role"], e["kind"]) for e in rc.suite_specs] == [
+            (0, "L", "constant_target"), (1, "L", "tracker"), (1, "R", "tracker")]
+        engine = ExpansionEngine(ENGINES["lemma2"].build(rc))
+        for _ in range(20):
+            engine.step()
+        assert engine.s == 20
 
 
 class TestEngineTable:

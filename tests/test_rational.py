@@ -12,6 +12,7 @@ from celab.rationals import (
     ONE,
     ZERO,
     Rational,
+    coprime,
     format_rational,
     gap_below,
     parse_rational,
@@ -35,6 +36,28 @@ class TestConstruction:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
+
+
+class TestCoprime:
+    """A Fraction built from lowest terms without a gcd is `Fraction(n, d)`."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(x=rationals)
+    @example(x=ZERO)
+    @example(x=Rational(-7, 1))
+    @example(x=Rational(3**200, 2**300))
+    def test_equals_hashes_and_prints_as_fraction(self, x):
+        n, d = x.numerator, x.denominator
+        c = coprime(n, d)
+        assert type(c) is Rational
+        assert (c.numerator, c.denominator) == (n, d)
+        assert c == x and hash(c) == hash(x)
+        assert str(c) == str(x) and repr(c) == repr(x)
+        assert format_rational(c) == format_rational(x)
+        # arithmetic and order treat it as the same number
+        assert c + HALF == x + HALF and c * 3 == x * 3 and c - x == 0
+        assert (c < HALF) == (x < HALF)
+        assert {c: 1}[x] == 1
 
 
 class TestPow2Neg:

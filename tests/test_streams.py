@@ -1,5 +1,9 @@
 """Monotone stream machinery: targets, trackers, guards, suites."""
 
+import gc
+import weakref
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,6 +39,17 @@ def non_dyadic(low, high):
     a power of two."""
     return st.builds(Rational, st.integers(-10**6, 10**6), st.integers(3, 10**6)).filter(
         lambda x: low < x < high and x.denominator & (x.denominator - 1))
+
+
+def in_unit_interval(max_denominator):
+    """Fractions strictly between 0 and 1, dyadic or not."""
+    return st.fractions(0, 1, max_denominator=max_denominator).filter(lambda x: 0 < x < 1)
+
+
+def closed_form(limit, direction, rate, s):
+    """value(s) of a constant target, in Fraction arithmetic."""
+    power = rate ** (s + 1)
+    return limit * (ONE - power) if direction is INC else limit + (ONE - limit) * power
 
 
 class TestApproxStream:
@@ -190,10 +205,10 @@ class TestConstantTarget:
     @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
     @pytest.mark.parametrize("rate", ["1/3", "2/3", "3/4", "99/100"])
     @settings(max_examples=4, deadline=None, database=None, derandomize=True)
-    @given(limit=st.fractions(0, 1, max_denominator=10**9).filter(lambda x: 0 < x < 1))
+    @given(limit=in_unit_interval(10**9))
     def test_stepped_values_equal_closed_form(self, direction, rate, limit):
-        # each value is stepped from the last; the closed form computes
-        # rate**(s+1) afresh
+        # each value comes from powers kept between stages; the reference
+        # computes rate**(s+1) afresh in Fractions
         rate = R(rate)
         stream = make_constant_target(limit, direction, rate)
         for s in range(300):
@@ -204,18 +219,68 @@ class TestConstantTarget:
             assert stream.value(s) == closed
 
     @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
-    @exact(50)
-    @given(limit=non_dyadic(0, 1), rate=non_dyadic(0, 1))
+    @exact(80)
+    @given(limit=st.one_of(non_dyadic(0, 1), in_unit_interval(10**6)),
+           rate=st.one_of(non_dyadic(0, 1), in_unit_interval(10**3)))
     def test_values_equal_closed_form_at_any_rate(self, direction, limit, rate):
-        # non-dyadic limits and rates; each value is the canonical Fraction,
-        # so its p/q text is the closed form's too
+        # dyadic or not, each value is the canonical Fraction, in lowest
+        # terms, so its p/q text is the closed form's too
         stream = make_constant_target(limit, direction, rate)
         power = ONE
         for s in range(81):
             power *= rate
             closed = limit * (ONE - power) if direction is INC else limit + (ONE - limit) * power
-            assert stream.value(s) == closed
-            assert format_rational(stream.value(s)) == format_rational(closed)
+            v = stream.value(s)
+            assert gcd(v.numerator, v.denominator) == 1
+            assert v == closed
+            assert format_rational(v) == format_rational(closed)
+
+    @pytest.mark.parametrize("limit,direction,rate,divides", [
+        # P = q - p = 3 and b = 3 share 3; 5 divides 3**n - 2**n at even n
+        ("2/5", DEC, "2/3", {"P, b**n": 3, "X, q": 5}),
+        # P = 6 and b = 21 share 3; X = 21**n - 10**n is prime to 35
+        ("6/35", INC, "10/21", {"P, b**n": 3}),
+    ], ids=["both-factors", "P-and-b-only"])
+    def test_values_reduced_by_each_gcd_factor(self, limit, direction, rate, divides):
+        limit, rate = R(limit), R(rate)
+        p, q = limit.numerator, limit.denominator
+        a, b = rate.numerator, rate.denominator
+        big_p = p if direction is INC else q - p
+        stream = make_constant_target(limit, direction, rate)
+        seen = {"P, b**n": 1, "X, q": 1}
+        for s in range(40):
+            n = s + 1
+            seen["P, b**n"] = max(seen["P, b**n"], gcd(big_p, b**n))
+            seen["X, q"] = max(seen["X, q"], gcd(b**n - a**n, q))
+            v = stream.value(s)
+            assert gcd(v.numerator, v.denominator) == 1
+            assert v == closed_form(limit, direction, rate, s)
+        # the cases exercise exactly the factors they name
+        assert {k: g for k, g in seen.items() if g > 1} == divides
+
+    def test_generator_called_out_of_order_raises(self):
+        stream = make_constant_target(R("2/3"), INC, HALF)
+        with pytest.raises(ValueError, match="stage 1 asked for, stage 0 due"):
+            stream.generator(1, [])
+        assert stream.value(2) == R("7/12")
+        for s in (0, 2, 4):
+            with pytest.raises(ValueError, match=f"stage {s} asked for, stage 3 due"):
+                stream.generator(s, stream.prefix())
+        # a refused call moves nothing: the stream goes on from stage 3
+        assert stream.value(3) == closed_form(R("2/3"), INC, HALF, 3)
+
+    def test_freed_without_collector(self):
+        # the generator keeps no reference to its stream, so a dropped
+        # stream and every value in it go at once, with no cyclic collection
+        stream = make_constant_target(R("2/3"), DEC, R("1/3"))
+        stream.value(20)
+        freed = weakref.ref(stream)
+        gc.disable()
+        try:
+            del stream
+            assert freed() is None
+        finally:
+            gc.enable()
 
     def test_converges_to_limit(self):
         for direction in (INC, DEC):
