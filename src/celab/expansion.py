@@ -38,7 +38,8 @@ from typing import Iterable, Optional
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
-from .trace import RecordRules, TraceEvent, VerificationReport, check_final_record, rational
+from .trace import (RecordRules, TraceEvent, VerificationReport, check_final_record, rational,
+                    stages)
 
 
 def _snapshot(stage: int, alpha: str, eta: str, beta: str, c: dict[int, int],
@@ -80,14 +81,6 @@ class ExpansionEngine(StageEngine):
         self._log(0, "eta", None, fmt(self._guarded(self.eta, 0, "eta")))
         self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(a0)
-
-    def q_of(self, i: int) -> Rational:
-        """q_i at the current stage: 1/2 for i = 0, else the least
-        2^-(i + d_j + 1) over j < i."""
-        if i == 0:
-            return Rational(1, 2)
-        max_d = max((dj for j, dj in self.d.items() if j < i), default=0)
-        return pow2_neg(i + max_d + 1)
 
     # -- the stage function ----------------------------------------------
 
@@ -253,10 +246,11 @@ class _StageChecks:
 class _Fold:
     """One forward pass over a lemma2 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
-    as their trace text; a check parses only what it compares.  Given
-    `checks`, it also reads each record into its `RecordRules` and hands
-    each stage to `checks` as it closes; either way it keeps O(requirements)
-    state, never a stage's records once the stage has closed."""
+    as their trace text; a check parses only what it compares.  Reads the
+    trace a stage at a time through `stages`; given `checks`, it also has
+    each record read into its `RecordRules` and hands each stage to
+    `checks`.  Either way it keeps O(requirements) state, never a stage's
+    records once the stage has closed."""
 
     def __init__(self, events: Iterable[TraceEvent], checks: Optional[_StageChecks] = None):
         self.alpha = self.eta = self.beta = "0/1"  # the latest records
@@ -268,50 +262,43 @@ class _Fold:
         self.last_c: dict[int, int] = {}  # i -> stage of its latest c record, likewise d
         self.last_d: dict[int, int] = {}
         self.rules = RecordRules(("alpha", "eta", "beta"))
-        checking = checks is not None
-        read_rules = self.rules.read
-        # the stage being read: its last eta and beta, c and d records, and
-        # beta_i records (i -> (old, new))
-        open_stage, eta, beta = 0, None, None
-        c_bumped: list[int] = []
-        d_bumped: list[int] = []
-        growth: dict[int, tuple[str, str]] = {}
-        for ev in events:
-            if ev.stage > open_stage:  # a record of an earlier stage fails V7
-                if checking:
-                    checks.close(open_stage, beta, eta, c_bumped, d_bumped, growth)
-                open_stage, eta, beta = ev.stage, None, None
-                c_bumped, d_bumped, growth = [], [], {}
-            if checking:
-                read_rules(ev)
-            kind, i = ev.kind, ev.requirement
-            if kind in ("gamma", "delta"):  # most records: one a stage per adversary
-                continue  # no check reads them
-            if kind == "alpha":
-                self.alpha = ev.new
-            elif kind == "eta":
-                self.eta = eta = ev.new
-                self.eta_stage = ev.stage
-            elif kind == "beta":
-                self.beta = beta = ev.new
-            elif kind == "c":
-                self.c[i] = int(ev.new)
-                self.last_c[i] = ev.stage
-                c_bumped.append(i)
-            elif kind == "d":
-                self.d[i] = int(ev.new)
-                self.last_d[i] = ev.stage
-                d_bumped.append(i)
-            elif kind == "q":
-                self.q[i] = ev.new
-            elif kind == "beta_i":
-                self.beta_i[i] = ev.new
-                growth[i] = (ev.old, ev.new)
-        self.stage = open_stage  # the last, since stages only advance
-        if checking:
-            checks.close(open_stage, beta, eta, c_bumped, d_bumped, growth)
+        for stage, records in stages(events, None if checks is None else self.rules):
+            # the stage's last eta and beta, its c and d records, and its
+            # beta_i records (i -> (old, new)); an earlier stage's record in
+            # it fails V7
+            eta = beta = None
+            c_bumped: list[int] = []
+            d_bumped: list[int] = []
+            growth: dict[int, tuple[str, str]] = {}
+            for ev in records:
+                kind, i = ev.kind, ev.requirement
+                if kind in ("gamma", "delta"):  # most records: one a stage per adversary
+                    continue  # no check reads them
+                if kind == "alpha":
+                    self.alpha = ev.new
+                elif kind == "eta":
+                    self.eta = eta = ev.new
+                    self.eta_stage = ev.stage
+                elif kind == "beta":
+                    self.beta = beta = ev.new
+                elif kind == "c":
+                    self.c[i] = int(ev.new)
+                    self.last_c[i] = ev.stage
+                    c_bumped.append(i)
+                elif kind == "d":
+                    self.d[i] = int(ev.new)
+                    self.last_d[i] = ev.stage
+                    d_bumped.append(i)
+                elif kind == "q":
+                    self.q[i] = ev.new
+                elif kind == "beta_i":
+                    self.beta_i[i] = ev.new
+                    growth[i] = (ev.old, ev.new)
+            if checks is not None:
+                checks.close(stage, beta, eta, c_bumped, d_bumped, growth)
+        self.stage = stage  # the last
+        if checks is not None:
             checks.finish()
-            self.rules.close(self.stage)
 
     def snapshot(self) -> dict:
         """The final record the trace folds to."""
@@ -346,37 +333,28 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     T = fold.stage
     check_final_record(report, "V0 final record is the folded trace's", fold.snapshot(), final)
 
-    v1 = report.check("V1 total below one")
     beta_T = rational(fold.beta)
-    if not beta_T < ONE:
-        v1.fail(f"beta_T = {beta_T} >= 1")
+    report.check("V1 total below one", [] if beta_T < ONE else [f"beta_T = {beta_T} >= 1"])
 
-    v2 = report.check("V2 contribution cap 2^-(i+1) * eta")
     if fold.eta_stage != T:
-        v2.fail(f"no eta record at final stage {T}")
+        v2 = [f"no eta record at final stage {T}"]
     else:
         eta_T = rational(fold.eta)
-        for i, text in sorted(fold.beta_i.items()):
-            contribution = rational(text)
-            if not contribution <= pow2_neg(i + 1) * eta_T:
-                v2.fail(f"beta_{i} = {contribution} > 2^-{i + 1} * eta_T")
+        v2 = [f"beta_{i} = {b} > 2^-{i + 1} * eta_T" for i, text in sorted(fold.beta_i.items())
+              if not (b := rational(text)) <= pow2_neg(i + 1) * eta_T]
+    report.check("V2 contribution cap 2^-(i+1) * eta", v2)
 
     for name, failures in (("V3 restraint bound on lower-priority growth", checks.v3),
                            ("V4 pacing along expansionary stages", checks.v4)):
-        check = report.check(name)
-        for _, message in sorted(failures, key=itemgetter(0)):
-            check.fail(message)
+        report.check(name, (message for _, message in sorted(failures, key=itemgetter(0))))
 
     report.check("V5 stabilization statistics")
     for i in sorted(set(fold.last_c) | set(fold.last_d)):
         report.stats[f"req {i} last c change"] = fold.last_c.get(i)
         report.stats[f"req {i} last d change"] = fold.last_d.get(i)
 
-    for name, breaks in (("V6 old values chain", fold.rules.chain_breaks),
-                         ("V7 one record a stage of alpha, eta, beta and each adversary",
-                          fold.rules.run_breaks)):
-        check = report.check(name)
-        for message in breaks:
-            check.fail(message)
+    report.check("V6 old values chain", fold.rules.chain_breaks)
+    report.check("V7 one record a stage of alpha, eta, beta and each adversary",
+                 fold.rules.run_breaks)
     report.stats["stages"] = T
     return report

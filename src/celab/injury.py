@@ -39,7 +39,8 @@ from typing import Iterable, Optional
 
 from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
 from .streams import StageEngine, SuiteOrFactory
-from .trace import RecordRules, TraceEvent, VerificationReport, check_final_record, rational
+from .trace import (RecordRules, TraceEvent, VerificationReport, check_final_record, rational,
+                    stages)
 
 
 def pair(k: int, n: int) -> int:
@@ -337,10 +338,11 @@ class _StageChecks:
 class _Fold:
     """One forward pass over a prop3 trace, the only place that reads its
     events: replay and the verifier both read what it records.  Values stay
-    as their trace text; a check parses only what it compares.  Given
-    `checks`, it also reads each record into its `RecordRules` and hands
-    each record and closed stage to `checks`; either way it keeps no
-    stage's values once the stage has closed."""
+    as their trace text; a check parses only what it compares.  Reads the
+    trace a stage at a time through `stages`; given `checks`, it also has
+    each record read into its `RecordRules` and hands each record and
+    closed stage to `checks`.  Either way it keeps no stage's values once
+    the stage has closed."""
 
     def __init__(self, events: Iterable[TraceEvent], checks: Optional[_StageChecks] = None):
         self.alpha = self.beta = "0/1"  # the latest records
@@ -358,67 +360,62 @@ class _Fold:
         self.act_faults: list[str] = []  # W8
         pending: Optional[_Act] = None  # the act whose stage is being read
         self.rules = RecordRules(("alpha", "beta"))
-        checking = checks is not None
-        read_rules = self.rules.read
-        # the stage being read: its last alpha, beta and adversary records
-        # (position -> value: gamma_i at 2i, delta_i at 2i+1)
-        open_stage, alpha, beta, adversary = 0, None, None, {}
-        for ev in events:
-            if pending is not None and (ev.stage != pending.stage or ev.kind == "act"):
-                self._close_act(pending)
-                pending = None
-            if ev.stage > open_stage:  # a record of an earlier stage fails W7
-                if checking:
-                    checks.close(open_stage, alpha, beta, adversary)
-                open_stage, alpha, beta, adversary = ev.stage, None, None, {}
-            if checking:
-                read_rules(ev)
-            kind, n = ev.kind, ev.requirement
-            if kind == "alpha":
-                self.alpha = alpha = ev.new
-            elif kind == "beta":
-                self.beta = beta = ev.new
-            elif kind in ("gamma", "delta"):
-                adversary[2 * n + (kind == "delta")] = ev.new
-            elif kind == "define":
-                value = self.params[n] = int(ev.new)
-                if checking:
-                    checks.define(ev.stage, n, value, max_used)
-                self.defines += 1
-                self.used.add(value)
-                max_used = max(max_used, value)
-            elif kind == "act":
-                act = pending = _Act(n, ev.stage, self.params.get(n), int(ev.new))
-                if act.param is not None and act.bit != act.param:
-                    self.act_faults.append(f"position {n}: act at stage {ev.stage} with bit "
-                                           f"{act.bit}, not its parameter {act.param}")
-                self.acts[n] += 1
-                if checking:
-                    checks.act(act)
-            elif kind == "enumerate_A":
-                self._act_record(pending, ev)
-                self._enumerate(self.enum_a, int(ev.new))
-            elif kind == "enumerate_B":
-                self._act_record(pending, ev)
-                self._enumerate(self.enum_b, int(ev.new))
-            elif kind == "restraint":
-                self._act_record(pending, ev)
-                value = self.restraints[n] = int(ev.new)
-                self.used.add(value)
-                max_used = max(max_used, value)
-            elif kind == "initialize":
-                self.params.pop(n, None)
-                self.restraints.pop(n, None)
-                self.inits[n] = self.inits.get(n, 0) + 1
-                if checking:
-                    checks.initialize(n, ev.stage)
+        for stage, records in stages(events, None if checks is None else self.rules):
+            # the stage's last alpha, beta and adversary records (position ->
+            # value: gamma_i at 2i, delta_i at 2i+1); an earlier stage's
+            # record in it fails W7
+            alpha = beta = None
+            adversary: dict[int, str] = {}
+            for ev in records:
+                if pending is not None and (ev.stage != pending.stage or ev.kind == "act"):
+                    self._close_act(pending)
+                    pending = None
+                kind, n = ev.kind, ev.requirement
+                if kind == "alpha":
+                    self.alpha = alpha = ev.new
+                elif kind == "beta":
+                    self.beta = beta = ev.new
+                elif kind in ("gamma", "delta"):
+                    adversary[2 * n + (kind == "delta")] = ev.new
+                elif kind == "define":
+                    value = self.params[n] = int(ev.new)
+                    if checks is not None:
+                        checks.define(ev.stage, n, value, max_used)
+                    self.defines += 1
+                    self.used.add(value)
+                    max_used = max(max_used, value)
+                elif kind == "act":
+                    act = pending = _Act(n, ev.stage, self.params.get(n), int(ev.new))
+                    if act.param is not None and act.bit != act.param:
+                        self.act_faults.append(f"position {n}: act at stage {ev.stage} with "
+                                               f"bit {act.bit}, not its parameter {act.param}")
+                    self.acts[n] += 1
+                    if checks is not None:
+                        checks.act(act)
+                elif kind == "enumerate_A":
+                    self._act_record(pending, ev)
+                    self._enumerate(self.enum_a, int(ev.new))
+                elif kind == "enumerate_B":
+                    self._act_record(pending, ev)
+                    self._enumerate(self.enum_b, int(ev.new))
+                elif kind == "restraint":
+                    self._act_record(pending, ev)
+                    value = self.restraints[n] = int(ev.new)
+                    self.used.add(value)
+                    max_used = max(max_used, value)
+                elif kind == "initialize":
+                    self.params.pop(n, None)
+                    self.restraints.pop(n, None)
+                    self.inits[n] = self.inits.get(n, 0) + 1
+                    if checks is not None:
+                        checks.initialize(n, ev.stage)
+            if checks is not None:
+                checks.close(stage, alpha, beta, adversary)
         if pending is not None:
             self._close_act(pending)
-        self.stage = open_stage  # the last, since stages only advance
-        if checking:
-            checks.close(open_stage, alpha, beta, adversary)
-            checks.finish(self.stage)
-            self.rules.close(self.stage)
+        self.stage = stage  # the last
+        if checks is not None:
+            checks.finish(stage)
 
     def _enumerate(self, bits: set[int], bit: int) -> None:
         if bit in bits:
@@ -484,34 +481,27 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     for name, failures in (("W1 one act per initialization segment", checks.w1),
                            ("W2 separation margin after final act", checks.w2),
                            ("W3 restraint obedience", checks.w3)):
-        check = report.check(name)
-        for _, message in sorted(failures, key=itemgetter(0)):
-            check.fail(message)
+        report.check(name, (message for _, message in sorted(failures, key=itemgetter(0))))
 
-    w4 = report.check("W4 injury and act bounds")
+    w4 = []
     for position in sorted(set(fold.inits) | set(fold.acts)):
         n_init = fold.inits.get(position, 0)
         if n_init > 2**position - 1:
-            w4.fail(f"position {position}: {n_init} initializations > {2**position - 1}")
+            w4.append(f"position {position}: {n_init} initializations > {2**position - 1}")
         if fold.acts[position] > 2**position:
-            w4.fail(f"position {position}: {fold.acts[position]} acts > {2**position}")
+            w4.append(f"position {position}: {fold.acts[position]} acts > {2**position}")
+    report.check("W4 injury and act bounds", w4)
 
-    w5 = report.check("W5 column discipline and freshness")
-    for message in checks.w5:
-        w5.fail(message)
+    w5 = checks.w5
     if fold.enum_a & fold.enum_b:
-        w5.fail(f"values enumerated into both sets: {sorted(fold.enum_a & fold.enum_b)}")
+        w5.append(f"values enumerated into both sets: {sorted(fold.enum_a & fold.enum_b)}")
     if fold.enumerated_twice:
-        w5.fail("a bit value was enumerated twice")
+        w5.append("a bit value was enumerated twice")
+    report.check("W5 column discipline and freshness", w5)
 
-    for name, breaks in (("W6 old values chain", fold.rules.chain_breaks),
-                         ("W7 one record a stage of alpha, beta and each adversary",
-                          fold.rules.run_breaks),
-                         ("W8 each act with its parameter, enumeration and restraint",
-                          fold.act_faults)):
-        check = report.check(name)
-        for message in breaks:
-            check.fail(message)
+    report.check("W6 old values chain", fold.rules.chain_breaks)
+    report.check("W7 one record a stage of alpha, beta and each adversary", fold.rules.run_breaks)
+    report.check("W8 each act with its parameter, enumeration and restraint", fold.act_faults)
 
     report.stats["stages"] = fold.stage
     report.stats["acts"] = sum(fold.acts.values())

@@ -201,6 +201,7 @@ def make_tracker(
         raise ValueError(f"negative lag {lag}")
     if not (ZERO < start < ONE):
         raise ValueError(f"start {start} not in (0,1)")
+    faults: list[str] = []  # the stream's: gen holds no reference to the stream, no cycle
 
     def gen(s: int, prefix: Sequence[Rational]) -> Rational:
         if s == 0:
@@ -215,7 +216,7 @@ def make_tracker(
         if direction is Direction.INCREASING:
             if rise <= 0:
                 if rise:
-                    stream.faults.append(f"stage {s}: target below increasing tracker; holding")
+                    faults.append(f"stage {s}: target below increasing tracker; holding")
                 return prev
             if rn >= rd:  # raw >= 1
                 return (prev + ONE) / 2
@@ -223,7 +224,7 @@ def make_tracker(
         else:
             if rise >= 0:
                 if rise:
-                    stream.faults.append(f"stage {s}: target above decreasing tracker; holding")
+                    faults.append(f"stage {s}: target above decreasing tracker; holding")
                 return prev
             if rn <= 0:  # raw <= 0
                 return prev / 2
@@ -231,6 +232,7 @@ def make_tracker(
 
     stream = ApproxStream(direction, gen, unit_interval=True,
                           label=label or f"tracker(lag={lag},{direction.value})")
+    stream.faults = faults
     return stream
 
 

@@ -12,7 +12,8 @@ This module owns every rule of a single record: `KINDS` lays out each
 kind's fields, and `TraceEvent.from_dict` refuses a record that breaks its
 layout, an integer value that is not ASCII digits, or a p/q value that is
 not p/q text, new or old, as each line is read.  `RecordRules` checks the rules between
-records (stage order, the old-value chain, one record a stage) for a fold,
+records (stage order, the old-value chain, one record a stage), and
+`stages` groups a fold's records by stage and reads them into its rules,
 so the engines' folds keep only what their records mean.
 """
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .rationals import Rational
 
@@ -177,6 +178,26 @@ class RecordRules:
             if stage < last_stage:
                 self.run_breaks.append(f"{_record_name(*key)}: no records from stage "
                                        f"{stage + 1} through the last stage {last_stage}")
+
+
+def stages(events: Iterable[TraceEvent], rules: Optional[RecordRules] = None
+           ) -> Iterator[tuple[int, list[TraceEvent]]]:
+    """Each stage of `events` with its records, in order, from stage 0: a
+    record of a later stage opens that stage, and a record of an earlier
+    stage stays in the open one, after the records before it.  An empty
+    input is the one stage (0, []).  Given `rules`, reads each record into
+    them and closes them at the last stage."""
+    stage, records = 0, []
+    for ev in events:
+        if ev.stage > stage:
+            yield stage, records
+            stage, records = ev.stage, []
+        if rules is not None:
+            rules.read(ev)
+        records.append(ev)
+    yield stage, records
+    if rules is not None:
+        rules.close(stage)
 
 
 def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:
@@ -334,8 +355,11 @@ class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
-    def check(self, name: str) -> CheckResult:
+    def check(self, name: str, failures: Iterable[str] = ()) -> CheckResult:
+        """A new check, failed once per message of `failures`."""
         c = CheckResult(name, True)
+        for message in failures:
+            c.fail(message)
         self.checks.append(c)
         return c
 
@@ -376,6 +400,5 @@ def differing_keys(a: dict, b: dict) -> list:
 
 def check_final_record(report: VerificationReport, name: str, folded: dict, final: dict):
     """Check that the final record is the one its trace folds to, naming keys, not values."""
-    check = report.check(name)
-    for key in differing_keys(folded, final):
-        check.fail(f"final record's {key!r} is not the folded trace's")
+    report.check(name, (f"final record's {key!r} is not the folded trace's"
+                        for key in differing_keys(folded, final)))

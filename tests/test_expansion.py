@@ -26,6 +26,12 @@ def R(text):
     return parse_rational(text)
 
 
+def q_of(engine, i):
+    """q_i by its definition at the engine's stage: 1/2 for i = 0, else the
+    least 2^-(i + d_j + 1) over j < i, an absent d_j reading as 0."""
+    return Rational(1, 2 ** (i + max((d for j, d in engine.d.items() if j < i), default=0) + 1))
+
+
 def reference_config(stages):
     """The worked example used throughout: one increasing adversary at
     index 0, one decreasing adversary at index 1."""
@@ -63,7 +69,7 @@ class TestHandAuditedStages:
         assert engine.d.get(1, 0) == 0
         assert engine.beta_i[0] == R("1/16")
         assert engine.beta == R("1/16")
-        assert engine.q_of(0) == R("1/2")
+        assert q_of(engine, 0) == R("1/2")
 
     def test_stage_two(self):
         engine = ExpansionEngine(reference_config(4))
@@ -115,8 +121,8 @@ class TestHandAuditedStages:
         )
         engine = run_expansion(cfg)
         # q_2 = 2^-(2 + max_{j<2} d_j + 1); with no bumps that is 1/8
-        assert engine.q_of(2) == Rational(1, 1 << (2 + engine.d[0] + 1))
-        assert engine.q[2] == engine.q_of(2)
+        assert q_of(engine, 2) == Rational(1, 1 << (2 + engine.d[0] + 1))
+        assert engine.q[2] == q_of(engine, 2)
         assert engine.d[0] >= 1  # the decreasing adversary does get hit
 
     def test_logged_q_is_q_of_at_every_stage(self):
@@ -145,7 +151,7 @@ class TestHandAuditedStages:
         for _ in range(cfg.stages):
             engine.step()
             s = engine.s
-            now = {i: engine.q_of(i) for i in (1, 3, 4) if i <= s}
+            now = {i: q_of(engine, i) for i in (1, 3, 4) if i <= s}
             assert engine.q == now
             logged = {ev.requirement: R(ev.new) for ev in engine.events
                       if ev.stage == s and ev.kind == "q"}

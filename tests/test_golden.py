@@ -5,6 +5,7 @@ engine semantics, event ordering, or serialization shows up as a diff here.
 """
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -211,34 +212,47 @@ class TestDeletedLemma2Record:
 
 
 class TestSingleEventMutations:
-    """Every single-event deletion and duplication of a golden trace goes
-    through its verifier and replay without raising.  `flagged` counts the
-    mutations that fail a check or replay to another state; it may only
-    grow.  Every deletion and duplication of an alpha, eta, beta or
-    gamma/delta record is flagged (V7/W7).  In prop3 every mutation is
-    flagged: the deletion of the define before the only act fails W1 as
-    well as W0, and the deletion of the act or the duplication of its
-    enumeration or restraint fails W8."""
+    """Every single-event deletion, duplication, swap with the next event,
+    and move one stage back in place of a golden trace goes through its
+    verifier and replay without raising.  `flagged` counts the mutations
+    that fail a check or replay to another state; its deletion and
+    duplication count and its swap count may only grow.  Every deletion and
+    duplication of an alpha, eta, beta or gamma/delta record is flagged
+    (V7/W7), and so is every record moved back.  In prop3 every deletion
+    and duplication is flagged: the deletion of the define before the only
+    act fails W1 as well as W0, and the deletion of the act or the
+    duplication of its enumeration or restraint fails W8.  A swap within a
+    stage goes unflagged where no check reads the order of its records."""
 
-    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 522),
-             ("golden_prop3", verify_injury, replay_injury, 506)]
+    CASES = [("golden_lemma2", verify_expansion, replay_expansion, 522, 50),
+             ("golden_prop3", verify_injury, replay_injury, 506, 51)]
 
-    @pytest.mark.parametrize("name, verify, replay, floor", CASES, ids=[c[0] for c in CASES])
-    def test_no_raise_and_detection_floor(self, name, verify, replay, floor):
+    @pytest.mark.parametrize("name, verify, replay, floor, swap_floor", CASES,
+                             ids=[c[0] for c in CASES])
+    def test_no_raise_and_detection_floor(self, name, verify, replay, floor, swap_floor):
         _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
         evs = list(evs)
         flagged = {}
-        for n in range(len(evs)):
-            for op, mutated in (("del", evs[:n] + evs[n + 1:]), ("dup", evs[:n + 1] + evs[n:])):
+        for n, ev in enumerate(evs):
+            mutations = [("del", evs[:n] + evs[n + 1:]), ("dup", evs[:n + 1] + evs[n:])]
+            if n + 1 < len(evs):
+                mutations.append(("swap", evs[:n] + [evs[n + 1], ev] + evs[n + 2:]))
+            if ev.stage:
+                mutations.append(("back", evs[:n] + [ev._replace(stage=ev.stage - 1)]
+                                  + evs[n + 1:]))
+            for op, mutated in mutations:
                 report = verify(mutated, final)
                 if not report.all_green or replay(mutated) != final:
                     flagged[op, n] = report
-        assert len(flagged) >= floor
+        ops = Counter(op for op, _ in flagged)
+        assert ops["del"] + ops["dup"] >= floor
+        assert ops["swap"] >= swap_floor
+        assert all(("back", n) in flagged for n, ev in enumerate(evs) if ev.stage)
         runs = [n for n, ev in enumerate(evs)
                 if ev.kind in ("alpha", "eta", "beta", "gamma", "delta")]
         assert runs and all((op, n) in flagged for op in ("del", "dup") for n in runs)
         if name == "golden_prop3":
-            assert len(flagged) == 2 * len(evs)
+            assert ops["del"] + ops["dup"] == 2 * len(evs)
             (act,) = [ev for ev in evs if ev.kind == "act"]
             (n,) = [n for n, ev in enumerate(evs) if ev.kind == "define"
                     and ev.requirement == act.requirement and ev.stage < act.stage]

@@ -378,6 +378,20 @@ class TestTracker:
         assert [stream.value(s) for s in range(len(values))] == values
         assert stream.faults == faults
 
+    def test_tracker_freed_without_collector(self):
+        # the generator appends faults to the stream's list, not through the
+        # stream, so a dropped tracker goes at once, as a constant target does
+        st = make_tracker(FakeView(["1/4", "1/8", "1/2"]), INC, lag=0, start=R("1/16"))
+        st.value(3)
+        assert len(st.faults) == 1
+        freed = weakref.ref(st)
+        gc.disable()
+        try:
+            del st
+            assert freed() is None
+        finally:
+            gc.enable()
+
     def test_decreasing_tracker_clamps_at_zero_target(self):
         view = FakeView(["0/1", "0/1"])
         st = make_tracker(view, DEC, lag=0, start=R("1/2"))

@@ -22,6 +22,7 @@ from celab.trace import (
     is_ratio_text,
     rational,
     read_trace,
+    stages,
     write_trace,
 )
 
@@ -164,6 +165,46 @@ class TestStageValueRuns:
 
     def test_kind_with_no_records_flagged(self):
         assert self.breaks([]) == ["alpha: no records from stage 0 through the last stage 3"]
+
+
+def records(kinds, requirement, old):
+    return st.builds(TraceEvent, st.integers(0, 4), st.sampled_from(kinds), requirement, old,
+                     st.sampled_from(["0/1", "1/2"]))
+
+
+class TestStages:
+    @staticmethod
+    def at(*stage_of):
+        return [TraceEvent(s, "alpha", None, None, f"{n}/1") for n, s in enumerate(stage_of)]
+
+    def test_groups_in_order(self):
+        evs = self.at(1, 1, 2, 4)
+        assert list(stages(evs)) == [(0, []), (1, evs[:2]), (2, evs[2:3]), (4, evs[3:])]
+
+    def test_earlier_record_stays_in_open_group(self):
+        evs = self.at(0, 2, 1, 2, 0)
+        assert list(stages(evs)) == [(0, evs[:1]), (2, evs[1:])]
+
+    def test_empty_input_is_stage_zero(self):
+        rules = RecordRules(("alpha",))
+        assert list(stages([], rules)) == [(0, [])]
+        assert rules.run_breaks == ["alpha: no records from stage 0 through the last stage 0"]
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(evs=st.lists(records(["alpha", "beta"], st.none(), st.sampled_from(["0/1", "1/2"]))
+                        | records(["q", "gamma", "delta"], st.integers(0, 2),
+                                  st.none() | st.sampled_from(["0/1", "1/2"])), max_size=30))
+    def test_reads_rules_as_by_hand(self, evs):
+        by_hand, rules = RecordRules(("alpha", "beta")), RecordRules(("alpha", "beta"))
+        for ev in evs:
+            by_hand.read(ev)
+        by_hand.close(max((ev.stage for ev in evs), default=0))
+        groups = list(stages(evs, rules))
+        assert [ev for _, group in groups for ev in group] == evs
+        assert all(a < b for (a, _), (b, _) in zip(groups, groups[1:]))
+        assert all(ev.stage <= stage for stage, group in groups for ev in group)
+        assert rules.chain_breaks == by_hand.chain_breaks
+        assert rules.run_breaks == by_hand.run_breaks
 
 
 class TestRatioText:
@@ -323,8 +364,7 @@ class TestReports:
     def test_render_and_first_failure(self):
         report = VerificationReport()
         report.check("A ok")
-        bad = report.check("B broken")
-        bad.fail("detail one")
+        report.check("B broken", ["detail one"])
         report.stats["stages"] = 5
         text = report.render_text()
         assert "[PASS] A ok" in text
