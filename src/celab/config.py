@@ -13,7 +13,8 @@ increasing; a suite entry with role "L" is increasing, role "R" decreasing.
 
 A run config is {"engine": name, "stages": T <= HARD_CAP, "suite": [...]}
 plus the stream specs its engine needs.  ENGINES, at the end of this
-module, is the one table of engines; a new engine registers there.
+module, is the one table of engines; a new engine registers there.  A key
+that no object above names is refused, not ignored.
 """
 
 from __future__ import annotations
@@ -73,8 +74,9 @@ def load_config(path: Path | str) -> RunConfig:
 
 def config_from_dict(raw: dict) -> RunConfig:
     try:
-        if "hard_cap" in raw:
-            raise ConfigError(f"'hard_cap' is not a config key; stages are capped at {HARD_CAP}")
+        entry = ENGINES.get(raw["engine"])
+        if entry is not None:  # an unknown engine is RunConfig's to refuse
+            _known_keys(raw, ("engine", "stages", "suite", *entry.needs), "config")
         return RunConfig(
             engine=raw["engine"],
             stages=_int_field(raw, "stages", "config"),
@@ -94,10 +96,10 @@ def rational_arg(value, name: str) -> Rational:
         raise ConfigError(f"bad rational {value!r} for {name}: {e}") from None
 
 
-def _rational_field(spec: dict, key: str, default: Optional[str] = None) -> Rational:
+def _rational_field(spec: dict, key: str, where: str, default: Optional[str] = None) -> Rational:
     value = spec.get(key, default)
     if value is None:
-        raise ConfigError(f"stream spec {spec} missing field {key!r}")
+        raise ConfigError(f"{where}: missing field {key!r}")
     return rational_arg(value, key)
 
 
@@ -108,6 +110,13 @@ def _int_field(spec: dict, key: str, where: str, default: Optional[int] = None) 
     if type(value) is not int:
         raise ConfigError(f"{where}: {key!r} must be an integer, got {value!r}")
     return value
+
+
+def _known_keys(spec: dict, known: tuple[str, ...], where: str) -> None:
+    """Refuse a key outside `known`, which would otherwise be ignored."""
+    if unknown := sorted(set(spec).difference(known)):
+        raise ConfigError(f"{where}: unknown key {', '.join(map(repr, unknown))}; "
+                          f"the keys are {', '.join(known)}")
 
 
 def _object(value, what: str) -> dict:
@@ -147,32 +156,36 @@ def build_stream(
 def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
             label: str) -> ApproxStream:
     kind = _object(spec, "stream spec").get("kind")
+    where = label or "stream spec"
     if kind == "constant_target":
+        _known_keys(spec, ("kind", "limit", "rate"), where)
         return make_constant_target(
-            _rational_field(spec, "limit"),
+            _rational_field(spec, "limit", where),
             direction,
-            _rational_field(spec, "rate"),
+            _rational_field(spec, "rate", where),
             label=label,
         )
     if kind == "tracker":
+        _known_keys(spec, ("kind", "lag", "start"), where)
         if view is None:
             raise ConfigError("tracker streams are only valid inside an engine run")
         return make_tracker(
             view,
             direction,
-            _int_field(spec, "lag", label or "stream spec", 0),
-            _rational_field(spec, "start"),
+            _int_field(spec, "lag", where, 0),
+            _rational_field(spec, "start", where),
             label=label,
         )
     if kind == "omega":
+        _known_keys(spec, ("kind", "machine", "max_length", "offset", "scale", "plus"), where)
         machine = _load_machine(spec)
         if direction is Direction.INCREASING:
-            offset = _rational_field(spec, "offset", "1/4")
-            scale = _rational_field(spec, "scale", "1/2")
+            offset = _rational_field(spec, "offset", where, "1/4")
+            scale = _rational_field(spec, "scale", where, "1/2")
         else:
-            offset = _rational_field(spec, "offset", "3/4")
-            scale = _rational_field(spec, "scale", "-1/2")
-        max_length = _int_field(spec, "max_length", label or "stream spec", 8)
+            offset = _rational_field(spec, "offset", where, "3/4")
+            scale = _rational_field(spec, "scale", where, "-1/2")
+        max_length = _int_field(spec, "max_length", where, 8)
         stream = omega_stream(machine, max_length, offset, scale, label=label)
         if stream.direction is not direction:
             raise ConfigError(
@@ -183,11 +196,11 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
         if plus is not None:
             if direction is not Direction.INCREASING:
                 raise ConfigError("omega 'plus' only applies to increasing streams")
-            _object(plus, "omega 'plus'")
+            _known_keys(_object(plus, "omega 'plus'"), ("limit", "rate"), "omega 'plus'")
             extra = make_constant_target(
-                _rational_field(plus, "limit"),
+                _rational_field(plus, "limit", "omega 'plus'"),
                 Direction.INCREASING,
-                _rational_field(plus, "rate", "1/2"),
+                _rational_field(plus, "rate", "omega 'plus'", "1/2"),
             )
             stream = translate_omega(stream, extra, label=label)
         return stream
@@ -204,7 +217,8 @@ def build_suite(specs: list[dict], view: EngineView) -> AdversarySuite:
         if index < 0:
             raise ConfigError(f"suite entry {n}: bad index {index!r}")
         direction = Direction.INCREASING if role == "L" else Direction.DECREASING
-        stream = build_stream(spec, direction, view, label=f"suite[{index}/{role}]")
+        stream = build_stream({k: v for k, v in spec.items() if k not in ("index", "role")},
+                              direction, view, label=f"suite[{index}/{role}]")
         entries.append(SuiteEntry(index, role, stream))
     try:
         return AdversarySuite(entries)

@@ -76,7 +76,7 @@ def dc_mul(x: DcReal, y: DcReal) -> DcReal:
                 + _checked(x.right, s, "x.right") * _checked(y.right, s, "y.right"))
 
     def right_gen(s: int, _p: Sequence[Rational]) -> Rational:
-        return (x.left.value(s) * y.right.value(s)
-                + x.right.value(s) * y.left.value(s))
+        return (_checked(x.left, s, "x.left") * _checked(y.right, s, "y.right")
+                + _checked(x.right, s, "x.right") * _checked(y.left, s, "y.left"))
 
     return DcReal(_derived("mul.left", left_gen), _derived("mul.right", right_gen))

@@ -33,7 +33,6 @@ kind and requirement; a run is bit-exactly replayable from its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
@@ -175,10 +174,10 @@ class _StageEnd:
 class _StageChecks:
     """V3 and V4, run as each stage of a lemma2 trace closes.  Keeps, per
     requirement, its d records so far and the stage end of its last c
-    record, and the failures found, keyed by where the whole-trace report
-    lists them.  Requirements first seen after a stage can still fail V3
-    there, with bound 2^-0: a stage whose positive growth exceeds 1 is
-    kept until the end for them."""
+    record, and the failures in the order they are found: V3 as a stage
+    closes, V4 at the later c record.  Requirements first seen after a
+    stage can still fail V3 there, with bound 2^-0: a stage whose positive
+    growth exceeds 1 is kept until the end of the trace for them."""
 
     def __init__(self):
         self.d_count: dict[int, int] = {}  # j -> d records so far
@@ -186,8 +185,8 @@ class _StageChecks:
         self.relevant: list[int] = []  # sorted(known)
         self.bump: dict[int, _StageEnd] = {}  # i -> the stage end of its last c record
         self.deferred: list[tuple[int, dict[int, Rational], frozenset[int]]] = []
-        self.v3: list[tuple[tuple[int, int], str]] = []  # ((stage, j), message)
-        self.v4: list[tuple[tuple[int, int], str]] = []  # ((i, later stage), message)
+        self.v3: list[str] = []
+        self.v4: list[str] = []
 
     def close(self, stage: int, beta: Optional[str], eta: Optional[str], c_bumped: list[int],
               d_bumped: list[int], growth: dict[int, tuple[str, str]]) -> None:
@@ -214,17 +213,15 @@ class _StageChecks:
     def _restrain(self, stage: int, j: int, incs: dict[int, Rational], d_j: int) -> None:
         total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
         if total > pow2_neg(d_j):
-            self.v3.append(((stage, j),
-                            f"stage {stage}: growth below priority {j} is {total} > 2^-{d_j}"))
+            self.v3.append(f"stage {stage}: growth below priority {j} is {total} > 2^-{d_j}")
 
     def _pace(self, i: int, first: _StageEnd, second: _StageEnd) -> None:
         t1, t2 = first.stage, second.stage
-        key = (i, t2)
         gaps = [f"{kind} record at stage {end.stage}"
                 for kind in ("beta", "eta") for end in (first, second)
                 if getattr(end, kind) is None]
         if gaps:
-            self.v4.append((key, f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}"))
+            self.v4.append(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
             return
         (beta1, eta1), (beta2, eta2) = first.values(), second.values()
         if i == 0:
@@ -233,7 +230,7 @@ class _StageChecks:
             q = pow2_neg(i + max((n for j, n in self.d_count.items() if j < i), default=0) + 1)
         lhs, rhs = beta2 - beta1, q * (eta2 - eta1)
         if not lhs >= rhs:
-            self.v4.append((key, f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}"))
+            self.v4.append(f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}")
 
     def finish(self) -> None:
         """V3 at each kept stage for the requirements first seen after it."""
@@ -324,8 +321,8 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     equality whenever a single requirement carries the whole increment
     between consecutive expansionary stages).  Checks read the fold, not
     the final record.  One pass over `events`, in O(requirements) memory:
-    V3 and V4 run as each stage closes, and their failures are listed in
-    order of stage and requirement (V3) and of requirement and stage (V4).
+    V3 and V4 run as each stage closes, and every check lists its
+    failures in the order the pass finds them.
     """
     report = VerificationReport()
     checks = _StageChecks()
@@ -344,9 +341,8 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
               if not (b := rational(text)) <= pow2_neg(i + 1) * eta_T]
     report.check("V2 contribution cap 2^-(i+1) * eta", v2)
 
-    for name, failures in (("V3 restraint bound on lower-priority growth", checks.v3),
-                           ("V4 pacing along expansionary stages", checks.v4)):
-        report.check(name, (message for _, message in sorted(failures, key=itemgetter(0))))
+    report.check("V3 restraint bound on lower-priority growth", checks.v3)
+    report.check("V4 pacing along expansionary stages", checks.v4)
 
     report.check("V5 stabilization statistics")
     for i in sorted(set(fold.last_c) | set(fold.last_d)):

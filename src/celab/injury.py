@@ -34,7 +34,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
@@ -206,7 +205,6 @@ class _Act:
     param: Optional[int]  # the bit parameter in effect, None if none was
     bit: int  # the act's own value
     records: tuple[str, ...] = ()  # the kinds of its enumeration and restraint records read
-    order: int = 0  # acts read before it
     base: Optional[Rational] = None  # its side's value as its stage ends (W3)
     restrained: bool = True  # no W3 failure found yet
 
@@ -218,7 +216,7 @@ class _Segment:
     def __init__(self):
         self.acts: list[_Act] = []
         self.attention: Optional[str] = None  # W1's failure after the first act
-        self.separation: list[tuple[tuple[int, int], str]] = []  # W2's, for the last act
+        self.separation: list[str] = []  # W2's, for the last act
 
 
 class _StageChecks:
@@ -226,18 +224,18 @@ class _StageChecks:
     segments, at most one act each in a run the engine made, and the
     previous stage's alpha - beta; checks for a stage run once it has
     closed, since an initialization in it ends a segment before it.
-    Failures are keyed by where the whole-trace report lists them."""
+    Failures are listed as found: W1's as a segment ends, W2's at the end
+    of the trace, W3's at the stage that shows the growth."""
 
     def __init__(self):
         self.live: dict[int, _Segment] = {}  # position -> segment not yet initialized
-        self.acts_read = 0
         self.prev_stage, self.prev_diff = -1, ZERO
         # the last closed stage's alpha and beta texts, and their values
         self.texts: tuple[str, str] = ("", "")
         self.alpha = self.beta = self.diff = ZERO
-        self.w1: list[tuple[tuple[int, int], str]] = []  # ((position, stop), message)
-        self.w2: list[tuple[tuple[int, int], str]] = []  # ((position, stage), message)
-        self.w3: list[tuple[tuple[int, int], str]] = []  # ((position, act order), message)
+        self.w1: list[str] = []
+        self.w2: list[str] = []
+        self.w3: list[str] = []
         self.w5: list[str] = []
 
     def define(self, stage: int, position: int, value: int, max_assigned: int) -> None:
@@ -249,26 +247,25 @@ class _StageChecks:
                            f"{stage} (max assigned {max_assigned})")
 
     def act(self, act: _Act) -> None:
-        act.order, self.acts_read = self.acts_read, self.acts_read + 1
         segment = self.live.setdefault(act.position, _Segment())
         segment.acts.append(act)
         segment.separation = []  # W2 reads only the last act
 
-    def initialize(self, position: int, stage: int) -> None:
+    def initialize(self, position: int) -> None:
         segment = self.live.pop(position, None)
         if segment is not None:
-            self._end(position, segment, stage)
+            self._end(position, segment)
 
-    def _end(self, position: int, segment: _Segment, stop: int) -> None:
-        first, key = segment.acts[0], (position, stop)
+    def _end(self, position: int, segment: _Segment) -> None:
+        first = segment.acts[0]
         if len(segment.acts) > 1:
-            self.w1.append((key, f"position {position}: acts at "
-                                 f"{[a.stage for a in segment.acts]} in one segment"))
+            self.w1.append(f"position {position}: acts at "
+                           f"{[a.stage for a in segment.acts]} in one segment")
         if first.param is None:
-            self.w1.append((key, f"position {position}: act at stage {first.stage} "
-                                 f"with no parameter in effect"))
+            self.w1.append(f"position {position}: act at stage {first.stage} "
+                           f"with no parameter in effect")
         elif segment.attention is not None:
-            self.w1.append((key, segment.attention))
+            self.w1.append(segment.attention)
 
     def close(self, t: int, alpha_text: Optional[str], beta_text: Optional[str],
               adversary: dict[int, str]) -> None:
@@ -307,9 +304,8 @@ class _StageChecks:
                         if (stage is not None and value is not act.base
                                 and value - act.base >= cap):
                             act.restrained = False
-                            self.w3.append(((position, act.order),
-                                            f"position {position}: growth {value - act.base} "
-                                            f"at stage {stage} >= {cap}"))
+                            self.w3.append(f"position {position}: growth {value - act.base} "
+                                           f"at stage {stage} >= {cap}")
                             break
         self.prev_stage, self.prev_diff = t, diff
 
@@ -321,17 +317,15 @@ class _StageChecks:
         margin = pow2_neg(param + 2)
         if parity == 0:
             if not diff < v - margin:
-                segment.separation.append(
-                    ((position, t), f"L_{i} at stage {t}: {diff} not < {v} - {margin}"))
+                segment.separation.append(f"L_{i} at stage {t}: {diff} not < {v} - {margin}")
         elif not diff > v + margin:
-            segment.separation.append(
-                ((position, t), f"R_{i} at stage {t}: {diff} not > {v} + {margin}"))
+            segment.separation.append(f"R_{i} at stage {t}: {diff} not > {v} + {margin}")
 
-    def finish(self, last_stage: int) -> None:
+    def finish(self) -> None:
         """End the segments no initialization ended: their last acts are
         the ones W2 reads."""
         for position, segment in self.live.items():
-            self._end(position, segment, last_stage + 1)
+            self._end(position, segment)
             self.w2.extend(segment.separation)
 
 
@@ -408,14 +402,14 @@ class _Fold:
                     self.restraints.pop(n, None)
                     self.inits[n] = self.inits.get(n, 0) + 1
                     if checks is not None:
-                        checks.initialize(n, ev.stage)
+                        checks.initialize(n)
             if checks is not None:
                 checks.close(stage, alpha, beta, adversary)
         if pending is not None:
             self._close_act(pending)
         self.stage = stage  # the last
         if checks is not None:
-            checks.finish(stage)
+            checks.finish()
 
     def _enumerate(self, bits: set[int], bit: int) -> None:
         if bit in bits:
@@ -471,17 +465,15 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     one) holding that bit and one restraint holding the bit + 3, and no
     enumeration or restraint comes without its act.  Checks read the
     fold, not the final record.  One pass over `events`, keeping the live
-    acts: W1-W3 list their failures by position, then by segment, stage
-    or act.
+    acts; every check lists its failures in the order the pass finds them.
     """
     report = VerificationReport()
     checks = _StageChecks()
     fold = _Fold(events, checks)
     check_final_record(report, "W0 final record is the folded trace's", fold.snapshot(), final)
-    for name, failures in (("W1 one act per initialization segment", checks.w1),
-                           ("W2 separation margin after final act", checks.w2),
-                           ("W3 restraint obedience", checks.w3)):
-        report.check(name, (message for _, message in sorted(failures, key=itemgetter(0))))
+    report.check("W1 one act per initialization segment", checks.w1)
+    report.check("W2 separation margin after final act", checks.w2)
+    report.check("W3 restraint obedience", checks.w3)
 
     w4 = []
     for position in sorted(set(fold.inits) | set(fold.acts)):

@@ -337,22 +337,19 @@ def omega_stream(
                         label=label or f"omega(L={max_length})")
 
 
-def translate_omega(
-    omega: ApproxStream,
-    x: ApproxStream,
-    horizon: int = 64,
-    label: str = "",
-) -> ApproxStream:
+TRANSLATE_HORIZON = 64
+
+
+def translate_omega(omega: ApproxStream, x: ApproxStream, label: str = "") -> ApproxStream:
     """Pointwise sum of two increasing streams, the toy analogue of a
-    translated halting probability; rejected if the sum reaches 1 at the
-    given horizon."""
+    translated halting probability; rejected if the sum reaches 1 at stage
+    TRANSLATE_HORIZON."""
     for s, name in ((omega, "omega"), (x, "x")):
         if s.direction is not Direction.INCREASING:
             raise ValueError(f"{name} must be increasing")
-    if omega.value(horizon) + x.value(horizon) >= ONE:
-        raise ValueError(
-            f"horizon sum {omega.value(horizon) + x.value(horizon)} >= 1"
-        )
+    total = omega.value(TRANSLATE_HORIZON) + x.value(TRANSLATE_HORIZON)
+    if total >= ONE:
+        raise ValueError(f"horizon sum {total} >= 1")
     return ApproxStream(
         Direction.INCREASING,
         lambda s, _p: omega.value(s) + x.value(s),

@@ -341,7 +341,7 @@ class CheckResult:
     name: str
     passed: bool
     failures: list[str] = field(default_factory=list)
-    count: int = 0  # every failure, though only the first 20 messages are kept
+    count: int = 0  # every failure, though only the first 20 found are kept
 
     def fail(self, message: str) -> None:
         self.passed = False

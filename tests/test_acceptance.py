@@ -214,6 +214,25 @@ def test_lemma2_battery_events_are_pinned(lemma2_battery):
     assert hashlib.sha256(lines.encode()).hexdigest() == LEMMA2_BATTERY_SHA256
 
 
+# every event line of both batteries as a trace file holds it: the pin
+# above reads neither the old values nor the prop3 battery
+LEMMA2_BATTERY_LINES_SHA256 = "f670f1d020547041c3611b8750e591414514497a7b3f8f991307dc614b8fe204"
+PROP3_BATTERY_LINES_SHA256 = "9b10fa40ed4d5d68a08e91c32358dc02caebf7a4a52bb8c9f5cc9861ca5a506d"
+
+
+def event_lines_sha256(engines):
+    h = hashlib.sha256()
+    for engine in engines:
+        for ev in engine.events:
+            h.update((ev.to_json() + "\n").encode())
+    return h.hexdigest()
+
+
+def test_battery_event_lines_are_pinned(lemma2_battery, prop3_battery):
+    assert event_lines_sha256(run[1] for run in lemma2_battery) == LEMMA2_BATTERY_LINES_SHA256
+    assert event_lines_sha256(run[1] for run in prop3_battery) == PROP3_BATTERY_LINES_SHA256
+
+
 # --------------------------------------------------------------------------
 # criterion 2: stabilization of separated constant-target adversaries
 # --------------------------------------------------------------------------

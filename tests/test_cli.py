@@ -92,6 +92,21 @@ class TestEngineRuns:
         assert err.startswith("config error: ") and "hard_cap" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("payload, key", [
+        ({"engine": "prop3", "stages": 100, "suites": PROP3_CONFIG["suite"]}, "suites"),
+        (dict(PROP3_CONFIG, suite=[{"index": 0, "role": "L", "kind": "tracker", "lags": 3,
+                                    "start": "1/32"}]), "lags"),
+    ], ids=["suites", "lags"])
+    def test_misspelt_key_is_config_error(self, tmp_path, capsys, payload, key):
+        # ignored, either key would leave a run that passes: prop3 with no
+        # adversaries, or a tracker with lag 0
+        cfg = write_config(tmp_path, payload)
+        assert main(["run-prop3", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"unknown key '{key}'" in err
+        assert not list(tmp_path.glob("*.trace.jsonl"))
+
     def test_cli_names_no_engine(self):
         # every engine reaches the CLI through the one table in config.py
         from pathlib import Path

@@ -176,6 +176,16 @@ class TestBuildStream:
         with pytest.raises(ConfigError, match=f"^{what} .* is not a JSON object$"):
             build_stream(spec, INC)
 
+    @pytest.mark.parametrize("spec, where", [
+        ({"kind": "constant_target", "limit": "1/2", "rates": "1/2"}, "stream spec"),
+        ({"kind": "omega", "machine": "pair", "max_len": 8}, "stream spec"),
+        ({"kind": "omega", "machine": "pair", "plus": {"limit": "1/8", "rte": "1/2"}},
+         "omega 'plus'"),
+    ])
+    def test_unknown_key_rejected(self, spec, where):
+        with pytest.raises(ConfigError, match=f"^{where}: unknown key"):
+            build_stream(spec, INC)
+
     def test_omega_plus_rejected_for_decreasing(self):
         spec = {"kind": "omega", "machine": "pair", "max_length": 8,
                 "plus": {"limit": "1/8"}}

@@ -92,6 +92,14 @@ class TestOperations:
         with pytest.raises(StreamError):
             dc_mul(x, y).value_at(0)
 
+    def test_mul_checks_the_components_each_side_reads(self):
+        # x.left < 0: the right component reads it as much as the left does
+        x = DcReal(constant(R("-1/2")), constant(ZERO))
+        y = DcReal(constant(HALF), constant(R("1/4")))
+        for component in (lambda p: p.left, lambda p: p.right, lambda p: dc_neg(p).left):
+            with pytest.raises(StreamError, match="negative x.left"):
+                component(dc_mul(x, y)).value(0)
+
     def test_random_pairs_all_ops(self):
         rng = random.Random(20250401)
         for _ in range(25):

@@ -17,6 +17,7 @@ from celab.streams import (
     make_constant_target,
     make_tracker,
 )
+from celab.trace import TraceEvent
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -243,3 +244,25 @@ class TestVerifyAndReplay:
         assert last.kind == "beta"
         report = verify_expansion([*events, last._replace(new="5/4")], engine.snapshot())
         assert [c.name[:2] for c in report.checks if not c.passed] == ["V0", "V1"]
+
+    def test_failures_listed_in_the_order_found(self):
+        # c records of requirement 1 at stages 1 and 2 and of requirement 0
+        # at stages 1 and 3, while eta grows and beta stays 0: both pacing
+        # pairs fail V4, requirement 1's at the earlier stage
+        events, last, c = [], {("c", 0): "0", ("c", 1): "0"}, {}
+
+        def log(stage, kind, i, new):
+            events.append(TraceEvent(stage, kind, i, last.get((kind, i)), new))
+            last[kind, i] = new
+
+        for stage, eta in enumerate(("0/1", "1/4", "1/2", "3/4")):
+            log(stage, "alpha", None, "0/1")
+            log(stage, "eta", None, eta)
+            for i in {1: (0, 1), 2: (1,), 3: (0,)}.get(stage, ()):
+                c[i] = c.get(i, 0) + 1
+                log(stage, "c", i, str(c[i]))
+            log(stage, "beta", None, "0/1")
+        report = verify_expansion(events, replay_expansion(events))
+        (v4,) = [check for check in report.checks if not check.passed]
+        assert v4.name.startswith("V4 ")
+        assert v4.failures == ["req 1, stages 1->2: 0 < 1/16", "req 0, stages 1->3: 0 < 1/4"]

@@ -265,6 +265,25 @@ class TestVerifyAndReplay:
         assert not report.all_green
         assert "W1" in report.first_failure()
 
+    def test_failures_listed_in_the_order_found(self):
+        from celab.trace import TraceEvent
+
+        # acts with no parameter in effect: positions 0 and 1 at stage 1,
+        # position 1 again at stage 2, and position 1 initialized at stage 3;
+        # position 1's segment ends first, position 0's only with the trace
+        acts = {1: (0, 1), 2: (1,)}
+        events = []
+        for stage in range(4):
+            for kind in ("alpha", "beta"):
+                events.append(TraceEvent(stage, kind, None, "0/1" if stage else None, "0/1"))
+            events += [TraceEvent(stage, "act", n, None, "0") for n in acts.get(stage, ())]
+        events.append(TraceEvent(3, "initialize", 1))
+        report = verify_injury(events, replay_injury(events))
+        (w1,) = [c for c in report.checks if c.name.startswith("W1 ")]
+        assert w1.failures == ["position 1: acts at [1, 2] in one segment",
+                               "position 1: act at stage 1 with no parameter in effect",
+                               "position 0: act at stage 1 with no parameter in effect"]
+
 
 # --------------------------------------------------------------------------
 # least attention: the O(n) serve against the brute-force scan
