@@ -17,10 +17,10 @@ import sys
 from contextlib import closing
 from pathlib import Path
 
-from .config import (ENGINES, ConfigError, Engine, _load_machine, build_stream, load_config,
+from .config import (ENGINES, ConfigError, Engine, build_stream, load_config, load_machine,
                      rational_arg)
 from .omega import MachineDefinitionError, OmegaEnumeration
-from .rationals import format_rational
+from .rationals import Rational, format_rational
 from .solovay import (
     SolovayWitness,
     check_clause_a,
@@ -56,15 +56,19 @@ def _at_least(value: int, low: int, flag: str) -> None:
         raise ConfigError(f"{flag} must be >= {low}, got {value}")
 
 
+def _positive(text: str, flag: str) -> Rational:
+    value = rational_arg(text, flag)
+    if value <= 0:
+        raise ConfigError(f"{flag} must be positive, got {text}")
+    return value
+
+
 def cmd_run(args) -> int:
     rc = load_config(args.config)
     if rc.engine != args.engine:
         raise ConfigError(f"config engine is {rc.engine!r}, expected {args.engine!r}")
     entry = ENGINES[rc.engine]
-    try:
-        engine = entry.run(entry.build(rc))
-    except StreamError as e:  # a stream the config defines broke its contract
-        raise ConfigError(str(e)) from None
+    engine = entry.run(entry.build(rc))
     out = _out_dir(args)
     trace_path = out / f"{rc.engine}.trace.jsonl"
     write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
@@ -83,17 +87,14 @@ def cmd_run(args) -> int:
 def cmd_solovay_check(args) -> int:
     _at_least(args.stages, 0, "--stages")
     alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
-    q = rational_arg(args.q, "--q")
-    try:
-        w = SolovayWitness(q, args.clause, alpha, beta)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    w = SolovayWitness(_positive(args.q, "--q"), args.clause, alpha, beta)
     if args.clause == "a":
         verdict = check_clause_a(w, args.stages)
     elif args.clause == "c":
         verdict = check_clause_c(w, args.stages)
     else:
-        horizon = args.horizon if args.horizon is not None else 2 * args.stages
+        horizon = args.horizon if args.horizon is not None else max(2 * args.stages, 1)
+        _at_least(horizon, args.stages + 1, "--horizon")
         verdict = check_clause_b_horizon(w, args.stages, horizon)
         print("note: clause b is checked against a horizon proxy (diagnostic)")
     if verdict.holds:
@@ -106,18 +107,14 @@ def cmd_solovay_check(args) -> int:
 def cmd_solovay_speedup(args) -> int:
     _at_least(args.stages, 0, "--stages")
     alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
-    p = rational_arg(args.p, "--p")
-    try:
-        gamma = speedup(alpha, beta, p)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    gamma = speedup(alpha, beta, _positive(args.p, "--p"))
     for s in range(args.stages + 1):
         print(format_rational(gamma.value(s)))
     return EXIT_OK
 
 
 def cmd_omega_enumerate(args) -> int:
-    machine = _load_machine({"machine": args.machine})
+    machine = load_machine(args.machine)
     _at_least(args.length, 1, "--length")
     _at_least(args.stages, 0, "--stages")
     try:
@@ -203,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--alpha", required=True, help="stream spec JSON")
     pc.add_argument("--beta", required=True, help="stream spec JSON")
     pc.add_argument("--stages", type=int, default=64)
-    pc.add_argument("--horizon", type=int, default=None, help="clause b only")
+    pc.add_argument("--horizon", type=int, default=None,
+                    help="clause b only; above --stages (default twice --stages)")
     pc.set_defaults(func=cmd_solovay_check)
     ps = ssub.add_parser("speedup")
     ps.add_argument("--p", required=True, help='rational "p/q"')
@@ -240,7 +238,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, StreamError) as e:  # a stream a config or flag defines broke its contract
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     finally:

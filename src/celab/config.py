@@ -20,7 +20,6 @@ that no object above names is refused, not ignored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -35,7 +34,7 @@ from .streams import (
     make_constant_target,
     make_tracker,
 )
-from .omega import bundled_machines, omega_stream, parse_machine, translate_omega
+from .omega import ToyMachine, bundled_machines, omega_stream, parse_machine, translate_omega
 
 HARD_CAP = 10_000
 
@@ -44,23 +43,14 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
+    """A run config as `config_from_dict` read it: every field checked."""
+
     engine: str
     stages: int
-    suite_specs: list[dict]
+    suite_specs: list
     alpha_spec: Optional[dict] = None
     eta_spec: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.engine not in ENGINES:
-            raise ConfigError(f"unknown engine {self.engine!r}; expected one of {tuple(ENGINES)}")
-        if not (1 <= self.stages <= HARD_CAP):
-            raise ConfigError(f"stage budget {self.stages} outside 1..{HARD_CAP}")
-        needs = ENGINES[self.engine].needs
-        if any(getattr(self, f"{name}_spec") is None for name in needs):
-            named = " and ".join(f"'{name}'" for name in needs)
-            raise ConfigError(f"engine {self.engine} needs {named} stream specs")
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -72,20 +62,24 @@ def load_config(path: Path | str) -> RunConfig:
     return config_from_dict(raw)
 
 
-def config_from_dict(raw: dict) -> RunConfig:
-    try:
-        entry = ENGINES.get(raw["engine"])
-        if entry is not None:  # an unknown engine is RunConfig's to refuse
-            _known_keys(raw, ("engine", "stages", "suite", *entry.needs), "config")
-        return RunConfig(
-            engine=raw["engine"],
-            stages=_int_field(raw, "stages", "config"),
-            suite_specs=list(raw.get("suite", [])),
-            alpha_spec=raw.get("alpha"),
-            eta_spec=raw.get("eta"),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad config: {e}") from None
+def config_from_dict(raw) -> RunConfig:
+    if "engine" not in _object(raw, "config"):
+        raise ConfigError("config: missing field 'engine'")
+    engine = raw["engine"]
+    if not isinstance(engine, str) or engine not in ENGINES:
+        raise ConfigError(f"unknown engine {engine!r}; expected one of {tuple(ENGINES)}")
+    needs = ENGINES[engine].needs
+    _known_keys(raw, ("engine", "stages", "suite", *needs), "config")
+    stages = _int_field(raw, "stages", "config")
+    if not 1 <= stages <= HARD_CAP:
+        raise ConfigError(f"stage budget {stages} outside 1..{HARD_CAP}")
+    suite = raw.get("suite", [])
+    if not isinstance(suite, list):
+        raise ConfigError(f"config: 'suite' {suite!r} is not a JSON array")
+    if any(raw.get(name) is None for name in needs):
+        named = " and ".join(f"'{name}'" for name in needs)
+        raise ConfigError(f"engine {engine} needs {named} stream specs")
+    return RunConfig(engine, stages, suite, raw.get("alpha"), raw.get("eta"))
 
 
 def rational_arg(value, name: str) -> Rational:
@@ -100,7 +94,7 @@ def _rational_field(spec: dict, key: str, where: str, default: Optional[str] = N
     value = spec.get(key, default)
     if value is None:
         raise ConfigError(f"{where}: missing field {key!r}")
-    return rational_arg(value, key)
+    return rational_arg(value, f"{key!r} in {where}")
 
 
 def _int_field(spec: dict, key: str, where: str, default: Optional[int] = None) -> int:
@@ -125,8 +119,8 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _load_machine(spec: dict):
-    name = spec.get("machine", "pair")
+def load_machine(name) -> ToyMachine:
+    """A bundled machine by name, or a machine definition file by path."""
     if not isinstance(name, str):
         raise ConfigError(f"machine {name!r} is not a name or a path")
     bundled = bundled_machines()
@@ -178,7 +172,7 @@ def _stream(spec: dict, direction: Direction, view: Optional[EngineView],
         )
     if kind == "omega":
         _known_keys(spec, ("kind", "machine", "max_length", "offset", "scale", "plus"), where)
-        machine = _load_machine(spec)
+        machine = load_machine(spec.get("machine", "pair"))
         if direction is Direction.INCREASING:
             offset = _rational_field(spec, "offset", where, "1/4")
             scale = _rational_field(spec, "scale", where, "1/2")

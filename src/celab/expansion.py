@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .rationals import ONE, ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
+from .rationals import (ONE, ZERO, Rational, dyadic_sign, format_rational as fmt, gap_below,
+                        pow2_neg)
 from .streams import ApproxStream, StageEngine, StreamError, SuiteOrFactory
 from .trace import (RecordRules, TraceEvent, VerificationReport, check_final_record, rational,
                     stages)
@@ -224,12 +225,11 @@ class _StageChecks:
             self.v4.append(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
             return
         (beta1, eta1), (beta2, eta2) = first.values(), second.values()
-        if i == 0:
-            q = Rational(1, 2)
-        else:
-            q = pow2_neg(i + max((n for j, n in self.d_count.items() if j < i), default=0) + 1)
-        lhs, rhs = beta2 - beta1, q * (eta2 - eta1)
-        if not lhs >= rhs:
+        n = i + max((d for j, d in self.d_count.items() if j < i), default=0) + 1  # q_i = 2^-n
+        lhs, growth = beta2 - beta1, eta2 - eta1
+        if dyadic_sign(lhs, growth, n) < 0:
+            # in full up to 2^-65536, past every q_i of a run at the stage cap
+            rhs = growth * pow2_neg(n) if n <= 1 << 16 else f"2^-{n} * {growth}"
             self.v4.append(f"req {i}, stages {t1}->{t2}: {lhs} < {rhs}")
 
     def finish(self) -> None:
@@ -338,7 +338,7 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     else:
         eta_T = rational(fold.eta)
         v2 = [f"beta_{i} = {b} > 2^-{i + 1} * eta_T" for i, text in sorted(fold.beta_i.items())
-              if not (b := rational(text)) <= pow2_neg(i + 1) * eta_T]
+              if dyadic_sign(b := rational(text), eta_T, i + 1) > 0]
     report.check("V2 contribution cap 2^-(i+1) * eta", v2)
 
     report.check("V3 restraint bound on lower-priority growth", checks.v3)

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, Optional
 
-from .rationals import ZERO, Rational, format_rational as fmt, gap_below, pow2_neg
+from .rationals import (ONE, ZERO, Rational, dyadic_sign, format_rational as fmt, gap_below,
+                        pow2_neg)
 from .streams import StageEngine, SuiteOrFactory
 from .trace import (RecordRules, TraceEvent, VerificationReport, check_final_record, rational,
                     stages)
@@ -298,14 +299,13 @@ class _StageChecks:
                 if t == act.stage:
                     act.base = side
                 elif act.base is not None:
-                    cap = pow2_neg(act.param + 2)
                     # a value the side has kept since the act's stage has not grown
                     for stage, value in ((skipped, ZERO), (t, side)):
                         if (stage is not None and value is not act.base
-                                and value - act.base >= cap):
+                                and dyadic_sign(value - act.base, ONE, act.param + 2) >= 0):
                             act.restrained = False
                             self.w3.append(f"position {position}: growth {value - act.base} "
-                                           f"at stage {stage} >= {cap}")
+                                           f"at stage {stage} >= 2^-{act.param + 2}")
                             break
         self.prev_stage, self.prev_diff = t, diff
 
@@ -314,12 +314,11 @@ class _StageChecks:
         """W2 at stage t for the segment's last act; kept until the
         segment ends, and counted only if it never does."""
         i, parity = divmod(position, 2)
-        margin = pow2_neg(param + 2)
         if parity == 0:
-            if not diff < v - margin:
-                segment.separation.append(f"L_{i} at stage {t}: {diff} not < {v} - {margin}")
-        elif not diff > v + margin:
-            segment.separation.append(f"R_{i} at stage {t}: {diff} not > {v} + {margin}")
+            if dyadic_sign(v - diff, ONE, param + 2) <= 0:
+                segment.separation.append(f"L_{i} at stage {t}: {diff} not < {v} - 2^-{param + 2}")
+        elif dyadic_sign(diff - v, ONE, param + 2) <= 0:
+            segment.separation.append(f"R_{i} at stage {t}: {diff} not > {v} + 2^-{param + 2}")
 
     def finish(self) -> None:
         """End the segments no initialization ended: their last acts are
@@ -352,6 +351,7 @@ class _Fold:
         self.inits: dict[int, int] = {}  # position -> initializations
         max_used = -1
         self.act_faults: list[str] = []  # W8
+        self.init_faults: list[str] = []  # W9
         pending: Optional[_Act] = None  # the act whose stage is being read
         self.rules = RecordRules(("alpha", "beta"))
         for stage, records in stages(events, None if checks is None else self.rules):
@@ -398,7 +398,9 @@ class _Fold:
                     self.used.add(value)
                     max_used = max(max_used, value)
                 elif kind == "initialize":
-                    self.params.pop(n, None)
+                    if self.params.pop(n, None) is None:
+                        self.init_faults.append(f"position {n}: initialized at stage "
+                                                f"{ev.stage} with no parameter in effect")
                     self.restraints.pop(n, None)
                     self.inits[n] = self.inits.get(n, 0) + 1
                     if checks is not None:
@@ -463,9 +465,11 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     in effect, and the act is followed in its stage by exactly one
     enumeration (enumerate_A at an odd position, enumerate_B at an even
     one) holding that bit and one restraint holding the bit + 3, and no
-    enumeration or restraint comes without its act.  Checks read the
-    fold, not the final record.  One pass over `events`, keeping the live
-    acts; every check lists its failures in the order the pass finds them.
+    enumeration or restraint comes without its act; W9 each initialized
+    position had a parameter in effect, as the engine initializes only
+    defined positions.  Checks read the fold, not the final record.  One
+    pass over `events`, keeping the live acts; every check lists its
+    failures in the order the pass finds them.
     """
     report = VerificationReport()
     checks = _StageChecks()
@@ -477,11 +481,12 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
 
     w4 = []
     for position in sorted(set(fold.inits) | set(fold.acts)):
-        n_init = fold.inits.get(position, 0)
-        if n_init > 2**position - 1:
+        # n >> position is nonzero just when n >= 2^position; no 2^position is built
+        n_init, acts = fold.inits.get(position, 0), fold.acts[position]
+        if n_init >> position:
             w4.append(f"position {position}: {n_init} initializations > {2**position - 1}")
-        if fold.acts[position] > 2**position:
-            w4.append(f"position {position}: {fold.acts[position]} acts > {2**position}")
+        if acts and (acts - 1) >> position:
+            w4.append(f"position {position}: {acts} acts > {2**position}")
     report.check("W4 injury and act bounds", w4)
 
     w5 = checks.w5
@@ -494,6 +499,7 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     report.check("W6 old values chain", fold.rules.chain_breaks)
     report.check("W7 one record a stage of alpha, beta and each adversary", fold.rules.run_breaks)
     report.check("W8 each act with its parameter, enumeration and restraint", fold.act_faults)
+    report.check("W9 each initialization of a position with a parameter", fold.init_faults)
 
     report.stats["stages"] = fold.stage
     report.stats["acts"] = sum(fold.acts.values())

@@ -23,7 +23,7 @@ from itertools import product
 from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
-from .streams import ApproxStream, Direction
+from .streams import ApproxStream, Direction, StreamError
 
 # Micro-op vocabulary for counter sub-machines, each name with its decoded
 # (kind, register) pair.  djzK decrements register K if positive, otherwise
@@ -204,8 +204,9 @@ def _length_then_bits(entry: tuple) -> tuple[int, str]:
 MAX_POOL = 1 << 20
 
 
-class MachineDefinitionError(Exception):
-    """The machine violates prefix-freeness over its enumerated halts."""
+class MachineDefinitionError(StreamError):
+    """The machine violates prefix-freeness over its enumerated halts, or
+    its Kraft sum reaches 1: a fault of the omega stream it drives."""
 
 
 class OmegaEnumeration:
@@ -241,20 +242,26 @@ class OmegaEnumeration:
     def _seed_pool(self) -> None:
         """Seed every program of length <= L that decodes: a trivial sub's
         code itself, and for a counter sub code + 1^k 0 + body for every
-        3k-bit body.  The programs are counted first and refused above
-        MAX_POOL.  Both lists are sorted by (length, bits), the order of a
-        scan over all bit strings of length 1..L."""
+        3k-bit body.  The programs are counted first, in O(dispatch entries),
+        and refused above MAX_POOL.  Both lists are sorted by (length, bits),
+        the order of a scan over all bit strings of length 1..L."""
         L = self.max_length
         trivial = [(code, sub) for code, sub in self.machine.dispatch
                    if sub.trivial and len(code) <= L]
-        shapes = [(code, sub, k) for code, sub in self.machine.dispatch if not sub.trivial
-                  for k in range((L - len(code) - 1) // 4 + 1)]
-        pool = len(trivial) + sum(8**k for _, _, k in shapes)
+        # k = 0..top for a counter sub: (8^(top+1) - 1)/7 programs, counted
+        # while 8^top has at most 64 bits more than MAX_POOL
+        tops = [(code, sub, (L - len(code) - 1) // 4) for code, sub in self.machine.dispatch
+                if not sub.trivial and len(code) < L]
+        top = max((k for *_, k in tops), default=0)
+        if 3 * top > MAX_POOL.bit_length() + 64:
+            raise ValueError(f"max_length {L} gives at least 8^{top} programs, "
+                             f"more than {MAX_POOL}")
+        pool = len(trivial) + sum((8 ** (k + 1) - 1) // 7 for *_, k in tops)
         if pool > MAX_POOL:
             raise ValueError(f"max_length {L} gives {pool} programs, more than {MAX_POOL}")
         self._trivial_pending = sorted(trivial, key=_length_then_bits)
         self._live: list[tuple[str, SubMachine, ExecState]] = []
-        for code, sub, k in shapes:
+        for code, sub, k in [(code, sub, k) for code, sub, top in tops for k in range(top + 1)]:
             head = code + "1" * k + "0"
             for ops in product(range(8), repeat=k):
                 body = "".join(_OPCODE_BITS[op] for op in ops)

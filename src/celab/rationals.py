@@ -37,9 +37,23 @@ def pow2_neg(n: int) -> Rational:
 
 def gap_below(x: Rational, v: Rational, k: int) -> bool:
     """Whether |x - v| < 2^-k, k >= 0: the integer compare
-    |x_n*v_d - v_n*x_d| * 2^k < x_d*v_d, with no Fraction built and no gcd."""
+    |x_n*v_d - v_n*x_d| * 2^k < x_d*v_d, with no Fraction built and no gcd.
+    A k past the bit length of x_d*v_d answers as that bit length does, so
+    no 2^k is built from a k read off a trace."""
     xd, vd = x.denominator, v.denominator
-    return abs(x.numerator * vd - v.numerator * xd) << k < xd * vd
+    bound = xd * vd
+    return abs(x.numerator * vd - v.numerator * xd) << min(k, bound.bit_length()) < bound
+
+
+def dyadic_sign(x: Rational, y: Rational, n: int) -> int:
+    """The sign of x - 2^-n * y, n >= 0, on integers: with a = x_n*y_d and
+    b = y_n*x_d it is the sign of a * 2^n - b, which is a's once 2^n > |b|,
+    so no 2^n is built from an n read off a trace."""
+    a, b = x.numerator * y.denominator, y.numerator * x.denominator
+    if a and n >= b.bit_length():  # |a| * 2^n >= 2^n > |b|
+        return 1 if a > 0 else -1
+    d = (a << n) - b
+    return (d > 0) - (d < 0)
 
 
 def format_rational(x: Rational) -> str:

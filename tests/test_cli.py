@@ -279,7 +279,20 @@ def test_negative_stages_is_config_error(argv, capsys):
     (["solovay", "check", "--clause", "a", "--q", "3/4",
       "--alpha", "[1]", "--beta", TestSolovayCommands.BETA],
      "stream spec [1] is not a JSON object"),
-], ids=["zero-q", "zero-p", "list-stream-spec"])
+    (["solovay", "check", "--clause", "b", "--q", "1/2", "--stages", "5", "--horizon", "3",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "--horizon must be >= 6, got 3\n"),
+    (["solovay", "check", "--clause", "b", "--q", "1/2", "--stages", "5", "--horizon", "5",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "--horizon must be >= 6, got 5\n"),
+    (["solovay", "check", "--clause", "a", "--q", "0",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "--q must be positive, got 0\n"),
+    (["solovay", "speedup", "--p=-1/2",
+      "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
+     "--p must be positive, got -1/2\n"),
+], ids=["zero-q", "zero-p", "list-stream-spec", "horizon-below", "horizon-equal",
+        "nonpositive-q", "negative-p"])
 def test_malformed_solovay_input_is_config_error(argv, message, capsys):
     assert main(argv) == EXIT_CONFIG_ERROR
     captured = capsys.readouterr()
@@ -306,6 +319,52 @@ def test_non_object_suite_entry_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, dict(PROP3_CONFIG, suite=["x"]))
     assert main(["run-prop3", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err == "config error: suite entry 0 'x' is not a JSON object\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1], "config [1] is not a JSON object"),
+    ("x", "config 'x' is not a JSON object"),
+    (dict(PROP3_CONFIG, suite=5), "config: 'suite' 5 is not a JSON array"),
+    (dict(PROP3_CONFIG, suite={"index": 0}), "config: 'suite' {'index': 0} is not a JSON array"),
+    (dict(PROP3_CONFIG, suite="LR"), "config: 'suite' 'LR' is not a JSON array"),
+    ({"stages": 5}, "config: missing field 'engine'"),
+    ({"engine": ["lemma2"], "stages": 5},
+     "unknown engine ['lemma2']; expected one of ('lemma2', 'prop3')"),
+], ids=["list", "string", "suite-number", "suite-object", "suite-string", "no-engine",
+        "engine-list"])
+def test_config_shape_is_config_error(tmp_path, capsys, payload, message):
+    # each top-level field is read by its own reader, which names it
+    cfg = write_config(tmp_path, payload)
+    assert main(["run-prop3", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_bad_rational_names_its_suite_entry(tmp_path, capsys):
+    suite = [PROP3_CONFIG["suite"][0],
+             {"index": 1, "role": "L", "kind": "constant_target", "limit": "x", "rate": "1/2"}]
+    cfg = write_config(tmp_path, dict(PROP3_CONFIG, suite=suite))
+    assert main(["run-prop3", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err.startswith(
+        "config error: bad rational 'x' for 'limit' in suite[1/L]: ")
+
+
+def test_huge_omega_length_is_refused_at_once(tmp_path, capsys):
+    # counting the programs of length <= 10^6 one shape at a time took minutes
+    cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, alpha={
+        "kind": "omega", "max_length": 1_000_000}))
+    start = time.perf_counter()
+    assert main(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ("config error: max_length 1000000 gives at least "
+                                       "8^249999 programs, more than 1048576\n")
+
+
+def test_clause_b_default_horizon_at_stage_zero(capsys):
+    # the default horizon, twice --stages, is at least 1
+    assert main(["solovay", "check", "--clause", "b", "--q", "1/2", "--stages", "0",
+                 "--alpha", TestSolovayCommands.ALPHA,
+                 "--beta", TestSolovayCommands.BETA]) == EXIT_OK
+    assert "holds on prefix T=0" in capsys.readouterr().out
 
 
 class TestOmegaCommand:
@@ -356,6 +415,19 @@ class TestOmegaCommand:
         captured = capsys.readouterr()
         assert captured.out == "0\t0/1\n"
         assert captured.err == f"config error: machine {machine}: Kraft sum reached 1\n"
+
+    def test_kraft_sum_one_in_a_stream_is_config_error(self, tmp_path, capsys):
+        # the same machine driving a config's or a flag's omega stream
+        machine = tmp_path / "full.machine"
+        machine.write_text("sub unit trivial\ndispatch 0 unit\ndispatch 1 unit\n")
+        spec = {"kind": "omega", "machine": str(machine), "max_length": 4, "offset": "0",
+                "scale": "1/4"}
+        cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, alpha=spec))
+        for argv in (["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)],
+                     ["solovay", "speedup", "--p", "1", "--stages", "3", "--alpha",
+                      json.dumps(spec), "--beta", TestSolovayCommands.BETA]):
+            assert main(argv) == EXIT_CONFIG_ERROR
+            assert capsys.readouterr().err == "config error: Kraft sum reached 1\n"
 
 
 TYPED_CONFIG = dict(LEMMA2_CONFIG, stages=20, suite=[

@@ -20,7 +20,7 @@ from celab.streams import (
     SuiteEntry,
     make_constant_target,
 )
-from celab.trace import read_trace, write_trace
+from celab.trace import TraceEvent, read_trace, write_trace
 
 DATA = Path(__file__).parent / "data"
 INC = Direction.INCREASING
@@ -280,6 +280,77 @@ class TestSingleEventMutations:
         assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
         assert main(["replay", "--trace", str(trace)]) == EXIT_OK
         capsys.readouterr()
+
+
+def stage_end(evs, stage, *records):
+    """`evs` with `records` after the last record of `stage`."""
+    n = max(n for n, ev in enumerate(evs) if ev.stage == stage) + 1
+    return evs[:n] + list(records) + evs[n:]
+
+
+BIG = 10**15  # 2^BIG would take 125 TB
+
+
+class TestNumbersOffTheTrace:
+    """A check never builds 2^n from a number a record holds: each golden
+    edit below, with a requirement, position or parameter of 10^15, fails
+    the named checks with these messages instead of raising MemoryError,
+    and replay folds it without raising."""
+
+    CASES = {
+        "lemma2-contribution": (
+            "golden_lemma2", lambda evs: evs + [TraceEvent(50, "beta_i", BIG, "0/1", "1/64")],
+            ["V0", "V2"], "V2", [f"beta_{BIG} = 1/64 > 2^-{BIG + 1} * eta_T"]),
+        "lemma2-pacing": (
+            "golden_lemma2",
+            lambda evs: stage_end(stage_end(evs, 50, TraceEvent(50, "c", BIG, "1", "2")),
+                                  49, TraceEvent(49, "c", BIG, "0", "1")),
+            ["V0", "V4"], "V4",
+            [f"req {BIG}, stages 49->50: 0 < 2^-{BIG + 3} * 1/4503599627370496"]),
+        "prop3-initialization": (
+            "golden_prop3", lambda evs: evs + [TraceEvent(50, "initialize", BIG)],
+            ["W9"], "W9", [f"position {BIG}: initialized at stage 50 with no parameter in effect"]),
+        "prop3-parameter": (
+            "golden_prop3",
+            lambda evs: [ev._replace(new=str(BIG)) if ev.kind in ("define", "act")
+                         and ev.requirement == 0 else ev for ev in evs],
+            ["W0", "W5", "W8"], "W5", None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_named_failure(self, case):
+        name, edit, failing, check, failures = self.CASES[case]
+        verify, replay = ((verify_expansion, replay_expansion) if name == "golden_lemma2"
+                          else (verify_injury, replay_injury))
+        _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
+        evs = edit(list(evs))
+        report = verify(evs, final)
+        assert [c.name[:2] for c in report.checks if not c.passed] == failing
+        if failures is not None:
+            (found,) = [c for c in report.checks if c.name.startswith(f"{check} ")]
+            assert found.failures == failures
+        replay(evs)
+
+
+def test_stray_initialization_fails_w9(tmp_path, capsys):
+    """The engine initializes only positions with a parameter in effect:
+    an initialize record for position 60, which has none at stage 50 of
+    the prop3 golden, fails W9 alone; replay still reproduces the final
+    record, since an undefined position has nothing to clear."""
+    lines = (DATA / "golden_prop3.trace.jsonl").read_text().splitlines()
+    lines.insert(-1, json.dumps({"stage": 50, "event_kind": "initialize", "requirement": 60,
+                                 "old_value": None, "new_value": None}))
+    trace = tmp_path / "stray.trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    _, evs, final = read_trace(trace)
+    report = verify_injury(evs, final)
+    assert report.first_failure() == ("W9 each initialization of a position with a parameter: "
+                                      "position 60: initialized at stage 50 with no parameter "
+                                      "in effect")
+    assert [c.name[:2] for c in report.checks if not c.passed] == ["W9"]
+    assert main(["verify", "--trace", str(trace)]) == EXIT_CHECK_FAILED
+    assert main(["replay", "--trace", str(trace)]) == EXIT_OK
+    capsys.readouterr()
 
 
 class TestProp3ActRecords:

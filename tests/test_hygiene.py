@@ -2,8 +2,9 @@
 every private top-level name it defines is read in it, no library module
 uses an `assert` statement (it vanishes under `python -O`), only the
 config loader uses `parse_rational` (a check that parses trace text goes
-through `trace.rational`, which refuses bad text as a format error), and
-only the trace module applies the p/q text rule."""
+through `trace.rational`, which refuses bad text as a format error), only
+the trace module applies the p/q text rule, and no library module imports
+another's private `_name`."""
 
 import ast
 from pathlib import Path
@@ -125,3 +126,24 @@ def test_detects_a_ratio_text_rule_use():
     source = ("from .trace import check_ratio_text, is_ratio_text\nfrom . import trace\n\n\n"
               "def f(ev):\n    check_ratio_text(ev.new)\n    return trace.is_ratio_text(ev.old)\n")
     assert uses(source, *RATIO_TEXT_RULE) == ["line 6", "line 7"]
+
+
+def private_imports(source: str) -> list[str]:
+    """`_name`s imported from another module of the package (dunder names
+    excepted)."""
+    return [f"line {node.lineno}: {alias.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("celab"))
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.startswith("__")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_cross_module_imports(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_detects_a_private_import():
+    source = ("from __future__ import annotations\nfrom fractions import _gcd\n"
+              "from .config import ENGINES, _load_machine\nfrom celab.trace import _Fold\n"
+              "from . import __version__\n")
+    assert private_imports(source) == ["line 3: _load_machine", "line 4: _Fold"]

@@ -351,6 +351,13 @@ class TestPoolBound:
         with pytest.raises(ValueError, match="max_length 40 gives 153391689 programs"):
             OmegaEnumeration(bundled_machines()["silent"], 40)
 
+    def test_huge_length_refused_by_its_power(self):
+        # the exact count, (8^20000 - 1)/7, takes O(L) to sum and prints
+        # past the interpreter's 4300-digit limit
+        with pytest.raises(ValueError, match=r"^max_length 80000 gives at least 8\^19999 "
+                                             r"programs, more than 1048576$"):
+            OmegaEnumeration(bundled_machines()["pair"], 80_000)
+
     def test_bound_is_inclusive(self, monkeypatch):
         # silent seeds 1 + 8 + 64 + 512 programs for L = 14..17, and 8^4
         # more at L = 18

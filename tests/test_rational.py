@@ -13,6 +13,7 @@ from celab.rationals import (
     ZERO,
     Rational,
     coprime,
+    dyadic_sign,
     format_rational,
     gap_below,
     parse_rational,
@@ -104,6 +105,32 @@ class TestGapBelow:
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
             gap_below(HALF, ONE, -1)
+
+    def test_exponent_off_a_trace_builds_no_power(self):
+        # 2^(10^15) would need 125 TB; past the denominators' bit length
+        # only equal values are within 2^-k
+        assert not gap_below(HALF, Rational(1, 3), 10**15)
+        assert gap_below(Rational(1, 3), Rational(2, 6), 10**15)
+
+
+class TestDyadicSign:
+    """The sign of x - 2^-n * y, on integers, is the Fraction one."""
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(x=rationals, y=rationals, n=st.integers(0, 140))
+    @example(x=ZERO, y=HALF, n=3)
+    @example(x=Rational(1, 16), y=HALF, n=3)
+    @example(x=Rational(-1, 3), y=ZERO, n=0)
+    def test_equals_fraction_form(self, x, y, n):
+        d = x - pow2_neg(n) * y
+        assert dyadic_sign(x, y, n) == (d > 0) - (d < 0)
+
+    @pytest.mark.parametrize("x, y, sign", [
+        (Rational(1, 64), HALF, 1), (Rational(-1, 64), HALF, -1), (ZERO, HALF, -1),
+        (ZERO, -HALF, 1), (ZERO, ZERO, 0), (Rational(-1, 3), -ONE, -1),
+    ])
+    def test_exponent_off_a_trace_builds_no_power(self, x, y, sign):
+        assert dyadic_sign(x, y, 10**15) == sign
 
 
 class TestFormatting:
