@@ -37,9 +37,13 @@ EXIT_CONFIG_ERROR = 2
 
 
 def _out_dir(args) -> Path:
-    out = args.out_dir or os.environ.get("CELAB_OUT_DIR") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, made if need be; one that cannot be made is a
+    configuration error."""
+    path = Path(args.out_dir or os.environ.get("CELAB_OUT_DIR") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot make output directory {path}: {e}") from None
     return path
 
 
@@ -68,8 +72,9 @@ def cmd_run(args) -> int:
     if rc.engine != args.engine:
         raise ConfigError(f"config engine is {rc.engine!r}, expected {args.engine!r}")
     entry = ENGINES[rc.engine]
-    engine = entry.run(entry.build(rc))
-    out = _out_dir(args)
+    config = entry.build(rc)
+    out = _out_dir(args)  # before any stage runs
+    engine = entry.run(config)
     trace_path = out / f"{rc.engine}.trace.jsonl"
     write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
                 engine.events, engine.snapshot())

@@ -56,8 +56,8 @@ class RunConfig(NamedTuple):
 def load_config(path: Path | str) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from None
     return config_from_dict(raw)
 

@@ -108,21 +108,6 @@ class InjuryEngine(StageEngine):
         self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(ZERO)
 
-    # -- attention ---------------------------------------------------------
-
-    def requires_attention(self, position: int, s_next: int) -> bool:
-        """Does the requirement at the given priority position require
-        attention at stage s_next?  Uses the pre-stage difference and the
-        adversary value at s_next.  The reference predicate: the engine
-        itself serves through the equivalent `_least_attention`."""
-        param = self.params.get(position)
-        if param is None:
-            return True
-        stream = self.suite.positions.get(position)
-        if stream is None:
-            return False
-        return gap_below(self.difference(s_next - 1), stream.value(s_next), param + 3)
-
     # -- the stage function --------------------------------------------------
 
     def _stage(self, s1: int) -> Rational:
@@ -136,8 +121,9 @@ class InjuryEngine(StageEngine):
         """Least position requiring attention at stage s1.  Positions below
         u are defined, so only the backed ones among them can require
         attention; u itself always does, and u <= s keeps it inside the
-        scanned range 0..2s+1.  Gap tests run in the order a scan of
-        `requires_attention` over 0..2s+1 would make them."""
+        scanned range 0..2s+1.  Gap tests run in the order a scan of the
+        attention predicate over 0..2s+1 would make them; that scan is the
+        `prop3` oracle of the tests (tests/oracles.py)."""
         u = self._undefined
         diff = self.difference(s1 - 1)
         for position, stream in self.suite.positions.items():

@@ -79,9 +79,6 @@ class ApproxStream:
         """Number of stages materialized so far."""
         return len(self._prefix)
 
-    def prefix(self) -> tuple[Rational, ...]:
-        return tuple(self._prefix)
-
     def value(self, s: int) -> Rational:
         """Value at stage s, materializing all earlier stages as needed."""
         if s < 0:

@@ -339,12 +339,14 @@ def read_trace(path: Path | str) -> tuple[dict, Iterator[TraceEvent], dict]:
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     failures: list[str] = field(default_factory=list)
     count: int = 0  # every failure, though only the first 20 found are kept
 
+    @property
+    def passed(self) -> bool:
+        return self.count == 0
+
     def fail(self, message: str) -> None:
-        self.passed = False
         self.count += 1
         if len(self.failures) < 20:  # keep reports readable
             self.failures.append(message)
@@ -357,7 +359,7 @@ class VerificationReport:
 
     def check(self, name: str, failures: Iterable[str] = ()) -> CheckResult:
         """A new check, failed once per message of `failures`."""
-        c = CheckResult(name, True)
+        c = CheckResult(name)
         for message in failures:
             c.fail(message)
         self.checks.append(c)

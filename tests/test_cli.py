@@ -73,6 +73,30 @@ class TestEngineRuns:
         assert main(["run-prop3", "--config", cfg]) == EXIT_OK
         assert (dest / "prop3.trace.jsonl").exists()
 
+    def test_out_dir_that_cannot_be_made_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # refused before the engine runs a stage, from the flag or the environment
+        cfg = write_config(tmp_path, LEMMA2_CONFIG)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        runs = []
+        monkeypatch.setitem(ENGINES, "lemma2", ENGINES["lemma2"]._replace(run=runs.append))
+        for out, env in ((blocker, None), (blocker / "sub", None), (None, blocker)):
+            if env is not None:
+                monkeypatch.setenv("CELAB_OUT_DIR", str(env))
+            argv = ["run-lemma2", "--config", cfg] + (["--out-dir", str(out)] if out else [])
+            assert main(argv) == EXIT_CONFIG_ERROR
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot make output directory {out or env}: ")
+        assert runs == []
+
+    def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe" + json.dumps(PROP3_CONFIG).encode("utf-16-le"))
+        assert main(["run-prop3", "--config", str(cfg),
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config {cfg}: 'utf-8' codec can't decode byte 0xff")
+
     def test_engine_config_mismatch_is_config_error(self, tmp_path, capsys):
         for payload, command in ((PROP3_CONFIG, "run-lemma2"),
                                  (LEMMA2_CONFIG, "run-prop3")):

@@ -3,8 +3,9 @@ every private top-level name it defines is read in it, no library module
 uses an `assert` statement (it vanishes under `python -O`), only the
 config loader uses `parse_rational` (a check that parses trace text goes
 through `trace.rational`, which refuses bad text as a format error), only
-the trace module applies the p/q text rule, and no library module imports
-another's private `_name`."""
+the trace module applies the p/q text rule, no library module imports
+another's private `_name`, and the test oracles import only `TraceEvent`
+from celab."""
 
 import ast
 from pathlib import Path
@@ -147,3 +148,29 @@ def test_detects_a_private_import():
               "from .config import ENGINES, _load_machine\nfrom celab.trace import _Fold\n"
               "from . import __version__\n")
     assert private_imports(source) == ["line 3: _load_machine", "line 4: _Fold"]
+
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+
+
+def celab_imports(source: str) -> list[str]:
+    """The names a module imports from celab, and the celab modules it
+    imports whole."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "celab":
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names if alias.name.split(".")[0] == "celab"]
+    return names
+
+
+def test_oracles_import_only_trace_event():
+    assert celab_imports(ORACLES.read_text()) == ["TraceEvent"]
+
+
+def test_detects_an_oracle_import():
+    source = ("from fractions import Fraction\nfrom celab.trace import TraceEvent\n"
+              "from celab.rationals import gap_below\nimport celab.streams\n\n\n"
+              "def f():\n    from celab import config\n")
+    assert celab_imports(source) == ["TraceEvent", "gap_below", "celab.streams", "config"]

@@ -1,8 +1,6 @@
 """Finite-injury engine: pairing, hand-audited serves, injuries, replay."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from celab.injury import (
     InjuryConfig,
@@ -15,7 +13,7 @@ from celab.injury import (
     unpair,
     verify_injury,
 )
-from celab.rationals import ZERO, Rational, parse_rational, pow2_neg
+from celab.rationals import ZERO, parse_rational, pow2_neg
 from celab.streams import (
     AdversarySuite,
     ApproxStream,
@@ -25,6 +23,7 @@ from celab.streams import (
     make_tracker,
 )
 from conftest import constant
+from oracles import requires_attention
 
 INC = Direction.INCREASING
 DEC = Direction.DECREASING
@@ -117,8 +116,10 @@ class TestHandAuditedServes:
     def test_acted_requirement_stays_quiet(self):
         engine = run_injury(InjuryConfig(audit_suite(), stages=30))
         # L_0 acted at stage 2 and is never initialized; no later attention
+        gamma_0 = engine.suite.positions[0]
         for s in range(3, 31):
-            assert not engine.requires_attention(0, s)
+            assert not requires_attention(engine.params[0], gamma_0.value(s),
+                                          engine.difference(s - 1))
 
 
 def slow_approach(offset, direction=INC):
@@ -286,7 +287,8 @@ class TestVerifyAndReplay:
 
 
 # --------------------------------------------------------------------------
-# least attention: the O(n) serve against the brute-force scan
+# least attention: the O(n) serve (the brute-force scan is the prop3 oracle,
+# compared with the engine in test_oracles.py)
 # --------------------------------------------------------------------------
 
 LIMITS = [R(f"{k}/16") for k in range(1, 16)]
@@ -315,33 +317,6 @@ def suite_from(specs):
 
 
 class TestLeastAttention:
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(
-        specs=st.lists(
-            st.tuples(st.integers(0, 3), st.sampled_from("LR"),
-                      st.sampled_from(["constant", "tracker", "slow"]),
-                      st.integers(0, 59)),
-            max_size=6,
-            unique_by=lambda spec: spec[:2],
-        ),
-        stages=st.integers(1, 300),
-    )
-    def test_serve_matches_brute_force_scan(self, specs, stages):
-        engine = InjuryEngine(InjuryConfig(suite_from(specs), stages))
-        while engine.s < stages:
-            s1 = engine.s + 1
-            expected = next(p for p in range(2 * engine.s + 2)
-                            if engine.requires_attention(p, s1))
-            bound = max([*engine.used_values, *engine.restraints.values()], default=-1)
-            logged = len(engine.events)
-            engine.step()
-            served = [ev for ev in engine.events[logged:] if ev.kind in ("define", "act")]
-            assert [ev.requirement for ev in served] == [expected]
-            if served[0].kind == "define":  # position p draws from column p
-                assert int(served[0].new) == least_in_column_above(expected, bound)
-            # parameters are defined exactly on the prefix [0, expected + 1)
-            assert set(engine.params) == set(range(expected + 1))
-
     def test_gap_tests_per_stage_bounded_by_adversaries(self):
         specs = [(0, "L", "slow", 2), (0, "R", "constant", 13),
                  (1, "L", "tracker", 0), (1, "R", "slow", 3),

@@ -66,7 +66,8 @@ class TestApproxStream:
         assert a == b == Rational(5, 6)
         assert calls == [0, 1, 2, 3, 4, 5]  # each stage generated once
         assert st.materialized == 6
-        assert st.prefix() == tuple(Rational(s, s + 1) for s in range(6))
+        assert [st.value(k) for k in range(st.materialized)] == [Rational(s, s + 1)
+                                                                 for s in range(6)]
 
     def test_monotonicity_guard_increasing(self):
         st = ApproxStream(INC, lambda s, _p: Rational(-s), unit_interval=False)
@@ -265,7 +266,7 @@ class TestConstantTarget:
         assert stream.value(2) == R("7/12")
         for s in (0, 2, 4):
             with pytest.raises(ValueError, match=f"stage {s} asked for, stage 3 due"):
-                stream.generator(s, stream.prefix())
+                stream.generator(s, [stream.value(k) for k in range(stream.materialized)])
         # a refused call moves nothing: the stream goes on from stage 3
         assert stream.value(3) == closed_form(R("2/3"), INC, HALF, 3)
 

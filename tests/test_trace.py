@@ -375,7 +375,7 @@ class TestReports:
         assert report.first_failure() == "B broken: detail one"
 
     def test_failure_detail_cap_keeps_reports_short(self):
-        c = CheckResult("X", True)
+        c = CheckResult("X")
         for k in range(100):
             c.fail(f"msg {k}")
         assert not c.passed
