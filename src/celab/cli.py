@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 from .config import (ENGINES, ConfigError, Engine, build_stream, load_config, load_machine,
@@ -47,6 +47,15 @@ def _out_dir(args) -> Path:
     return path
 
 
+@contextmanager
+def _writing(path: Path):
+    """A file that cannot be written in this block is a configuration error."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from None
+
+
 def _stream_arg(text: str, label: str) -> ApproxStream:
     try:
         spec = json.loads(text)
@@ -74,16 +83,17 @@ def cmd_run(args) -> int:
     entry = ENGINES[rc.engine]
     config = entry.build(rc)
     out = _out_dir(args)  # before any stage runs
-    engine = entry.run(config)
+    engine = entry.engine(config)
     trace_path = out / f"{rc.engine}.trace.jsonl"
-    write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
-                engine.events, engine.snapshot())
-    del engine  # free its events: the report is of the trace, read back as `celab verify` does
+    with _writing(trace_path):
+        write_trace(trace_path, {"engine": rc.engine, "stages": rc.stages},
+                    engine.records(), engine.snapshot)
     report = _verify_trace(trace_path)
-    (out / f"{rc.engine}.report.txt").write_text(report.render_text() + "\n")
-    (out / f"{rc.engine}.report.json").write_text(
-        json.dumps(report.to_dict(), indent=2) + "\n"
-    )
+    for path, text in ((out / f"{rc.engine}.report.txt", report.render_text()),
+                       (out / f"{rc.engine}.report.json",
+                        json.dumps(report.to_dict(), indent=2))):
+        with _writing(path):
+            path.write_text(text + "\n")
     print(report.render_text())
     print(f"trace: {trace_path}")
     return EXIT_OK if report.all_green else EXIT_CHECK_FAILED

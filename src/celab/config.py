@@ -30,6 +30,7 @@ from .streams import (
     ApproxStream,
     Direction,
     EngineView,
+    StageEngine,
     SuiteEntry,
     make_constant_target,
     make_tracker,
@@ -222,12 +223,12 @@ def build_suite(specs: list[dict], view: EngineView) -> AdversarySuite:
 
 class Engine(NamedTuple):
     """An engine as the CLI drives it: the top-level stream specs its config
-    needs, `build` from a RunConfig to its engine config, and its run,
-    verify and replay functions."""
+    needs, `build` from a RunConfig to its engine config, the engine class
+    an engine config starts, and its verify and replay functions."""
 
     needs: tuple[str, ...]
     build: Callable[[RunConfig], object]
-    run: Callable
+    engine: type[StageEngine]
     verify: Callable
     replay: Callable
 
@@ -248,8 +249,8 @@ def _build_injury(rc: RunConfig) -> injury.InjuryConfig:
 # engine name (a config's "engine", `celab run-<name>`, a trace header's
 # "engine") -> Engine; a new engine registers here and nowhere else
 ENGINES: dict[str, Engine] = {
-    "lemma2": Engine(("alpha", "eta"), _build_expansion, expansion.run_expansion,
+    "lemma2": Engine(("alpha", "eta"), _build_expansion, expansion.ExpansionEngine,
                      expansion.verify_expansion, expansion.replay_expansion),
-    "prop3": Engine((), _build_injury, injury.run_injury,
+    "prop3": Engine((), _build_injury, injury.InjuryEngine,
                     injury.verify_injury, injury.replay_injury),
 }

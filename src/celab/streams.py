@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 from .rationals import ONE, ZERO, Rational, coprime, format_rational as fmt
 from .trace import KINDS, TraceEvent
@@ -293,8 +293,9 @@ class StageEngine:
     `_stage(s1)` from the state through stage s1 - 1, returning
     alpha_s1 - beta_s1; `diff_at` then grows by that value and the stage
     counter moves.  Every record goes through `_log`, which chains one of a
-    chained kind to the last record of its kind and requirement.  Its config
-    carries a `suite` (or suite factory) and a `stages` budget.
+    chained kind to the last record of its kind and requirement and keeps
+    it in `events` until `records()` hands it out.  Its config carries a
+    `suite` (or suite factory) and a `stages` budget.
     """
 
     def __init__(self, config):
@@ -319,9 +320,18 @@ class StageEngine:
         self.diff_at.append(self._stage(s1))
         self.s = s1
 
-    def run(self) -> None:
-        while self.s < self.config.stages:
+    def records(self) -> Iterator[TraceEvent]:
+        """Each record as it is logged, stage by stage up to the budget;
+        `events` keeps only the records not yet handed out."""
+        while True:
+            yield from self.events
+            self.events.clear()
+            if self.s >= self.config.stages:
+                return
             self.step()
+
+    def run(self) -> None:
+        self.events = list(self.records())
 
     def _read_suite(self, s1: int, first_side: int) -> dict[int, Rational]:
         """The value at stage s1 of every participating adversary (index at

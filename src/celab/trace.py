@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from json.scanner import make_scanner
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .rationals import Rational
 
@@ -200,12 +200,17 @@ def stages(events: Iterable[TraceEvent], rules: Optional[RecordRules] = None
         rules.close(stage)
 
 
-def write_trace(path: Path | str, header: dict, events: list[TraceEvent], final: dict) -> None:
-    path = Path(path)
-    with path.open("w") as fh:
+def write_trace(path: Path | str, header: dict, events: Iterable[TraceEvent],
+                final: dict | Callable[[], dict]) -> None:
+    """Write a trace, each event as it is drawn; `final` is the final record,
+    or a function giving it after the last event.  Events that raise leave
+    no final record, so no reader accepts the trace."""
+    with Path(path).open("w") as fh:
         fh.write(json.dumps({"record": "header", **header}, separators=(",", ":")) + "\n")
         for ev in events:
             fh.write(ev.to_json() + "\n")
+        if callable(final):
+            final = final()
         fh.write(json.dumps({"record": "final", **final}, separators=(",", ":")) + "\n")
 
 

@@ -13,6 +13,7 @@ import pytest
 import celab
 from celab.cli import EXIT_CHECK_FAILED, EXIT_CONFIG_ERROR, EXIT_OK, build_parser, main
 from celab.config import ENGINES
+from celab.expansion import ExpansionEngine
 from celab.trace import KINDS, TraceEvent, TraceFormatError, read_trace
 
 LEMMA2_CONFIG = {
@@ -79,7 +80,7 @@ class TestEngineRuns:
         blocker = tmp_path / "a-file"
         blocker.write_text("")
         runs = []
-        monkeypatch.setitem(ENGINES, "lemma2", ENGINES["lemma2"]._replace(run=runs.append))
+        monkeypatch.setitem(ENGINES, "lemma2", ENGINES["lemma2"]._replace(engine=runs.append))
         for out, env in ((blocker, None), (blocker / "sub", None), (None, blocker)):
             if env is not None:
                 monkeypatch.setenv("CELAB_OUT_DIR", str(env))
@@ -88,6 +89,28 @@ class TestEngineRuns:
             err = capsys.readouterr().err
             assert err.startswith(f"config error: cannot make output directory {out or env}: ")
         assert runs == []
+
+    @pytest.mark.parametrize("blocked", ["trace.jsonl", "report.txt", "report.json"])
+    def test_output_file_that_cannot_be_written_is_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, blocked):
+        # the trace is opened before stage 1: a blocked trace path stops the
+        # run before any stage, a blocked report after the whole run
+        cfg = write_config(tmp_path, LEMMA2_CONFIG)
+        path = tmp_path / f"lemma2.{blocked}"
+        path.mkdir()
+        steps = []
+
+        class Counted(ExpansionEngine):
+            def step(self):
+                steps.append(self.s + 1)
+                super().step()
+
+        monkeypatch.setitem(ENGINES, "lemma2", ENGINES["lemma2"]._replace(engine=Counted))
+        assert main(["run-lemma2", "--config", cfg,
+                     "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {path}: ")
+        stages = 0 if blocked == "trace.jsonl" else LEMMA2_CONFIG["stages"]
+        assert steps == list(range(1, stages + 1))
 
     def test_config_not_utf8_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -587,14 +610,28 @@ OMEGA_CONFIGS = {
 
 @pytest.mark.parametrize("case", list(OMEGA_CONFIGS))
 def test_omega_stream_config_never_raises(tmp_path, case):
+    # a run that stops on a stream fault leaves the trace written so far,
+    # with no final record, in place of an earlier run's trace
     edit, code, stderr = OMEGA_CONFIGS[case]
     cfg = write_config(tmp_path, {**LEMMA2_CONFIG, "stages": 40, **edit})
+    trace = tmp_path / "lemma2.trace.jsonl"
+    trace.write_bytes((GOLDENS / "golden_lemma2.trace.jsonl").read_bytes())
     proc = subprocess.run(
         [sys.executable, "-m", "celab.cli", "run-lemma2", "--config", cfg,
          "--out-dir", str(tmp_path)],
         capture_output=True, text=True, env=module_env(), timeout=120)
     assert "Traceback" not in proc.stderr
     assert (proc.returncode, proc.stderr) == (code, stderr)
+    if code == EXIT_CONFIG_ERROR:
+        header, *events = map(json.loads, trace.read_text().splitlines())
+        assert header["record"] == "header"
+        # alpha faults at stage 1: stage 0's records, then nothing
+        assert [(ev.get("stage"), ev.get("event_kind")) for ev in events] == [
+            (0, "alpha"), (0, "eta"), (0, "beta")]
+        for returncode, out, err in run_module(trace).values():
+            assert (returncode, out) == (EXIT_CONFIG_ERROR, "")
+            assert err.startswith(f"config error: cannot read trace {trace}")
+            assert "Traceback" not in err
 
 
 # name -> (golden engine, record, its edit, verify exit, replay exit); the

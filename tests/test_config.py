@@ -90,7 +90,8 @@ class TestEngineTable:
     @pytest.mark.parametrize("name", ["lemma2", "prop3"])
     def test_build_then_run(self, name):
         entry = ENGINES[name]
-        engine = entry.run(entry.build(config_from_dict(self.CONFIGS[name])))
+        engine = entry.engine(entry.build(config_from_dict(self.CONFIGS[name])))
+        engine.run()
         snapshot = engine.snapshot()
         assert snapshot["engine"] == name and snapshot["stage"] == 7
         assert entry.verify(engine.events, snapshot).all_green
@@ -104,7 +105,8 @@ class TestEngineTable:
         config = entry.build(config_from_dict(dict(self.CONFIGS[name], suite=trackers)))
         gc.disable()
         try:
-            engine = entry.run(config)
+            engine = entry.engine(config)
+            engine.run()
             freed = weakref.ref(engine)
             del engine
             assert freed() is None

@@ -22,7 +22,9 @@ DATA = Path(__file__).parent / "data"
 
 def engine_events(config: dict) -> list:
     entry = ENGINES[config["engine"]]
-    return entry.run(entry.build(config_from_dict(config))).events
+    engine = entry.engine(entry.build(config_from_dict(config)))
+    engine.run()
+    return engine.events
 
 
 def target(limit: str, rate: str) -> dict:

@@ -1,14 +1,17 @@
 """Monotone stream machinery: targets, trackers, guards, suites."""
 
 import gc
+import json
 import weakref
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import celab.streams
+from celab.config import ENGINES, config_from_dict
 from celab.rationals import HALF, ONE, ZERO, Rational, format_rational, parse_rational
 from celab.streams import (
     AdversarySuite,
@@ -446,3 +449,40 @@ class TestSuite:
         suite = AdversarySuite(())
         assert suite.positions == {}
         assert len(suite) == 0
+
+
+class TestRecords:
+    """`StageEngine.records()` hands out each record as it is logged, stage
+    by stage, on both golden configs."""
+
+    @staticmethod
+    def golden(name):
+        """A fresh engine for the golden config, and the golden event lines."""
+        data = Path(__file__).parent / "data"
+        entry = ENGINES[name]
+        config = config_from_dict(json.loads((data / f"golden_{name}.config.json").read_text()))
+        lines = (data / f"golden_{name}.trace.jsonl").read_text().splitlines()
+        return entry.engine(entry.build(config)), lines[1:-1]
+
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_golden_config_gives_the_golden_lines(self, name):
+        engine, lines = self.golden(name)
+        assert [ev.to_json() for ev in engine.records()] == lines
+        assert engine.events == [] and engine.s == engine.config.stages
+
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_events_hold_one_stage_while_drawn(self, name):
+        engine, _ = self.golden(name)
+        for ev in engine.records():
+            assert ev in engine.events
+            assert {held.stage for held in engine.events} == {engine.s}
+
+    @pytest.mark.parametrize("name", ["lemma2", "prop3"])
+    def test_records_step_logged_come_first(self, name):
+        engine, lines = self.golden(name)
+        engine.step()
+        engine.step()
+        logged = [ev.to_json() for ev in engine.events]
+        drawn = [ev.to_json() for ev in engine.records()]
+        assert {json.loads(line)["stage"] for line in logged} == {0, 1, 2}
+        assert drawn[:len(logged)] == logged and drawn == lines
