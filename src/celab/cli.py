@@ -148,24 +148,33 @@ def _traced_engine(header: dict) -> Engine:
     return ENGINES[name]
 
 
-def _fold_trace(path: Path | str, fold):
+def _fold_trace(path: Path | str, fold, reached):
     """`fold(engine entry, events, final record)` on the trace at `path`,
-    its events read as the fold reads them; a trace that cannot be read,
-    or a record that breaks its kind's layout, is a configuration error.
-    A TraceFormatError's message starts with `path` (and the line), so the
-    error names the file once."""
+    its events read as the fold reads them; `reached(result)` is the last
+    stage the fold read.  A trace that cannot be read, a record that breaks
+    its kind's layout, or a header whose `stages` is not that stage as an
+    integer is a configuration error.  The last refuses a trace cut at a
+    stage boundary: its final record may agree with the events kept, but
+    its header does not.  A TraceFormatError's message starts with `path`
+    (and the line), so the error names the file once."""
     try:
         header, events, final = read_trace(path)
         with closing(events):
-            return fold(_traced_engine(header), events, final)
+            result = fold(_traced_engine(header), events, final)
     except TraceFormatError as e:
         raise ConfigError(f"cannot read trace {e}") from None
     except OSError as e:
         raise ConfigError(f"cannot read trace {path}: {e}") from None
+    stages = header.get("stages")
+    if type(stages) is not int or stages != reached(result):
+        raise ConfigError(f"cannot read trace {path}: header stages {stages!r}, "
+                          f"events reach stage {reached(result)}")
+    return result
 
 
 def _verify_trace(path: Path | str):
-    return _fold_trace(path, lambda entry, events, final: entry.verify(events, final))
+    return _fold_trace(path, lambda entry, events, final: entry.verify(events, final),
+                       lambda report: report.stats["stages"])
 
 
 def cmd_verify(args) -> int:
@@ -179,7 +188,8 @@ def cmd_verify(args) -> int:
 
 def cmd_replay(args) -> int:
     rebuilt, recorded = _fold_trace(
-        args.trace, lambda entry, events, final: (entry.replay(events), final))
+        args.trace, lambda entry, events, final: (entry.replay(events), final),
+        lambda folded: folded[0]["stage"])
     if rebuilt == recorded:
         print("replay: final state reproduced bit-exactly")
         return EXIT_OK

@@ -130,7 +130,7 @@ def load_machine(name) -> ToyMachine:
     path = Path(name)
     if path.exists():
         try:
-            return parse_machine(path.read_text())
+            return parse_machine(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as e:
             raise ConfigError(f"bad machine file {name}: {e}") from None
     raise ConfigError(f"unknown machine {name!r} (not bundled, not a file)")

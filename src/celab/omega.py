@@ -4,7 +4,8 @@ halting probability.
 The top-level machine dispatches "by adjunction": a finite prefix-free set of
 codes sigma_e routes the program tail to sub-interpreter e, so running
 sigma_e + tau on the top machine is the same computation as running tau on
-sub-machine e.
+sub-machine e.  Programs run only inside `OmegaEnumeration`, which seeds
+every routed, decodable program and steps each one per stage.
 
 A counter sub-machine reads its tail as a self-delimiting program: a unary
 instruction count (k ones, then a zero) followed by exactly 3k body bits,
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
 from .streams import ApproxStream, Direction, StreamError
@@ -33,6 +33,8 @@ MICRO_OPS = {"halt": ("halt", 0), "inc0": ("inc", 0), "inc1": ("inc", 1), "inc2"
              "djz0": ("djz", 0), "djz1": ("djz", 1), "djz2": ("djz", 2),
              "jmp": ("jmp", 0), "nop": ("nop", 0)}
 
+# What `ExecState.step` returns: the program halted, it may still halt, or
+# it provably never halts.
 HALTED = "halt"
 RUNNING = "running"
 INVALID = "invalid"
@@ -61,45 +63,6 @@ class SubMachine:
                 raise ValueError(f"sub {self.name}: unknown micro-op {op!r}")
         object.__setattr__(self, "ops", tuple(MICRO_OPS[op] for op in self.opcodes))
 
-    def decode(self, tail: str) -> Optional[list[int]]:
-        """Parse a self-delimiting tail into a list of opcode numbers, or
-        None if the tail is not exactly a valid program."""
-        if self.trivial:
-            return [] if tail == "" else None
-        count = 0
-        while count < len(tail) and tail[count] == "1":
-            count += 1
-        if count >= len(tail):  # no terminating zero
-            return None
-        body = tail[count + 1:]
-        if len(body) != 3 * count:
-            return None
-        return [int(body[k:k + 3], 2) for k in range(0, len(body), 3)]
-
-    def run(self, tail: str, budget: int) -> tuple[str, Optional[int]]:
-        """Run the tail for at most `budget` steps.
-
-        Returns (status, steps): ("halt", steps) on halting, ("running",
-        None) if the budget ran out or the program provably never halts
-        (it runs off the end, or `ExecState.step` finds it pumping),
-        ("invalid", None) if the tail is not a program.  A program that
-        never halts is answered as soon as that is proven, however large
-        the budget.
-        """
-        program = self.decode(tail)
-        if program is None:
-            return (INVALID, None)
-        if self.trivial:
-            return (HALTED, 1) if budget >= 1 else (RUNNING, None)
-        exec_state = ExecState(program)
-        for _ in range(budget):
-            status = exec_state.step(self.ops)
-            if status == HALTED:
-                return (HALTED, exec_state.steps)
-            if status == INVALID:  # never halts
-                return (RUNNING, None)
-        return (RUNNING, None)
-
 
 class ExecState:
     """Mutable execution state of one counter program.
@@ -109,13 +72,12 @@ class ExecState:
     start counts as one), and `zero_tested`, the bitmask of registers a
     djz has found zero since then."""
 
-    __slots__ = ("program", "pc", "regs", "steps", "jump_regs", "zero_tested")
+    __slots__ = ("program", "pc", "regs", "jump_regs", "zero_tested")
 
     def __init__(self, program: list[int]):
         self.program = program
         self.pc = 0
         self.regs = [0, 0, 0]
-        self.steps = 0
         self.jump_regs = (0, 0, 0)
         self.zero_tested = 0
 
@@ -133,7 +95,6 @@ class ExecState:
         if self.pc >= len(self.program):
             return INVALID
         kind, k = ops[self.program[self.pc]]
-        self.steps += 1
         if kind == "halt":
             return HALTED
         if kind == "nop":
@@ -172,23 +133,11 @@ class ToyMachine:
         for code in codes:
             if not code or any(b not in "01" for b in code):
                 raise ValueError(f"bad dispatch code {code!r}")
-        for a in codes:
-            for b in codes:
-                if a != b and b.startswith(a):
-                    raise ValueError(f"dispatch codes not prefix-free: {a!r} < {b!r}")
-
-    def route(self, program: str) -> Optional[tuple[SubMachine, str]]:
-        for code, sub in self.dispatch:
-            if program.startswith(code):
-                return sub, program[len(code):]
-        return None
-
-    def run(self, program: str, budget: int) -> tuple[str, Optional[int]]:
-        routed = self.route(program)
-        if routed is None:
-            return (INVALID, None)
-        sub, tail = routed
-        return sub.run(tail, budget)
+        # each pair once, by position, so a repeated code is refused too
+        for n, a in enumerate(codes):
+            for b in codes[n + 1:]:
+                if a.startswith(b) or b.startswith(a):
+                    raise ValueError(f"dispatch codes not prefix-free: {a!r} vs {b!r}")
 
 
 # A counter body spells opcode n as its 3-bit big-endian binary form.

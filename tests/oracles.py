@@ -1,5 +1,6 @@
-"""Naive reference engines for the tests: one per stage engine, each a plain
-transcription of its engine module's docstring.
+"""Naive references for the tests: one per stage engine, each a plain
+transcription of its engine module's docstring, and one for the toy machine
+of `celab.omega`.
 
 `lemma2` follows steps 1-5 of `celab.expansion`; `prop3` follows
 `celab.injury` and scans every position 0..2s+1 with the attention
@@ -9,11 +10,18 @@ and returns the TraceEvent list its engine logs.  Every number is a
 chained here.  Suite entries may also be of the kind "slow" with an
 "offset", the slow approach of `test_injury.slow_approach`.
 
+The machine reference routes a bit string through the dispatch table,
+decodes its tail in the self-delimiting format of `celab.omega`'s docstring
+and runs it step by step until it halts, runs off the end or its budget
+ends, with no pumping test.  It reads a machine only through `.dispatch`,
+`sub.trivial` and `sub.opcodes`.
+
 Only `TraceEvent` comes from celab (`test_hygiene.py` holds it to that): an
 oracle that called a shortcut of the library would check it against itself.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from celab.trace import TraceEvent
 
@@ -203,3 +211,68 @@ def prop3(config: dict) -> list[TraceEvent]:
         log(s1, "beta", None, text(beta))
         diff.append(alpha - beta)
     return log
+
+
+def route_and_decode(machine, program: str):
+    """(sub, opcode list) for a dispatch code followed by a tail its sub
+    decodes, else None.  A trivial sub decodes only the empty tail, a
+    counter sub k ones, a zero and then exactly 3k body bits, each 3 bits
+    one opcode, big-endian."""
+    routed = [(sub, program[len(code):]) for code, sub in machine.dispatch
+              if program.startswith(code)]
+    if not routed:
+        return None
+    [(sub, tail)] = routed
+    if sub.trivial:
+        return (sub, []) if tail == "" else None
+    k = len(tail) - len(tail.lstrip("1"))
+    body = tail[k + 1:]
+    if k == len(tail) or len(body) != 3 * k:
+        return None
+    return sub, [int(body[n:n + 3], 2) for n in range(0, 3 * k, 3)]
+
+
+def unpruned_run(opcodes, body, budget):
+    """The halting time of a counter program within `budget` steps, or None:
+    a plain interpreter over the opcode names that stops only when the
+    program halts, runs off the end or the budget ends."""
+    pc, regs = 0, [0, 0, 0]
+    for t in range(1, budget + 1):
+        if pc >= len(body):
+            return None
+        op = opcodes[body[pc]]
+        if op == "halt":
+            return t
+        if op == "jmp":
+            pc = 0
+        elif op.startswith("inc"):
+            regs[int(op[3])] += 1
+            pc += 1
+        elif op.startswith("djz") and regs[int(op[3])] == 0:
+            pc += 2
+        else:
+            if op.startswith("djz"):
+                regs[int(op[3])] -= 1
+            pc += 1
+    return None
+
+
+def counter_tail(body):
+    return "1" * len(body) + "0" + "".join(format(n, "03b") for n in body)
+
+
+def unpruned_halts(machine, max_length, budget):
+    """program -> halting time for every program of length <= L that halts
+    within `budget` steps, each run by `unpruned_run`."""
+    halts = {}
+    for code, sub in machine.dispatch:
+        if sub.trivial:
+            if len(code) <= max_length:
+                halts[code] = 1
+            continue
+        for k in range((max_length - len(code) - 1) // 4 + 1):
+            for body in product(range(8), repeat=k):
+                t = unpruned_run(sub.opcodes, body, budget)
+                if t is not None:
+                    halts[code + counter_tail(body)] = t
+    return halts

@@ -45,6 +45,7 @@ from celab.streams import (
     make_tracker,
 )
 from celab.trace import write_trace
+from oracles import route_and_decode, unpruned_run
 
 DATA = Path(__file__).parent / "data"
 INC = Direction.INCREASING
@@ -392,15 +393,28 @@ def test_criterion_7_omega_machine():
             assert w < ONE
             assert w >= previous
             previous = w
-    # dispatch-by-adjunction, exhaustive over tails of length <= 8
+    # dispatch-by-adjunction, exhaustive over tails of length <= 8: the
+    # enumeration's halts under a code are code + tau for each tail tau the
+    # reference decodes on that code's sub and runs to a halt, each at its
+    # halting time
     tails = [""]
     for length in range(1, 9):
         tails += ["".join(bits) for bits in product("01", repeat=length)]
     for name, machine in machines.items():
-        for code, sub in machine.dispatch:
+        for code, _sub in machine.dispatch:
+            enum = OmegaEnumeration(machine, len(code) + 8)
+            enum.advance_to(budget)
+            want = {}
             for tail in tails:
-                assert machine.run(code + tail, budget) == sub.run(tail, budget), (
-                    f"{name}: {code!r} + {tail!r} disagrees with sub-machine")
+                decoded = route_and_decode(machine, code + tail)
+                if decoded is None:
+                    continue
+                sub, body = decoded
+                t = 1 if sub.trivial else unpruned_run(sub.opcodes, body, budget)
+                if t is not None:
+                    want[code + tail] = t
+            got = {p: t for p, t in enum.halted.items() if p.startswith(code)}
+            assert got == want, f"{name}: halts under {code!r} disagree with the reference"
 
 
 # --------------------------------------------------------------------------

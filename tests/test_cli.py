@@ -463,6 +463,41 @@ class TestOmegaCommand:
         assert captured.out == "0\t0/1\n"
         assert captured.err == f"config error: machine {machine}: Kraft sum reached 1\n"
 
+    @pytest.mark.parametrize("subs", [
+        "sub c halt inc0 inc1 inc2 djz0 djz1 jmp nop\n"
+        "sub d nop inc0 inc1 djz0 halt djz1 jmp inc2\n"
+        "dispatch 0 c\ndispatch 0 d\n",
+        "sub u trivial\nsub v trivial\ndispatch 0 u\ndispatch 0 v\n",
+    ], ids=["two-counters", "two-trivial"])
+    def test_repeated_dispatch_code_is_config_error(self, tmp_path, capsys, subs):
+        # one program string would run on two interpreters: the two
+        # counters' halts 010000 and 010100 made Omega read 1/32 with exit 0
+        machine = tmp_path / "repeated.machine"
+        machine.write_text(subs)
+        rc = main(["omega", "enumerate", "--machine", str(machine),
+                   "--length", "6", "--stages", "3"])
+        assert rc == EXIT_CONFIG_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: bad machine file {machine}: "
+                                "dispatch codes not prefix-free: '0' vs '0'\n")
+
+    def test_machine_file_is_read_as_utf8(self, tmp_path):
+        # the same output under the C locale with Python's UTF-8 mode off,
+        # where the default text encoding is ASCII
+        machine = tmp_path / "omega.machine"
+        machine.write_text("# \u03a9 machine\nsub unit trivial\ndispatch 10 unit\n",
+                           encoding="utf-8")
+        argv = ["-m", "celab.cli", "omega", "enumerate", "--machine", str(machine),
+                "--length", "4", "--stages", "2"]
+        ascii_env = dict(module_env(), LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        runs = [subprocess.run([sys.executable, "-X", mode, *argv], capture_output=True,
+                               text=True, env=env, timeout=60)
+                for mode, env in (("utf8=0", ascii_env), ("utf8", module_env()))]
+        for proc in runs:
+            assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert runs[0].stdout == runs[1].stdout == "0\t0/1\n1\t1/4\n2\t1/4\n"
+
     def test_kraft_sum_one_in_a_stream_is_config_error(self, tmp_path, capsys):
         # the same machine driving a config's or a flag's omega stream
         machine = tmp_path / "full.machine"
@@ -642,7 +677,9 @@ def test_omega_stream_config_never_raises(tmp_path, case):
 # that is not UTF-8 or a framing record (header, final, or another "record")
 # between the first and last lines; both commands exit 2 on it, whatever the
 # kind and wherever the record.  A tampered final record fails V0/W0 and
-# replay.
+# replay.  A header whose "stages" is not the integer stage the events
+# reach is refused: a trace cut at a stage boundary, whose final record is
+# the replay of the events kept, is consistent but for its header.
 TAMPERED = {
     "lemma2-c-requirement-null": ("lemma2", ("c", "first"), {"requirement": None}, 2, 2),
     "lemma2-final-eta-null": ("lemma2", ("eta", "last"), {"new_value": None}, 2, 2),
@@ -682,6 +719,16 @@ TAMPERED = {
                                                               *lines[100:]], 2, 2),
     "prop3-byte-ff": ("prop3", "lines", lambda lines: [*lines[:100], lines[100] + b"\xff",
                                                        *lines[101:]], 2, 2),
+    "lemma2-cut-at-25": ("lemma2", "lines", lambda lines: cut(lines, 25), 2, 2),
+    "prop3-cut-at-25": ("prop3", "lines", lambda lines: cut(lines, 25), 2, 2),
+    "prop3-cut-at-25-header-25": ("prop3", "lines",
+                                  lambda lines: with_stages(cut(lines, 25), 25), 0, 0),
+    "prop3-header-stages-true": ("prop3", "lines", lambda lines: with_stages(lines, True),
+                                 2, 2),
+    "lemma2-header-stages-text": ("lemma2", "lines", lambda lines: with_stages(lines, "50"),
+                                  2, 2),
+    "lemma2-header-no-stages": ("lemma2", "lines", lambda lines: with_stages(lines, None),
+                                2, 2),
 }
 
 
@@ -703,6 +750,23 @@ def rechained(lines, kind, which, new) -> list:
             lines[m] = json.dumps({**later, "old_value": new}).encode()
             return lines
     raise AssertionError(f"no {kind} record after line {n}")
+
+
+def cut(lines, stage):
+    """The trace's lines cut after `stage`, the final record the replay of
+    the events kept; the header still says 50 stages."""
+    kept = [line for line in lines[1:-1] if json.loads(line)["stage"] <= stage]
+    replay = ENGINES[json.loads(lines[0])["engine"]].replay
+    final = replay(TraceEvent.from_dict(json.loads(line)) for line in kept)
+    return [lines[0], *kept, json.dumps({"record": "final", **final}).encode()]
+
+
+def with_stages(lines, stages):
+    """The trace's lines with the header's "stages" set to `stages`, or
+    dropped for None."""
+    header = {k: v for k, v in {**json.loads(lines[0]), "stages": stages}.items()
+              if v is not None}
+    return [json.dumps(header).encode(), *lines[1:]]
 
 
 @pytest.mark.parametrize("case", list(TAMPERED))

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from celab import omega
 from celab.omega import (
+    ExecState,
     HALTED,
     INVALID,
     MICRO_OPS,
     MachineDefinitionError,
     OmegaEnumeration,
+    RUNNING,
     STANDARD_TABLE,
     SubMachine,
     ToyMachine,
@@ -23,6 +25,7 @@ from celab.omega import (
 )
 from celab.rationals import ONE, ZERO, Rational, parse_rational
 from celab.streams import Direction, make_constant_target
+from oracles import route_and_decode, unpruned_halts, unpruned_run
 
 INC = Direction.INCREASING
 
@@ -35,27 +38,71 @@ def counter(name="c", table=STANDARD_TABLE):
     return SubMachine(name, opcodes=table)
 
 
+def one_code(sub, tail):
+    """The program "0" + tail, and the enumeration of the machine that
+    routes code 0 to `sub`, at that program's length."""
+    program = "0" + tail
+    return program, OmegaEnumeration(ToyMachine((("0", sub),)), len(program))
+
+
+def seeded(sub, tail):
+    """The opcode list that enumeration seeds "0" + tail with ([] for a
+    trivial sub), or None if it seeds no such program."""
+    program, enum = one_code(sub, tail)
+    if any(p == program for p, _ in enum._trivial_pending):
+        return []
+    return next((state.program for p, _, state in enum._live if p == program), None)
+
+
+def run_stages(sub, tail, stages):
+    """That enumeration advanced to `stages`: the stage at which "0" + tail
+    halted, or None, and whether the program is still in the pool."""
+    program, enum = one_code(sub, tail)
+    enum.advance_to(stages)
+    pool = [p for p, _ in enum._trivial_pending] + [p for p, *_ in enum._live]
+    return enum.halted.get(program), program in pool
+
+
+def first_answer(table, body, limit):
+    """(status, step) at the first of `limit` steps at which
+    `ExecState.step` answers HALTED or INVALID, or (RUNNING, limit)."""
+    ops, state = counter(table=tuple(table)).ops, ExecState(list(body))
+    for t in range(1, limit + 1):
+        status = state.step(ops)
+        if status != RUNNING:
+            return status, t
+    return RUNNING, limit
+
+
+def assert_omega_sums(enum, halts, stages):
+    """omega(s) is the Kraft sum of the halts (program -> halting time) at
+    or before s, for every s <= stages."""
+    for s in range(stages + 1):
+        want = sum((Rational(1, 1 << len(p)) for p, t in halts.items() if t <= s), start=ZERO)
+        assert enum.omega(s) == want
+
+
 class TestSubMachine:
     def test_trivial_domain_is_empty_tail(self):
         unit = SubMachine("unit", trivial=True)
-        assert unit.decode("") == []
-        assert unit.decode("0") is None
-        assert unit.run("", budget=1) == (HALTED, 1)
-        assert unit.run("", budget=0) == ("running", None)
+        assert seeded(unit, "") == []
+        assert seeded(unit, "0") is None
+        assert run_stages(unit, "", 1) == (1, False)
+        assert run_stages(unit, "", 0) == (None, True)
 
     def test_decode_self_delimiting(self):
         c = counter()
         # one instruction: "1" "0" + 3 body bits
-        assert c.decode("10000") == [0]
-        assert c.decode("10111") == [7]
+        assert seeded(c, "10000") == [0]
+        assert seeded(c, "10111") == [7]
         # two instructions: "11" "0" + 6 body bits
-        assert c.decode("110000111") == [0, 7]
+        assert seeded(c, "110000111") == [0, 7]
         # malformed: missing zero, short body, long body
-        assert c.decode("1111") is None
-        assert c.decode("1001") is None
-        assert c.decode("100000") is None
-        assert c.decode("") is None  # zero instructions need the "0" marker
-        assert c.decode("0") == []
+        assert seeded(c, "1111") is None
+        assert seeded(c, "1001") is None
+        assert seeded(c, "100000") is None
+        assert seeded(c, "") is None  # zero instructions need the "0" marker
+        assert seeded(c, "0") == []
 
     def test_opcode_table_validation(self):
         with pytest.raises(ValueError):
@@ -68,39 +115,43 @@ class TestSubMachine:
     def test_run_halting_times(self):
         c = counter()
         # [DERIVED] opcode 0 = halt: halts at step 1
-        assert c.run("10000", budget=5) == (HALTED, 1)
+        assert run_stages(c, "10000", 5) == (1, False)
         # [DERIVED] nop (7) then halt: 2 steps
-        assert c.run("110111000", budget=5) == (HALTED, 2)
+        assert run_stages(c, "110111000", 5) == (2, False)
         # [DERIVED] inc0, djz0, halt: inc, djz (r0=1>0: dec, pc+1), halt = 3
-        assert c.run("1110001100000", budget=5) == (HALTED, 3)
-        # budget too small: still running
-        assert c.run("110111000", budget=1) == ("running", None)
+        assert run_stages(c, "1110001100000", 5) == (3, False)
+        # too few stages: still running
+        assert run_stages(c, "110111000", 1) == (None, True)
 
     def test_structural_divergence(self):
         c = counter()
         # single nop runs off the end: dead, never halts
-        assert c.run("10111", budget=10) == ("running", None)
+        assert run_stages(c, "10111", 10) == (None, False)
         # jmp alone loops forever
-        assert c.run("10110", budget=100) == ("running", None)
+        assert run_stages(c, "10110", 100) == (None, False)
         # djz0 on zero register skips past the end
-        assert c.run("10100", budget=10) == ("running", None)
+        assert run_stages(c, "10100", 10) == (None, False)
 
     def test_empty_program_runs_off_end(self):
-        c = counter()
-        assert c.run("0", budget=10) == ("running", None)
+        assert run_stages(counter(), "0", 10) == (None, False)
 
     def test_invalid_tail(self):
-        assert counter().run("111", budget=10) == (INVALID, None)
+        assert seeded(counter(), "111") is None
+        assert run_stages(counter(), "111", 10) == (None, False)
 
 
 class TestToyMachine:
     def test_dispatch_is_adjunction(self):
-        # running code+tail on the top machine == running tail on the sub
+        # the halts of code + tail on the top machine are those of tail on
+        # the machine that routes code alone to the same sub
         machine = bundled_machines()["pair"]
-        for tail in ("10000", "110111000", "0"):
-            top = machine.run("0" + tail, budget=50)
-            sub = counter("counter_a").run(tail, budget=50)
-            assert top == sub
+        top = OmegaEnumeration(machine, 10)
+        top.advance_to(50)
+        for code, sub in machine.dispatch:
+            alone = OmegaEnumeration(ToyMachine(((code, sub),)), 10)
+            alone.advance_to(50)
+            assert {p: t for p, t in top.halted.items() if p.startswith(code)} == alone.halted
+        assert top.halted["0" + "10000"] == 1 and top.halted["0" + "110111000"] == 2
 
     def test_prefix_free_dispatch_enforced(self):
         with pytest.raises(ValueError):
@@ -110,38 +161,17 @@ class TestToyMachine:
             ))
 
     def test_unrouted_program_invalid(self):
-        machine = bundled_machines()["mini"]  # codes 0, 10
-        assert machine.run("11", budget=10) == (INVALID, None)
+        enum = OmegaEnumeration(bundled_machines()["mini"], 12)  # codes 0, 10
+        pool = [p for p, _ in enum._trivial_pending] + [p for p, *_ in enum._live]
+        assert pool and not any(p.startswith("11") for p in pool)
 
     def test_route_consumes_code(self):
-        machine = bundled_machines()["mini"]
-        sub, tail = machine.route("1010000")
-        assert sub.name == "counter" and tail == "10000"
+        enum = OmegaEnumeration(bundled_machines()["mini"], 7)
+        [(sub, state)] = [(sub, state) for p, sub, state in enum._live if p == "1010000"]
+        assert sub.name == "counter" and state.program == [0]  # the tail 10000
 
 
 class TestOmegaEnumeration:
-    def test_against_brute_force_oracle(self):
-        # oracle: run every bit string of length <= L to a generous budget,
-        # record halting times independently of the dovetailer
-        machine = bundled_machines()["pair"]
-        L, budget = 12, 64
-        expected = {}
-        for length in range(1, L + 1):
-            for bits in product("01", repeat=length):
-                program = "".join(bits)
-                status, steps = machine.run(program, budget)
-                if status == HALTED:
-                    expected[program] = steps
-        enum = OmegaEnumeration(machine, L)
-        enum.advance_to(budget)
-        assert set(enum.halted) == set(expected)
-        for s in range(budget + 1):
-            want = sum(
-                (Rational(1, 1 << len(p)) for p, t in expected.items() if t <= s),
-                start=ZERO,
-            )
-            assert enum.omega(s) == want
-
     def test_single_code_trivial_machine(self):
         # [DERIVED] only halting program is the code "0" itself: omega = 1/2
         machine = ToyMachine((("0", SubMachine("unit", trivial=True)),))
@@ -271,9 +301,11 @@ class TestParseMachine:
 
     def test_round_trip_behaviour(self):
         machine = parse_machine(self.GOOD)
-        assert machine.run("010000", budget=5) == (HALTED, 1)
-        assert machine.run("10", budget=5) == (HALTED, 1)
-        assert OmegaEnumeration(machine, 10).omega(64) > ZERO
+        enum = OmegaEnumeration(machine, 10)
+        enum.advance_to(5)
+        assert enum.halted["010000"] == 1
+        assert enum.halted["10"] == 1
+        assert enum.omega(64) > ZERO
 
     @pytest.mark.parametrize("text,fragment", [
         ("dispatch 0 ghost", "unknown sub"),
@@ -283,6 +315,12 @@ class TestParseMachine:
         ("sub a halt\ndispatch 0 a", "8 entries"),
         ("sub a trivial\ndispatch 0 a\ndispatch 01 a", "prefix-free"),
         ("sub a trivial\ndispatch 2 a", "bad dispatch code"),
+        # one program string would run on two interpreters
+        ("sub a trivial\nsub b trivial\ndispatch 0 a\ndispatch 0 b",
+         "dispatch codes not prefix-free: '0' vs '0'"),
+        ("sub c halt inc0 inc1 inc2 djz0 djz1 jmp nop\n"
+         "sub d nop inc0 inc1 djz0 halt djz1 jmp inc2\ndispatch 0 c\ndispatch 0 d",
+         "dispatch codes not prefix-free: '0' vs '0'"),
     ])
     def test_malformed_rejected(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -297,17 +335,14 @@ def scanned_pool(machine, max_length):
     for length in range(1, max_length + 1):
         for bits in product("01", repeat=length):
             program = "".join(bits)
-            routed = machine.route(program)
-            if routed is None:
-                continue
-            sub, tail = routed
-            decoded = sub.decode(tail)
+            decoded = route_and_decode(machine, program)
             if decoded is None:
                 continue
+            sub, ops = decoded
             if sub.trivial:
                 trivial.append((program, sub))
             else:
-                live.append((program, sub, decoded))
+                live.append((program, sub, ops))
     return trivial, live
 
 
@@ -383,12 +418,7 @@ class TestRunningKraftSum:
         enum = OmegaEnumeration(bundled_machines()[name], max_length)
         enum.advance_to(300)
         assert enum.halted
-        for s in range(301):
-            want = sum(
-                (Rational(1, 1 << len(p)) for p, t in enum.halted.items() if t <= s),
-                start=ZERO,
-            )
-            assert enum.omega(s) == want
+        assert_omega_sums(enum, enum.halted, 300)
 
     def test_guard_fires_when_sum_reaches_one(self):
         machine = parse_machine("sub u trivial\ndispatch 0 u\ndispatch 1 u")
@@ -396,52 +426,6 @@ class TestRunningKraftSum:
         assert enum.omega(0) == ZERO
         with pytest.raises(MachineDefinitionError, match=r"^Kraft sum reached 1$"):
             enum.omega(1)
-
-
-def unpruned_run(opcodes, body, budget):
-    """The halting time of a counter program within `budget` steps, or None:
-    a plain interpreter over the opcode names that stops only when the
-    program halts, runs off the end or the budget ends."""
-    pc, regs = 0, [0, 0, 0]
-    for t in range(1, budget + 1):
-        if pc >= len(body):
-            return None
-        op = opcodes[body[pc]]
-        if op == "halt":
-            return t
-        if op == "jmp":
-            pc = 0
-        elif op.startswith("inc"):
-            regs[int(op[3])] += 1
-            pc += 1
-        elif op.startswith("djz") and regs[int(op[3])] == 0:
-            pc += 2
-        else:
-            if op.startswith("djz"):
-                regs[int(op[3])] -= 1
-            pc += 1
-    return None
-
-
-def counter_tail(body):
-    return "1" * len(body) + "0" + "".join(format(n, "03b") for n in body)
-
-
-def unpruned_halts(machine, max_length, budget):
-    """program -> halting time for every program of length <= L that halts
-    within `budget` steps, each run by `unpruned_run`."""
-    halts = {}
-    for code, sub in machine.dispatch:
-        if sub.trivial:
-            if len(code) <= max_length:
-                halts[code] = 1
-            continue
-        for k in range((max_length - len(code) - 1) // 4 + 1):
-            for body in product(range(8), repeat=k):
-                t = unpruned_run(sub.opcodes, body, budget)
-                if t is not None:
-                    halts[code + counter_tail(body)] = t
-    return halts
 
 
 opcode_tables = st.lists(st.sampled_from(sorted(MICRO_OPS)), min_size=8, max_size=8)
@@ -491,15 +475,15 @@ class TestPumpingPrune:
         enum = OmegaEnumeration(machine, 18)
         enum.advance_to(self.STAGES)
         assert enum.halted == expected
+        assert_omega_sums(enum, expected, self.STAGES)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(table=opcode_tables, body=st.lists(st.integers(0, 7), max_size=8))
     def test_long_programs_match_unpruned_interpreter(self, table, body):
         # up to 8 instructions: room for a jump whose pumping test fails
         # and a later pass that halts
-        t = unpruned_run(table, body, self.STAGES)
-        want = ("running", None) if t is None else (HALTED, t)
-        assert SubMachine("c", opcodes=tuple(table)).run(counter_tail(body), self.STAGES) == want
+        status, t = first_answer(table, body, self.STAGES)
+        assert (t if status == HALTED else None) == unpruned_run(table, body, self.STAGES)
 
     @pytest.mark.parametrize("name, max_length, halts", [
         ("pair", 16, 287), ("mini", 18, 144), ("silent", 17, 0)])
@@ -512,22 +496,20 @@ class TestPumpingPrune:
         assert len(enum.halted) == halts
 
     def test_pumping_program_answers_at_once(self):
-        c = counter()
         # [DERIVED] inc0, jmp: at the first jmp r0 = 1 >= 0 and no djz ran
-        assert c.run("110001110", budget=10**9) == ("running", None)
+        assert first_answer(STANDARD_TABLE, [1, 6], 10) == (INVALID, 2)
         # [DERIVED] djz0, halt, jmp on r0 = 0: djz skips the halt, the jmp
         # finds r0 zero-tested and unchanged
-        assert c.run("1110100000110", budget=10**9) == ("running", None)
+        assert first_answer(STANDARD_TABLE, [4, 0, 6], 10) == (INVALID, 2)
 
     def test_jump_that_does_not_pump(self):
-        c = counter()
         # [DERIVED] djz0, halt, inc0, jmp: the first pass skips the halt on
         # r0 = 0 and leaves r0 = 1, so the zero-tested r0 changed; the
         # second pass decrements r0 and halts at step 5
-        assert c.run(counter_tail([4, 0, 1, 6]), budget=10) == (HALTED, 5)
+        assert first_answer(STANDARD_TABLE, [4, 0, 1, 6], 10) == (HALTED, 5)
         # [DERIVED] djz1, jmp, djz0, halt, inc1, inc0, jmp: the first pass
         # finds r1 and r0 zero, skips the halt and jumps at (1, 1, 0); the
         # second decrements r1 and jumps at (1, 0, 0), below the last
         # jump's r1 though no djz found a zero; the third decrements r0 and
         # halts at step 10
-        assert c.run(counter_tail([5, 6, 4, 0, 2, 1, 6]), budget=20) == (HALTED, 10)
+        assert first_answer(STANDARD_TABLE, [5, 6, 4, 0, 2, 1, 6], 20) == (HALTED, 10)
