@@ -172,6 +172,28 @@ class TestToyMachine:
 
 
 class TestOmegaEnumeration:
+    def test_against_brute_force_oracle(self):
+        # oracle: route, decode and run every bit string of length <= L to a
+        # generous budget, recording halting times independently of the
+        # dovetailer
+        machine = bundled_machines()["pair"]
+        L, budget = 12, 64
+        expected = {}
+        for length in range(1, L + 1):
+            for bits in product("01", repeat=length):
+                program = "".join(bits)
+                decoded = route_and_decode(machine, program)
+                if decoded is None:
+                    continue
+                sub, body = decoded
+                t = 1 if sub.trivial else unpruned_run(sub.opcodes, body, budget)
+                if t is not None:
+                    expected[program] = t
+        enum = OmegaEnumeration(machine, L)
+        enum.advance_to(budget)
+        assert enum.halted == expected
+        assert_omega_sums(enum, expected, budget)
+
     def test_single_code_trivial_machine(self):
         # [DERIVED] only halting program is the code "0" itself: omega = 1/2
         machine = ToyMachine((("0", SubMachine("unit", trivial=True)),))
