@@ -102,7 +102,7 @@ def cmd_run(args) -> int:
 def cmd_solovay_check(args) -> int:
     _at_least(args.stages, 0, "--stages")
     alpha, beta = _stream_arg(args.alpha, "alpha"), _stream_arg(args.beta, "beta")
-    w = SolovayWitness(_positive(args.q, "--q"), args.clause, alpha, beta)
+    w = SolovayWitness(_positive(args.q, "--q"), alpha, beta)
     if args.clause == "a":
         verdict = check_clause_a(w, args.stages)
     elif args.clause == "c":

@@ -160,25 +160,50 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
 
 class _StageEnd:
     """The beta and eta records a stage ends with, None where it has none;
-    parsed once, when a pacing pair first reads them."""
+    each parsed once, when V8 or a pacing pair first reads it."""
 
     def __init__(self, stage: int, beta: Optional[str], eta: Optional[str]):
         self.stage, self.beta, self.eta = stage, beta, eta
-        self._values: Optional[tuple[Rational, Rational]] = None
+        self._beta: Optional[Rational] = None
+        self._eta: Optional[Rational] = None
+
+    def beta_value(self) -> Rational:
+        if self._beta is None:
+            self._beta = rational(self.beta)
+        return self._beta
 
     def values(self) -> tuple[Rational, Rational]:
-        if self._values is None:
-            self._values = rational(self.beta), rational(self.eta)
-        return self._values
+        if self._eta is None:
+            self._eta = rational(self.eta)
+        return self.beta_value(), self._eta
+
+
+def _is_sum(x: Rational, y: Rational, z: Rational) -> bool:
+    """Whether x = y + z, on integers and with no gcd: one product each when
+    y's and z's denominators divide x's, as they do along a run."""
+    xd, yd, zd = x.denominator, y.denominator, z.denominator
+    ky, ry = divmod(xd, yd)
+    kz, rz = divmod(xd, zd)
+    if not ry and not rz:
+        return x.numerator == y.numerator * ky + z.numerator * kz
+    return x.numerator * yd * zd == (y.numerator * zd + z.numerator * yd) * xd
+
+
+def _dyadic_exponent(text: str) -> Optional[int]:
+    """e where p/q text holds 1/2^e, else None; no 2^e is built."""
+    v = rational(text)
+    d = v.denominator
+    return d.bit_length() - 1 if v.numerator == 1 and not d & (d - 1) else None
 
 
 class _StageChecks:
-    """V3 and V4, run as each stage of a lemma2 trace closes.  Keeps, per
-    requirement, its d records so far and the stage end of its last c
-    record, and the failures in the order they are found: V3 as a stage
-    closes, V4 at the later c record.  Requirements first seen after a
-    stage can still fail V3 there, with bound 2^-0: a stage whose positive
-    growth exceeds 1 is kept until the end of the trace for them."""
+    """V3, V4 and V8, run as each stage of a lemma2 trace closes.  Keeps,
+    per requirement, its d records so far, the stage end of its last c
+    record and the exponent of its last q record, and the failures in the
+    order they are found: V3 and V8 as a stage closes, V4 at the later c
+    record.  Requirements first seen after a stage can still fail V3
+    there, with bound 2^-0: a stage whose positive growth exceeds 1 is kept
+    until the end of the trace for them."""
 
     def __init__(self):
         self.d_count: dict[int, int] = {}  # j -> d records so far
@@ -186,30 +211,71 @@ class _StageChecks:
         self.relevant: list[int] = []  # sorted(known)
         self.bump: dict[int, _StageEnd] = {}  # i -> the stage end of its last c record
         self.deferred: list[tuple[int, dict[int, Rational], frozenset[int]]] = []
+        # V8: the last beta record, and the growth of beta_i records since it
+        self.beta = _StageEnd(-1, "0/1", None)
+        self.growth: Optional[Rational] = None
+        self.q_exp: dict[int, Optional[int]] = {}  # i -> e if its last q record is 2^-e
         self.v3: list[str] = []
         self.v4: list[str] = []
+        self.v8: list[str] = []
 
     def close(self, stage: int, beta: Optional[str], eta: Optional[str], c_bumped: list[int],
-              d_bumped: list[int], growth: dict[int, tuple[str, str]]) -> None:
+              d_bumped: list[int], growth: dict[int, tuple[str, str]],
+              q: dict[int, str]) -> None:
         """Stage `stage` has been read: the beta and eta it ends with, its c
-        and d records' requirements, and its beta_i records."""
+        and d records' requirements, its beta_i records and its last q
+        records."""
         for j in d_bumped:
             self.d_count[j] = self.d_count.get(j, 0) + 1
         if not self.known.issuperset(d_bumped) or not self.known.issuperset(growth):
             self.known.update(d_bumped, growth)
             self.relevant = sorted(self.known)
+        end = _StageEnd(stage, beta, eta)
         if growth:
             incs = {i: rational(new) - rational(old) for i, (old, new) in growth.items()}
             for j in self.relevant:
                 self._restrain(stage, j, incs, self.d_count.get(j, 0))
             if sum(inc for inc in incs.values() if inc > 0) > ONE:
                 self.deferred.append((stage, incs, frozenset(self.known)))
-        if c_bumped:
-            end = _StageEnd(stage, beta, eta)
-            for i in c_bumped:
-                if i in self.bump:
-                    self._pace(i, self.bump[i], end)
-                self.bump[i] = end
+            total = sum(incs.values(), ZERO)
+            self.growth = total if self.growth is None else self.growth + total
+        if beta is not None:  # a stage without one fails V7
+            self._total(end)
+        if q or d_bumped:
+            self._scales(stage, q, min(d_bumped, default=None))
+        for i in c_bumped:
+            if i in self.bump:
+                self._pace(i, self.bump[i], end)
+            self.bump[i] = end
+
+    def _top(self, i: int) -> int:
+        """The largest d_j over j < i, 0 if none: q_i = 2^-(i + top + 1)."""
+        return max((d for j, d in self.d_count.items() if j < i), default=0)
+
+    def _total(self, end: _StageEnd) -> None:
+        """V8: beta is the last beta record plus the growth of the beta_i
+        records since, and keeps its text where they have none."""
+        last = self.beta
+        if self.growth is None:
+            if end.beta != last.beta:
+                self.v8.append(f"stage {end.stage}: beta {end.beta} with no growth since "
+                               f"{last.beta}")
+                self.beta = end
+        else:
+            if not _is_sum(end.beta_value(), last.beta_value(), self.growth):
+                self.v8.append(f"stage {end.stage}: beta {end.beta} is not {last.beta} "
+                               f"plus the growth {self.growth}")
+            self.beta, self.growth = end, None
+
+    def _scales(self, stage: int, q: dict[int, str], low: Optional[int]) -> None:
+        """V8: each q_i is 2^-(i + top + 1), checked where its q record or a
+        d_j, j < i, changed."""
+        for i, text in q.items():
+            self.q_exp[i] = _dyadic_exponent(text)
+        for i, e in self.q_exp.items():
+            if i in q or low is not None and low < i:
+                if e != (want := i + self._top(i) + 1):
+                    self.v8.append(f"stage {stage}: q req {i} is not 2^-{want}")
 
     def _restrain(self, stage: int, j: int, incs: dict[int, Rational], d_j: int) -> None:
         total = sum((inc for i, inc in incs.items() if i > j), start=ZERO)
@@ -225,7 +291,7 @@ class _StageChecks:
             self.v4.append(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
             return
         (beta1, eta1), (beta2, eta2) = first.values(), second.values()
-        n = i + max((d for j, d in self.d_count.items() if j < i), default=0) + 1  # q_i = 2^-n
+        n = i + self._top(i) + 1  # q_i = 2^-n
         lhs, growth = beta2 - beta1, eta2 - eta1
         if dyadic_sign(lhs, growth, n) < 0:
             # in full up to 2^-65536, past every q_i of a run at the stage cap
@@ -260,13 +326,14 @@ class _Fold:
         self.last_d: dict[int, int] = {}
         self.rules = RecordRules(("alpha", "eta", "beta"))
         for stage, records in stages(events, None if checks is None else self.rules):
-            # the stage's last eta and beta, its c and d records, and its
-            # beta_i records (i -> (old, new)); an earlier stage's record in
-            # it fails V7
+            # the stage's last eta and beta, its c and d records, its beta_i
+            # records (i -> (old, new)) and its last q records; an earlier
+            # stage's record in it fails V7
             eta = beta = None
             c_bumped: list[int] = []
             d_bumped: list[int] = []
             growth: dict[int, tuple[str, str]] = {}
+            q: dict[int, str] = {}
             for ev in records:
                 kind, i = ev.kind, ev.requirement
                 if kind in ("gamma", "delta"):  # most records: one a stage per adversary
@@ -287,12 +354,12 @@ class _Fold:
                     self.last_d[i] = ev.stage
                     d_bumped.append(i)
                 elif kind == "q":
-                    self.q[i] = ev.new
+                    self.q[i] = q[i] = ev.new
                 elif kind == "beta_i":
                     self.beta_i[i] = ev.new
                     growth[i] = (ev.old, ev.new)
             if checks is not None:
-                checks.close(stage, beta, eta, c_bumped, d_bumped, growth)
+                checks.close(stage, beta, eta, c_bumped, d_bumped, growth, q)
         self.stage = stage  # the last
         if checks is not None:
             checks.finish()
@@ -317,11 +384,14 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     statistics; V6 each value record's old value is the last new value of
     its kind and requirement; V7 records in stage order, and one record a
     stage of alpha, eta and beta from stage 0, and of each adversary from
-    its first stage.  The pacing comparison is >= (the construction yields
+    its first stage; V8 each beta record is the last one plus the growth
+    of the beta_i records since, and each q_i record is 2^-(i + top + 1),
+    top the largest d_j over j < i counted from the d records.  The pacing
+    comparison is >= (the construction yields
     equality whenever a single requirement carries the whole increment
     between consecutive expansionary stages).  Checks read the fold, not
     the final record.  One pass over `events`, in O(requirements) memory:
-    V3 and V4 run as each stage closes, and every check lists its
+    V3, V4 and V8 run as each stage closes, and every check lists its
     failures in the order the pass finds them.
     """
     report = VerificationReport()
@@ -352,5 +422,6 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     report.check("V6 old values chain", fold.rules.chain_breaks)
     report.check("V7 one record a stage of alpha, eta, beta and each adversary",
                  fold.rules.run_breaks)
+    report.check("V8 beta and q_i equal their definitions", checks.v8)
     report.stats["stages"] = T
     return report

@@ -69,6 +69,17 @@ def bit_weight(n: int) -> Rational:
     return pow2_neg(n + 1)
 
 
+def _weighs(growth: Rational, bits: list[int]) -> bool:
+    """Whether growth is the sum of bit_weight(n) over `bits`.  k weights
+    whose least is 2^-m sum to a dyadic with denominator at least
+    2^(m - k + 1), as k powers of two carry at most k - 1 places; so an m
+    past the bit length of growth's denominator plus k answers no, and no
+    2^m is built from a bit read off the trace."""
+    limit = growth.denominator.bit_length() + len(bits)
+    return (all(n + 1 <= limit for n in bits)
+            and growth == sum(map(bit_weight, bits), ZERO))
+
+
 def _snapshot(stage: int, a_bits: set[int], b_bits: set[int], alpha: str, beta: str,
               params: dict[int, int], restraints: dict[int, int], used: set[int]) -> dict:
     """The final record.  Parameters and restraints, kept by priority
@@ -103,7 +114,6 @@ class InjuryEngine(StageEngine):
         self.restraints: dict[int, int] = {}
         self.used_values: set[int] = set()
         self._max_used = -1  # max(used_values); bounds every live restraint
-        self._undefined = 0  # u: parameters are defined exactly on [0, u)
         self._log(0, "alpha", None, fmt(ZERO))
         self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(ZERO)
@@ -124,7 +134,7 @@ class InjuryEngine(StageEngine):
         scanned range 0..2s+1.  Gap tests run in the order a scan of the
         attention predicate over 0..2s+1 would make them; that scan is the
         `prop3` oracle of the tests (tests/oracles.py)."""
-        u = self._undefined
+        u = len(self.params)  # parameters are defined exactly on [0, u)
         diff = self.difference(s1 - 1)
         for position, stream in self.suite.positions.items():
             if position >= u:
@@ -142,7 +152,6 @@ class InjuryEngine(StageEngine):
         if bit is None:  # position u: a fresh value from its own pairing column
             bit = self.params[position] = least_in_column_above(position, self._max_used)
             self._use(bit)
-            self._undefined = position + 1
             self._log(s1, "define", position, str(bit))
             return
         restraint = self.restraints[position] = bit + 3
@@ -158,12 +167,11 @@ class InjuryEngine(StageEngine):
         self._use(restraint)
         self._log(s1, "restraint", position, str(restraint))
         self._initialize_below(position, s1)
-        self._undefined = position + 1
 
     def _initialize_below(self, position: int, s1: int) -> None:
         """Initialize every requirement of strictly lower priority: the
         defined positions p < u above `position`, L side (even) first."""
-        for p in sorted(range(position + 1, self._undefined), key=lambda p: (p % 2, p)):
+        for p in sorted(range(position + 1, len(self.params)), key=lambda p: (p % 2, p)):
             del self.params[p]
             self.restraints.pop(p, None)
             self._log(s1, "initialize", p)
@@ -207,12 +215,12 @@ class _Segment:
 
 
 class _StageChecks:
-    """W1-W3 and W5, run as a prop3 trace is read.  Keeps the live
+    """W1-W3, W5 and W10, run as a prop3 trace is read.  Keeps the live
     segments, at most one act each in a run the engine made, and the
     previous stage's alpha - beta; checks for a stage run once it has
     closed, since an initialization in it ends a segment before it.
     Failures are listed as found: W1's as a segment ends, W2's at the end
-    of the trace, W3's at the stage that shows the growth."""
+    of the trace, W3's and W10's at the stage that shows the growth."""
 
     def __init__(self):
         self.live: dict[int, _Segment] = {}  # position -> segment not yet initialized
@@ -224,6 +232,7 @@ class _StageChecks:
         self.w2: list[str] = []
         self.w3: list[str] = []
         self.w5: list[str] = []
+        self.w10: list[str] = []
 
     def define(self, stage: int, position: int, value: int, max_assigned: int) -> None:
         column, _ = unpair(value)
@@ -255,13 +264,20 @@ class _StageChecks:
             self.w1.append(segment.attention)
 
     def close(self, t: int, alpha_text: Optional[str], beta_text: Optional[str],
-              adversary: dict[int, str]) -> None:
-        """Stage t has been read: its last alpha, beta and adversary values."""
+              adversary: dict[int, str], enumerated: tuple[list[int], list[int]]) -> None:
+        """Stage t has been read: its last alpha, beta and adversary values,
+        and the bits of its enumerate_A and enumerate_B records."""
         texts = (alpha_text or "0/1", beta_text or "0/1")  # 0 at a stage without records
+        old = self.alpha, self.beta
         if texts != self.texts:
             self.texts = texts
             self.alpha, self.beta = rational(texts[0]), rational(texts[1])
             self.diff = self.alpha - self.beta
+        for name, was, now, bits in zip(("alpha", "beta"), old, (self.alpha, self.beta),
+                                        enumerated):
+            if (bits or now is not was) and not _weighs(now - was, bits):
+                self.w10.append(f"stage {t}: {name} changed by {now - was}, not by the "
+                                f"weights of bits {bits}")
         alpha, beta, diff = self.alpha, self.beta, self.diff
         prev = self.prev_diff if self.prev_stage == t - 1 else ZERO
         skipped = self.prev_stage + 1 if self.prev_stage + 1 < t else None
@@ -346,6 +362,7 @@ class _Fold:
             # record in it fails W7
             alpha = beta = None
             adversary: dict[int, str] = {}
+            enumerated: tuple[list[int], list[int]] = ([], [])  # A's bits, B's
             for ev in records:
                 if pending is not None and (ev.stage != pending.stage or ev.kind == "act"):
                     self._close_act(pending)
@@ -374,10 +391,10 @@ class _Fold:
                         checks.act(act)
                 elif kind == "enumerate_A":
                     self._act_record(pending, ev)
-                    self._enumerate(self.enum_a, int(ev.new))
+                    self._enumerate(self.enum_a, enumerated[0], int(ev.new))
                 elif kind == "enumerate_B":
                     self._act_record(pending, ev)
-                    self._enumerate(self.enum_b, int(ev.new))
+                    self._enumerate(self.enum_b, enumerated[1], int(ev.new))
                 elif kind == "restraint":
                     self._act_record(pending, ev)
                     value = self.restraints[n] = int(ev.new)
@@ -392,17 +409,18 @@ class _Fold:
                     if checks is not None:
                         checks.initialize(n)
             if checks is not None:
-                checks.close(stage, alpha, beta, adversary)
+                checks.close(stage, alpha, beta, adversary, enumerated)
         if pending is not None:
             self._close_act(pending)
         self.stage = stage  # the last
         if checks is not None:
             checks.finish()
 
-    def _enumerate(self, bits: set[int], bit: int) -> None:
+    def _enumerate(self, bits: set[int], stage_bits: list[int], bit: int) -> None:
         if bit in bits:
             self.enumerated_twice = True
         bits.add(bit)
+        stage_bits.append(bit)
 
     def _act_record(self, act: Optional[_Act], ev: TraceEvent) -> None:
         """An enumeration or restraint record must follow, in its stage, the
@@ -453,7 +471,9 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     one) holding that bit and one restraint holding the bit + 3, and no
     enumeration or restraint comes without its act; W9 each initialized
     position had a parameter in effect, as the engine initializes only
-    defined positions.  Checks read the fold, not the final record.  One
+    defined positions; W10 each stage's alpha (beta) grows from the
+    previous stage's by the weights 2^-(n+1) of its enumerate_A
+    (enumerate_B) records n.  Checks read the fold, not the final record.  One
     pass over `events`, keeping the live acts; every check lists its
     failures in the order the pass finds them.
     """
@@ -486,6 +506,8 @@ def verify_injury(events: Iterable[TraceEvent], final: dict) -> VerificationRepo
     report.check("W7 one record a stage of alpha, beta and each adversary", fold.rules.run_breaks)
     report.check("W8 each act with its parameter, enumeration and restraint", fold.act_faults)
     report.check("W9 each initialization of a position with a parameter", fold.init_faults)
+    report.check("W10 alpha and beta grow by the weights of A's and B's enumerations",
+                 checks.w10)
 
     report.stats["stages"] = fold.stage
     report.stats["acts"] = sum(fold.acts.values())

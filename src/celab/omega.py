@@ -43,8 +43,8 @@ INVALID = "invalid"
 @dataclass(frozen=True)
 class SubMachine:
     """One routed interpreter: either the trivial machine (domain = the empty
-    tail, halting in one step) or a counter machine with its own 8-entry
-    opcode table, decoded once into `ops`."""
+    tail, run as the one-instruction program `halt`) or a counter machine
+    with its own 8-entry opcode table, decoded once into `ops`."""
 
     name: str
     opcodes: tuple[str, ...] = ()
@@ -55,6 +55,7 @@ class SubMachine:
         if self.trivial:
             if self.opcodes:
                 raise ValueError(f"sub {self.name}: trivial machines take no opcode table")
+            object.__setattr__(self, "ops", (MICRO_OPS["halt"],))
             return
         if len(self.opcodes) != 8:
             raise ValueError(f"sub {self.name}: opcode table must have 8 entries")
@@ -190,10 +191,11 @@ class OmegaEnumeration:
 
     def _seed_pool(self) -> None:
         """Seed every program of length <= L that decodes: a trivial sub's
-        code itself, and for a counter sub code + 1^k 0 + body for every
-        3k-bit body.  The programs are counted first, in O(dispatch entries),
-        and refused above MAX_POOL.  Both lists are sorted by (length, bits),
-        the order of a scan over all bit strings of length 1..L."""
+        code itself, run as the program [0] under its table (halt,), and
+        for a counter sub code + 1^k 0 + body for every 3k-bit body.  The
+        programs are counted first, in O(dispatch entries), and refused
+        above MAX_POOL.  The pool is sorted by (length, bits), the order of
+        a scan over all bit strings of length 1..L."""
         L = self.max_length
         trivial = [(code, sub) for code, sub in self.machine.dispatch
                    if sub.trivial and len(code) <= L]
@@ -208,8 +210,7 @@ class OmegaEnumeration:
         pool = len(trivial) + sum((8 ** (k + 1) - 1) // 7 for *_, k in tops)
         if pool > MAX_POOL:
             raise ValueError(f"max_length {L} gives {pool} programs, more than {MAX_POOL}")
-        self._trivial_pending = sorted(trivial, key=_length_then_bits)
-        self._live: list[tuple[str, SubMachine, ExecState]] = []
+        self._live = [(code, sub, ExecState([0])) for code, sub in trivial]
         for code, sub, k in [(code, sub, k) for code, sub, top in tops for k in range(top + 1)]:
             head = code + "1" * k + "0"
             for ops in product(range(8), repeat=k):
@@ -223,10 +224,6 @@ class OmegaEnumeration:
 
     def _advance_one(self) -> None:
         kraft = self._kraft
-        # trivial programs halt in 1 step, discovered at the first stage
-        for program, _sub in self._trivial_pending:
-            self._record_halt(program)
-        self._trivial_pending.clear()
         survivors = []
         for program, sub, exec_state in self._live:
             status = exec_state.step(sub.ops)

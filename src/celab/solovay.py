@@ -9,9 +9,9 @@ by q times alpha's, in one of three equivalent-in-the-limit senses:
             about the limits, checkable only against a horizon proxy);
   clause c: beta_{s+1} - beta_s < q * (alpha_{s+1} - alpha_s) for all s.
 
-All checks here operate on finite prefixes with exact comparisons.  The
-clause-b checker substitutes the value at a later horizon H for the limit
-and is explicitly a diagnostic.
+The clause is the checker a witness is passed to.  All checks here operate
+on finite prefixes with exact comparisons; the clause-b checker substitutes
+the value at a later horizon H for the limit and is explicitly a diagnostic.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ from .streams import ApproxStream, Direction
 @dataclass(frozen=True)
 class SolovayWitness:
     q: Rational
-    clause: str  # "a", "b" or "c"
     alpha: ApproxStream
     beta: ApproxStream
 
     def __post_init__(self):
         if self.q <= 0:
             raise ValueError(f"q must be positive, got {self.q}")
-        if self.clause not in ("a", "b", "c"):
-            raise ValueError(f"clause must be one of a/b/c, got {self.clause!r}")
         for s, name in ((self.alpha, "alpha"), (self.beta, "beta")):
             if s.direction is not Direction.INCREASING:
                 raise ValueError(f"{name} must be increasing")
@@ -52,8 +49,6 @@ class ClauseVerdict:
 def check_clause_c(w: SolovayWitness, T: int) -> ClauseVerdict:
     """beta_{s+1} - beta_s < q * (alpha_{s+1} - alpha_s) for all s < T,
     strict and exact; on failure reports the least failing s."""
-    if w.clause != "c":
-        raise ValueError(f"witness clause is {w.clause!r}, expected 'c'")
     for s in range(T):
         db = w.beta.value(s + 1) - w.beta.value(s)
         da = w.alpha.value(s + 1) - w.alpha.value(s)
@@ -65,8 +60,6 @@ def check_clause_c(w: SolovayWitness, T: int) -> ClauseVerdict:
 def check_clause_a(w: SolovayWitness, T: int) -> ClauseVerdict:
     """q*alpha_s - beta_s nondecreasing on the prefix: the finite shadow of
     "q*alpha - beta is left-c.e. via these approximations"."""
-    if w.clause != "a":
-        raise ValueError(f"witness clause is {w.clause!r}, expected 'a'")
     for s in range(T):
         lo = w.q * w.alpha.value(s) - w.beta.value(s)
         hi = w.q * w.alpha.value(s + 1) - w.beta.value(s + 1)
@@ -79,8 +72,6 @@ def check_clause_b_horizon(w: SolovayWitness, T: int, H: int) -> ClauseVerdict:
     """Horizon-proxy diagnostic for the limit clause: substitutes the stage-H
     values for the limits and checks beta_H - beta_s < q * (alpha_H - alpha_s)
     for s < T.  Not a limit statement."""
-    if w.clause != "b":
-        raise ValueError(f"witness clause is {w.clause!r}, expected 'b'")
     if H <= T:
         raise ValueError(f"horizon H={H} must exceed T={T}")
     aH = w.alpha.value(H)

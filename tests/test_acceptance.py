@@ -336,20 +336,20 @@ def test_criterion_5_witness_closure():
         clause = rng.choice("ac")
         check = check_clause_a if clause == "a" else check_clause_c
         q = Rational(rng.randint(1, 40), rng.randint(1, 20))
-        base = check(SolovayWitness(q, clause, alpha, beta), T)
+        base = check(SolovayWitness(q, alpha, beta), T)
         # upward closure: a q that works keeps working for every larger q
         for factor in (R("3/2"), R("2"), R("16")):
-            bigger = check(SolovayWitness(q * factor, clause, alpha, beta), T)
+            bigger = check(SolovayWitness(q * factor, alpha, beta), T)
             assert not (base.holds and not bigger.holds), (
                 f"clause {clause}: holds at {q} but not at {q * factor}")
         # prefix-monotonicity: a verdict on T covers every shorter prefix
         if base.holds:
             held += 1
             for shorter in (1, 8, 32):
-                assert check(SolovayWitness(q, clause, alpha, beta), shorter).holds
+                assert check(SolovayWitness(q, alpha, beta), shorter).holds
         else:
             for longer in (T + 1, 2 * T):
-                again = check(SolovayWitness(q, clause, alpha, beta), longer)
+                again = check(SolovayWitness(q, alpha, beta), longer)
                 assert not again.holds
                 assert again.fails_at == base.fails_at
     assert held > 0  # closure was exercised on witnesses that hold

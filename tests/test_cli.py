@@ -377,8 +377,10 @@ def test_non_object_suite_entry_is_config_error(tmp_path, capsys):
     ({"stages": 5}, "config: missing field 'engine'"),
     ({"engine": ["lemma2"], "stages": 5},
      "unknown engine ['lemma2']; expected one of ('lemma2', 'prop3')"),
+    (dict(PROP3_CONFIG, suite=[{"index": 0, "role": "L", "kind": "omega", "machine": "pair",
+                                "max_length": 0}]), "max_length must be >= 1, got 0"),
 ], ids=["list", "string", "suite-number", "suite-object", "suite-string", "no-engine",
-        "engine-list"])
+        "engine-list", "omega-length-0"])
 def test_config_shape_is_config_error(tmp_path, capsys, payload, message):
     # each top-level field is read by its own reader, which names it
     cfg = write_config(tmp_path, payload)

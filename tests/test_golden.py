@@ -300,7 +300,7 @@ class TestNumbersOffTheTrace:
     CASES = {
         "lemma2-contribution": (
             "golden_lemma2", lambda evs: evs + [TraceEvent(50, "beta_i", BIG, "0/1", "1/64")],
-            ["V0", "V2"], "V2", [f"beta_{BIG} = 1/64 > 2^-{BIG + 1} * eta_T"]),
+            ["V0", "V2", "V8"], "V2", [f"beta_{BIG} = 1/64 > 2^-{BIG + 1} * eta_T"]),
         "lemma2-pacing": (
             "golden_lemma2",
             lambda evs: stage_end(stage_end(evs, 50, TraceEvent(50, "c", BIG, "1", "2")),
@@ -315,6 +315,12 @@ class TestNumbersOffTheTrace:
             lambda evs: [ev._replace(new=str(BIG)) if ev.kind in ("define", "act")
                          and ev.requirement == 0 else ev for ev in evs],
             ["W0", "W5", "W8"], "W5", None),
+        "prop3-enumeration": (
+            "golden_prop3",
+            lambda evs: [ev._replace(new=str(BIG)) if ev.kind == "enumerate_B" else ev
+                         for ev in evs],
+            ["W0", "W8", "W10"], "W10",
+            [f"stage 2: beta changed by 1/2, not by the weights of bits [{BIG}]"]),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -325,7 +331,7 @@ class TestNumbersOffTheTrace:
         _, evs, final = read_trace(DATA / f"{name}.trace.jsonl")
         evs = edit(list(evs))
         report = verify(evs, final)
-        assert [c.name[:2] for c in report.checks if not c.passed] == failing
+        assert [c.name.split()[0] for c in report.checks if not c.passed] == failing
         if failures is not None:
             (found,) = [c for c in report.checks if c.name.startswith(f"{check} ")]
             assert found.failures == failures

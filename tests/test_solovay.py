@@ -43,21 +43,12 @@ def geometric(scale, ratio="1/2"):
 class TestWitnessValidation:
     def test_rejects_nonpositive_q(self):
         with pytest.raises(ValueError):
-            SolovayWitness(ZERO, "c", target("1/2"), target("1/3"))
-
-    def test_rejects_unknown_clause(self):
-        with pytest.raises(ValueError):
-            SolovayWitness(ONE, "z", target("1/2"), target("1/3"))
+            SolovayWitness(ZERO, target("1/2"), target("1/3"))
 
     def test_rejects_decreasing_components(self):
         dec = make_constant_target(R("1/2"), Direction.DECREASING, R("1/2"))
         with pytest.raises(ValueError):
-            SolovayWitness(ONE, "c", dec, target("1/3"))
-
-    def test_clause_mismatch_rejected_by_checkers(self):
-        w = SolovayWitness(ONE, "a", target("1/2"), target("1/3"))
-        with pytest.raises(ValueError):
-            check_clause_c(w, 10)
+            SolovayWitness(ONE, dec, target("1/3"))
 
 
 class TestClauseC:
@@ -65,8 +56,8 @@ class TestClauseC:
         # [DERIVED] increments: alpha 2^-(s+3), beta (1/3)*2^-(s+2); the
         # ratio is constant 2/3, so q=3/4 holds and q=2/3 fails (strict).
         alpha, beta = target("1/2"), target("1/3")
-        assert check_clause_c(SolovayWitness(R("3/4"), "c", alpha, beta), 64).holds
-        verdict = check_clause_c(SolovayWitness(R("2/3"), "c", alpha, beta), 64)
+        assert check_clause_c(SolovayWitness(R("3/4"), alpha, beta), 64).holds
+        verdict = check_clause_c(SolovayWitness(R("2/3"), alpha, beta), 64)
         assert not verdict.holds and verdict.fails_at == 0
 
     def test_reports_least_failing_stage(self):
@@ -76,7 +67,7 @@ class TestClauseC:
             return ZERO if s < 3 else R("1/4")
 
         beta = ApproxStream(INC, beta_gen, unit_interval=False)
-        w = SolovayWitness(ONE, "c", target("1/2"), beta)
+        w = SolovayWitness(ONE, target("1/2"), beta)
         verdict = check_clause_c(w, 64)
         assert not verdict.holds
         assert verdict.fails_at == 2
@@ -85,7 +76,7 @@ class TestClauseC:
         # identical streams with q = 1: increments equal, strict < fails at 0
         a = target("1/2")
         b = make_constant_target(R("1/2"), INC, R("1/2"))
-        verdict = check_clause_c(SolovayWitness(ONE, "c", a, b), 16)
+        verdict = check_clause_c(SolovayWitness(ONE, a, b), 16)
         assert not verdict.holds and verdict.fails_at == 0
 
     def test_scan_oracle_agreement(self):
@@ -94,7 +85,7 @@ class TestClauseC:
         alpha, beta = target("3/5", "1/3"), target("2/7", "1/2")
         for _ in range(50):
             q = Rational(rng.randint(1, 8), rng.randint(1, 8))
-            verdict = check_clause_c(SolovayWitness(q, "c", alpha, beta), 64)
+            verdict = check_clause_c(SolovayWitness(q, alpha, beta), 64)
             expect = None
             for s in range(64):
                 db = beta.value(s + 1) - beta.value(s)
@@ -109,21 +100,21 @@ class TestClauseC:
 class TestClauseA:
     def test_holds_iff_margin_nondecreasing(self):
         alpha, beta = target("1/2"), target("1/3")
-        assert check_clause_a(SolovayWitness(ONE, "a", alpha, beta), 64).holds
+        assert check_clause_a(SolovayWitness(ONE, alpha, beta), 64).holds
         # [DERIVED] with q=1/2 the margin (1/2)a_s - b_s decreases:
         # increments (1/2)2^-(s+2) < (1/3)2^-(s+1); fails at s=0
-        verdict = check_clause_a(SolovayWitness(R("1/2"), "a", alpha, beta), 64)
+        verdict = check_clause_a(SolovayWitness(R("1/2"), alpha, beta), 64)
         assert not verdict.holds and verdict.fails_at == 0
 
     def test_constant_beta_always_dominated(self):
         beta = constant(R("1/5"), INC)
-        w = SolovayWitness(R("1/8"), "a", target("1/2"), beta)
+        w = SolovayWitness(R("1/8"), target("1/2"), beta)
         assert check_clause_a(w, 64).holds
 
 
 class TestClauseBHorizon:
     def test_requires_horizon_beyond_prefix(self):
-        w = SolovayWitness(ONE, "b", target("1/2"), target("1/3"))
+        w = SolovayWitness(ONE, target("1/2"), target("1/3"))
         with pytest.raises(ValueError):
             check_clause_b_horizon(w, 10, 10)
 
@@ -131,9 +122,9 @@ class TestClauseBHorizon:
         # [DERIVED] tails: alpha_H - alpha_s ~ (1/2)2^-(s+1),
         # beta tail ~ (1/3)2^-(s+1); q=1 dominates, q=1/2 does not.
         alpha, beta = target("1/2"), target("1/3")
-        assert check_clause_b_horizon(SolovayWitness(ONE, "b", alpha, beta), 16, 64).holds
+        assert check_clause_b_horizon(SolovayWitness(ONE, alpha, beta), 16, 64).holds
         assert not check_clause_b_horizon(
-            SolovayWitness(R("1/2"), "b", alpha, beta), 16, 64
+            SolovayWitness(R("1/2"), alpha, beta), 16, 64
         ).holds
 
 
