@@ -226,7 +226,7 @@ class _StageChecks:
         self.live: dict[int, _Segment] = {}  # position -> segment not yet initialized
         self.prev_stage, self.prev_diff = -1, ZERO
         # the last closed stage's alpha and beta texts, and their values
-        self.texts: tuple[str, str] = ("", "")
+        self.texts: tuple[str, str] = ("0/1", "0/1")
         self.alpha = self.beta = self.diff = ZERO
         self.w1: list[str] = []
         self.w2: list[str] = []
@@ -267,7 +267,8 @@ class _StageChecks:
               adversary: dict[int, str], enumerated: tuple[list[int], list[int]]) -> None:
         """Stage t has been read: its last alpha, beta and adversary values,
         and the bits of its enumerate_A and enumerate_B records."""
-        texts = (alpha_text or "0/1", beta_text or "0/1")  # 0 at a stage without records
+        # a stage without its record holds the last value: W7 names the gap
+        texts = (alpha_text or self.texts[0], beta_text or self.texts[1])
         old = self.alpha, self.beta
         if texts != self.texts:
             self.texts = texts

@@ -4,8 +4,11 @@ halting probability.
 The top-level machine dispatches "by adjunction": a finite prefix-free set of
 codes sigma_e routes the program tail to sub-interpreter e, so running
 sigma_e + tau on the top machine is the same computation as running tau on
-sub-machine e.  Programs run only inside `OmegaEnumeration`, which seeds
-every routed, decodable program and steps each one per stage.
+sub-machine e.  Programs run only inside `OmegaEnumeration`, which steps
+behaviour classes of programs, not programs: a class is the programs of one
+head (dispatch code, and for a counter sub its unary count) that agree on
+the opcodes their runs have read so far, and it splits in 8 only when its
+run reads an opcode it has not fixed.
 
 A counter sub-machine reads its tail as a self-delimiting program: a unary
 instruction count (k ones, then a zero) followed by exactly 3k body bits,
@@ -19,8 +22,10 @@ Omega-like increasing stream with exact dyadic values.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from itertools import product
+from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
 from .streams import ApproxStream, Direction, StreamError
@@ -66,7 +71,8 @@ class SubMachine:
 
 
 class ExecState:
-    """Mutable execution state of one counter program.
+    """Mutable execution state of one counter program, or of a behaviour
+    class of them: the programs that agree on every opcode not None.
 
     Besides pc and registers it keeps what the pumping test of `step`
     compares: `jump_regs`, the registers at the last jump to pc 0 (the
@@ -75,12 +81,24 @@ class ExecState:
 
     __slots__ = ("program", "pc", "regs", "jump_regs", "zero_tested")
 
-    def __init__(self, program: list[int]):
+    def __init__(self, program: list[Optional[int]]):
         self.program = program
         self.pc = 0
         self.regs = [0, 0, 0]
         self.jump_regs = (0, 0, 0)
         self.zero_tested = 0
+
+    def split(self) -> list[ExecState]:
+        """The 8 states that read opcode 0..7 at pc, where this program's
+        opcode is None, each with its own program and registers."""
+        children = []
+        for op in range(8):
+            child = ExecState(self.program.copy())
+            child.program[self.pc] = op
+            child.pc, child.regs = self.pc, self.regs.copy()
+            child.jump_regs, child.zero_tested = self.jump_regs, self.zero_tested
+            children.append(child)
+        return children
 
     def step(self, ops: tuple[tuple[str, int], ...]) -> str:
         """One step under a decoded opcode table; INVALID once the program
@@ -145,12 +163,49 @@ class ToyMachine:
 _OPCODE_BITS = tuple(format(n, "03b") for n in range(8))
 
 
-def _length_then_bits(entry: tuple) -> tuple[int, str]:
-    return (len(entry[0]), entry[0])
+def _programs(head: str, body: list[Optional[int]]) -> Iterator[str]:
+    """The programs of a class in bits order: head, then each opcode of the
+    body in 3 bits, a None opcode taking every value 0..7."""
+    for bits in product(*[_OPCODE_BITS if op is None else (_OPCODE_BITS[op],) for op in body]):
+        yield head + "".join(bits)
 
 
-# The most decodable programs an enumeration seeds; a counter sub alone
-# seeds 8^k programs for each k with len(code) + 4k + 1 <= L.
+class HaltedPrograms(Mapping):
+    """program -> halting time, held as the halted classes (head, body,
+    stage) in the order they halted, each expanded in bits order as it is
+    read; a lookup scans the classes.  Its length is a running count of
+    programs, not an expansion."""
+
+    def __init__(self):
+        self._classes: list[tuple[str, list[Optional[int]], int]] = []
+        self._count = 0
+
+    def add(self, head: str, body: list[Optional[int]], stage: int) -> None:
+        self._classes.append((head, body, stage))
+        self._count += 1 << 3 * body.count(None)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[str]:
+        return (program for program, _ in self.items())
+
+    def items(self) -> Iterator[tuple[str, int]]:
+        for head, body, stage in self._classes:
+            for program in _programs(head, body):
+                yield program, stage
+
+    def __getitem__(self, program: str) -> int:
+        for head, body, stage in self._classes:
+            if len(program) == len(head) + 3 * len(body) and program.startswith(head) and all(
+                    op is None or program.startswith(_OPCODE_BITS[op], len(head) + 3 * n)
+                    for n, op in enumerate(body)):
+                return stage
+        raise KeyError(program)
+
+
+# The most decodable programs an enumeration's classes may stand for; a
+# counter sub alone has 8^k programs for each k with len(code) + 4k + 1 <= L.
 MAX_POOL = 1 << 20
 
 
@@ -163,19 +218,25 @@ class OmegaEnumeration:
     """Dovetailed halting enumeration over all programs of length <= L.
 
     Stage s runs every program for bound(s) = s steps; omega(s) is the exact
-    Kraft sum over halts discovered so far.  Simulation is incremental: each
-    still-live program advances one step per stage.
+    Kraft sum over halts discovered so far.  Simulation is incremental and
+    by behaviour class.  A counter program's run depends only on the
+    opcodes at the pcs it visits, so the programs of one head that agree on
+    those opcodes run as one: a class is an `ExecState` whose program holds
+    None at each opcode not read yet.  One class is seeded per trivial code
+    and per counter (sub, k), with every opcode None, and a class splits
+    into 8, one per opcode value, only when its pc reaches a None, before
+    that stage's step.
 
-    Seeding builds the decodable programs straight from the dispatch table,
-    so it costs O(valid programs), not O(2^L).  A program leaves the pool
-    when it halts or provably never halts: it runs off the end, or it
-    pumps (`ExecState.step`: at a jmp no register is below its value at
-    the last jump to pc 0, and every register a djz found zero since then
-    is unchanged).  The Kraft sum is kept as a running integer numerator
-    over 2^L, and prefix-freeness is checked against the set of every
-    prefix of a halted program.  So a stage costs O(programs that can
-    still halt) plus O(L) per new halt, however many programs loop or have
-    halted.
+    A class leaves the pool when it halts or provably never halts: it runs
+    off the end, or it pumps (`ExecState.step`: at a jmp no register is
+    below its value at the last jump to pc 0, and every register a djz
+    found zero since then is unchanged).  A halting class of n programs of
+    length m adds n * 2^(L - m) to the Kraft sum, kept as a running
+    integer numerator over 2^L, and is checked for prefix-freeness by its
+    head in O(L).  So a stage costs O(live classes) plus O(L) per halting
+    class, and once the pool is empty omega is final and a stage costs
+    O(1).  `MAX_POOL` still bounds the programs the classes stand for,
+    counted in O(dispatch entries).
     """
 
     def __init__(self, machine: ToyMachine, max_length: int):
@@ -183,19 +244,24 @@ class OmegaEnumeration:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
         self.machine = machine
         self.max_length = max_length
-        self.halted: dict[str, int] = {}  # program -> halting time
-        self._halt_prefixes: set[str] = set()  # every prefix of a halted program
+        self.halted = HaltedPrograms()
+        # head of a halted class -> the first program of the first such
+        # class, and every proper prefix of such a head -> the same for the
+        # first halted class whose head extends it
+        self._heads: dict[str, str] = {}
+        self._head_prefixes: dict[str, str] = {}
         self._kraft = 0  # omega = _kraft / 2**max_length
         self._omega_by_stage: list[Rational] = [ZERO]  # omega(0) = 0
         self._seed_pool()
 
     def _seed_pool(self) -> None:
-        """Seed every program of length <= L that decodes: a trivial sub's
-        code itself, run as the program [0] under its table (halt,), and
-        for a counter sub code + 1^k 0 + body for every 3k-bit body.  The
-        programs are counted first, in O(dispatch entries), and refused
-        above MAX_POOL.  The pool is sorted by (length, bits), the order of
-        a scan over all bit strings of length 1..L."""
+        """Seed one class per trivial code of length <= L, its code run as
+        the program [0] under its table (halt,), and one per counter sub
+        and k with a program code + 1^k 0 + 3k body bits of length <= L.
+        The programs are counted first, in O(dispatch entries), and refused
+        above MAX_POOL.  The pool is sorted by (length, head), so its
+        classes expanded in order list the programs as a scan over all bit
+        strings of length 1..L finds them."""
         L = self.max_length
         trivial = [(code, sub) for code, sub in self.machine.dispatch
                    if sub.trivial and len(code) <= L]
@@ -210,27 +276,28 @@ class OmegaEnumeration:
         pool = len(trivial) + sum((8 ** (k + 1) - 1) // 7 for *_, k in tops)
         if pool > MAX_POOL:
             raise ValueError(f"max_length {L} gives {pool} programs, more than {MAX_POOL}")
-        self._live = [(code, sub, ExecState([0])) for code, sub in trivial]
-        for code, sub, k in [(code, sub, k) for code, sub, top in tops for k in range(top + 1)]:
-            head = code + "1" * k + "0"
-            for ops in product(range(8), repeat=k):
-                body = "".join(_OPCODE_BITS[op] for op in ops)
-                self._live.append((head + body, sub, ExecState(list(ops))))
-        self._live.sort(key=_length_then_bits)
+        seeds = [(len(code), code, sub, [0]) for code, sub in trivial]
+        seeds += [(len(code) + 4 * k + 1, code + "1" * k + "0", sub, [None] * k)
+                  for code, sub, top in tops for k in range(top + 1)]
+        seeds.sort(key=lambda seed: seed[:2])
+        self._live = [(head, sub, ExecState(body)) for _, head, sub, body in seeds]
 
     def advance_to(self, s: int) -> None:
-        while len(self._omega_by_stage) <= s:
+        while len(self._omega_by_stage) <= s and self._live:
             self._advance_one()
 
     def _advance_one(self) -> None:
         kraft = self._kraft
         survivors = []
-        for program, sub, exec_state in self._live:
-            status = exec_state.step(sub.ops)
-            if status == HALTED:
-                self._record_halt(program)
-            elif status == RUNNING:
-                survivors.append((program, sub, exec_state))
+        for head, sub, state in self._live:
+            states = (state.split() if state.pc < len(state.program)
+                      and state.program[state.pc] is None else (state,))
+            for state in states:
+                status = state.step(sub.ops)
+                if status == HALTED:
+                    self._record_halt(head, [] if sub.trivial else state.program)
+                elif status == RUNNING:
+                    survivors.append((head, sub, state))
         self._live = survivors
         if self._kraft == kraft:  # no halt at this stage
             self._omega_by_stage.append(self._omega_by_stage[-1])
@@ -240,23 +307,37 @@ class OmegaEnumeration:
             raise MachineDefinitionError(f"Kraft sum reached {omega}")
         self._omega_by_stage.append(omega)
 
-    def _record_halt(self, program: str) -> None:
-        """Record a halt; a program that is a prefix of a halted one, or
-        extends one, is refused, naming the earliest-discovered such halt."""
-        if program in self._halt_prefixes or any(
-                program[:n] in self.halted for n in range(1, len(program))):
-            other = next(other for other in self.halted
-                         if other.startswith(program) or program.startswith(other))
+    def _record_halt(self, head: str, body: list[Optional[int]]) -> None:
+        """Record the halt of the class head + body at this stage.  All its
+        programs have one length, so two classes can hold a program and
+        its prefix only if one head is a prefix of the other and their
+        (head, length) pairs differ; such a class is refused, naming the
+        earliest-discovered program whose head conflicts.  A ToyMachine's
+        heads never conflict: its dispatch codes and unary counts are
+        prefix-free."""
+        program = next(_programs(head, body))  # the class's first
+        other = self._head_prefixes.get(head)  # a halted head extends this one
+        for n in range(1, len(head) + 1):
+            first = self._heads.get(head[:n])
+            if first is not None and (n < len(head) or len(first) != len(program)):
+                other = first  # a halted head is a prefix, or this head at another length
+                break
+        if other is not None:
             raise MachineDefinitionError(
                 f"halting programs not prefix-free: {program!r} vs {other!r}"
             )
-        self.halted[program] = len(self._omega_by_stage)
-        self._halt_prefixes.update(program[:n] for n in range(1, len(program) + 1))
-        self._kraft += 1 << (self.max_length - len(program))
+        if head not in self._heads:
+            self._heads[head] = program
+            for n in range(1, len(head)):
+                self._head_prefixes.setdefault(head[:n], program)
+        self.halted.add(head, body, len(self._omega_by_stage))
+        self._kraft += 1 << (3 * body.count(None) + self.max_length - len(program))
 
     def omega(self, s: int) -> Rational:
+        """omega(s); past the stage where the pool emptied, the last value
+        itself."""
         self.advance_to(s)
-        return self._omega_by_stage[s]
+        return self._omega_by_stage[min(s, len(self._omega_by_stage) - 1)]
 
 
 def omega_stream(

@@ -261,6 +261,24 @@ class TestSingleEventMutations:
             (w1,) = [c for c in report.checks if c.name.startswith("W1 ")]
             assert "position 0: act at stage 2 with no parameter in effect" in w1.failures
 
+    def test_missing_alpha_or_beta_record_fails_w7_not_w3_or_w10(self):
+        """A prop3 stage without its alpha or beta record holds the last
+        stage's value, so the gap is W7's alone: the golden without the
+        alpha record of stage 20 and the beta record of stage 30 fails W7
+        only, and so does each single deletion of an alpha or beta record
+        after stage 2, the last stage whose value changes.  Read as 0, such
+        a gap was a drop and a rise that W10 failed."""
+        _, evs, final = read_trace(DATA / "golden_prop3.trace.jsonl")
+        evs = list(evs)
+        both = [ev for ev in evs if (ev.kind, ev.stage) not in {("alpha", 20), ("beta", 30)}]
+        report = verify_injury(both, final)
+        assert [c.name[:2] for c in report.checks if not c.passed] == ["W7"]
+        singles = [n for n, ev in enumerate(evs) if ev.kind in ("alpha", "beta") and ev.stage > 2]
+        assert len(singles) == 96
+        for n in singles:
+            report = verify_injury(evs[:n] + evs[n + 1:], final)
+            assert [c.name[:2] for c in report.checks if not c.passed] == ["W7"], evs[n]
+
     def test_record_moved_a_stage_back_in_place(self, tmp_path, capsys):
         """The folds read records in stage order: the prop3 golden's 6th
         define moved from stage 7 to 6 where it stands fails W7 alone, and

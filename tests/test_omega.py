@@ -45,11 +45,26 @@ def one_code(sub, tail):
     return program, OmegaEnumeration(ToyMachine((("0", sub),)), len(program))
 
 
+def pool(enum):
+    """The enumeration's class pool expanded, in pool order and each class
+    in bits order: (program, sub, opcode list) for every program its live
+    classes stand for, each None opcode filled with 0..7.  A trivial
+    class is its code, run as [0], its one `halt`."""
+    for head, sub, state in enum._live:
+        unread = [n for n, op in enumerate(state.program) if op is None]
+        for fill in product(range(8), repeat=len(unread)):
+            ops = list(state.program)
+            for n, op in zip(unread, fill):
+                ops[n] = op
+            body = "" if sub.trivial else "".join(format(op, "03b") for op in ops)
+            yield head + body, sub, ops
+
+
 def seeded(sub, tail):
     """The opcode list that enumeration seeds "0" + tail with ([0], its
     one `halt`, for a trivial sub), or None if it seeds no such program."""
     program, enum = one_code(sub, tail)
-    return next((state.program for p, _, state in enum._live if p == program), None)
+    return next((ops for p, _, ops in pool(enum) if p == program), None)
 
 
 def run_stages(sub, tail, stages):
@@ -57,7 +72,7 @@ def run_stages(sub, tail, stages):
     halted, or None, and whether the program is still in the pool."""
     program, enum = one_code(sub, tail)
     enum.advance_to(stages)
-    return enum.halted.get(program), any(p == program for p, *_ in enum._live)
+    return enum.halted.get(program), any(p == program for p, *_ in pool(enum))
 
 
 def first_answer(table, body, limit):
@@ -159,13 +174,13 @@ class TestToyMachine:
 
     def test_unrouted_program_invalid(self):
         enum = OmegaEnumeration(bundled_machines()["mini"], 12)  # codes 0, 10
-        pool = [p for p, *_ in enum._live]
-        assert pool and not any(p.startswith("11") for p in pool)
+        programs = [p for p, *_ in pool(enum)]
+        assert programs and not any(p.startswith("11") for p in programs)
 
     def test_route_consumes_code(self):
         enum = OmegaEnumeration(bundled_machines()["mini"], 7)
-        [(sub, state)] = [(sub, state) for p, sub, state in enum._live if p == "1010000"]
-        assert sub.name == "counter" and state.program == [0]  # the tail 10000
+        [(sub, ops)] = [(sub, ops) for p, sub, ops in pool(enum) if p == "1010000"]
+        assert sub.name == "counter" and ops == [0]  # the tail 10000
 
 
 class TestOmegaEnumeration:
@@ -226,7 +241,9 @@ class TestOmegaEnumeration:
         enum.advance_to(2)
         with pytest.raises(MachineDefinitionError,
                            match=r"^halting programs not prefix-free: '00' vs '0'$"):
-            enum._record_halt("0" + "0")  # extends the halted program "0"
+            # the class of the one program "00", head "00" and no body,
+            # extends the halted program "0"
+            enum._record_halt("00", [])
 
     def test_halting_prefix_freeness_guard_prefix_of_a_halt(self):
         # pair's 2-instruction programs 0 110 000 xxx halt at stage 1; a
@@ -237,7 +254,10 @@ class TestOmegaEnumeration:
         assert first == "0110000000"
         with pytest.raises(MachineDefinitionError,
                            match=r"^halting programs not prefix-free: '0110' vs '0110000000'$"):
-            enum._record_halt("0110")
+            enum._record_halt("0110", [])  # the head "0110" at length 4, not 10
+        with pytest.raises(MachineDefinitionError,
+                           match=r"^halting programs not prefix-free: '011' vs '0110000000'$"):
+            enum._record_halt("011", [])  # a prefix of the halted head "0110"
 
 
 class TestOmegaStream:
@@ -384,8 +404,7 @@ class TestSeedPool:
     @staticmethod
     def assert_same_pool(machine, max_length):
         enum = OmegaEnumeration(machine, max_length)
-        assert [(p, sub, st.program) for p, sub, st in enum._live] == scanned_pool(machine,
-                                                                                  max_length)
+        assert list(pool(enum)) == scanned_pool(machine, max_length)
 
     @pytest.mark.parametrize("name", sorted(bundled_machines()))
     def test_bundled_machines(self, name):
@@ -415,7 +434,7 @@ class TestPoolBound:
         # more at L = 18
         monkeypatch.setattr(omega, "MAX_POOL", 585)
         silent = bundled_machines()["silent"]
-        assert len(OmegaEnumeration(silent, 17)._live) == 585
+        assert len(list(pool(OmegaEnumeration(silent, 17)))) == 585
         with pytest.raises(ValueError, match="gives 4681 programs, more than 585"):
             OmegaEnumeration(silent, 18)
 
@@ -423,7 +442,7 @@ class TestPoolBound:
         # pair at L=18 is the largest pool the benchmark seeds
         monkeypatch.setattr(omega, "MAX_POOL", 5267)
         enum = OmegaEnumeration(bundled_machines()["pair"], 18)
-        assert len(enum._live) == 5267
+        assert len(list(pool(enum))) == 5267
         monkeypatch.setattr(omega, "MAX_POOL", 5266)
         with pytest.raises(ValueError, match="max_length 18 gives 5267 programs"):
             OmegaEnumeration(bundled_machines()["pair"], 18)
@@ -510,11 +529,19 @@ class TestPumpingPrune:
         ("pair", 16, 287), ("mini", 18, 144), ("silent", 17, 0)])
     def test_benchmark_pools_empty_by_stage_10(self, name, max_length, halts):
         # the pools seed 1,170, 585 and 585 counter programs; the 590 that
-        # never halt all pump, so no program is stepped after stage 10
+        # never halt all pump, so no class is live after stage 10
         enum = OmegaEnumeration(bundled_machines()[name], max_length)
         enum.advance_to(10)
-        assert enum._live == []
+        assert list(pool(enum)) == []
         assert len(enum.halted) == halts
+
+    def test_omega_final_once_the_pool_is_empty(self):
+        # pair at L = 16 has no live class after stage 10: a later stage is
+        # neither stepped nor stored, and its omega is the last value itself
+        enum = OmegaEnumeration(bundled_machines()["pair"], 16)
+        last = enum.omega(10)
+        stored = len(enum._omega_by_stage)
+        assert enum.omega(10**9) is last and len(enum._omega_by_stage) == stored
 
     def test_pumping_program_answers_at_once(self):
         # [DERIVED] inc0, jmp: at the first jmp r0 = 1 >= 0 and no djz ran
