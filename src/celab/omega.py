@@ -22,9 +22,7 @@ Omega-like increasing stream with exact dyadic values.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 from .rationals import Rational, ZERO, ONE
@@ -159,49 +157,13 @@ class ToyMachine:
                     raise ValueError(f"dispatch codes not prefix-free: {a!r} vs {b!r}")
 
 
-# A counter body spells opcode n as its 3-bit big-endian binary form.
-_OPCODE_BITS = tuple(format(n, "03b") for n in range(8))
-
-
-def _programs(head: str, body: list[Optional[int]]) -> Iterator[str]:
-    """The programs of a class in bits order: head, then each opcode of the
-    body in 3 bits, a None opcode taking every value 0..7."""
-    for bits in product(*[_OPCODE_BITS if op is None else (_OPCODE_BITS[op],) for op in body]):
-        yield head + "".join(bits)
-
-
-class HaltedPrograms(Mapping):
-    """program -> halting time, held as the halted classes (head, body,
-    stage) in the order they halted, each expanded in bits order as it is
-    read; a lookup scans the classes.  Its length is a running count of
-    programs, not an expansion."""
-
-    def __init__(self):
-        self._classes: list[tuple[str, list[Optional[int]], int]] = []
-        self._count = 0
-
-    def add(self, head: str, body: list[Optional[int]], stage: int) -> None:
-        self._classes.append((head, body, stage))
-        self._count += 1 << 3 * body.count(None)
+class HaltedClasses(list):
+    """The halted classes (head, body, stage) in the order they halted.
+    Its length counts their programs: a class with n opcodes unset stands
+    for 8^n."""
 
     def __len__(self) -> int:
-        return self._count
-
-    def __iter__(self) -> Iterator[str]:
-        return (program for program, _ in self.items())
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        for head, body, stage in self._classes:
-            for program in _programs(head, body):
-                yield program, stage
-
-    def __getitem__(self, program: str) -> int:
-        for head, body, stage in self._classes:
-            if len(program) == len(head) + 3 * len(body) and program.startswith(head) and all(
-                    op is None or program.startswith(_OPCODE_BITS[op], len(head) + 3 * n)
-                    for n, op in enumerate(body)):
-                return stage
-        raise KeyError(program)
+        return sum(1 << 3 * body.count(None) for _, body, _ in self)
 
 
 # The most decodable programs an enumeration's classes may stand for; a
@@ -210,8 +172,9 @@ MAX_POOL = 1 << 20
 
 
 class MachineDefinitionError(StreamError):
-    """The machine violates prefix-freeness over its enumerated halts, or
-    its Kraft sum reaches 1: a fault of the omega stream it drives."""
+    """The machine's Kraft sum over its enumerated halts reaches 1, as it
+    does when trivial codes cover every bit string: a fault of the omega
+    stream it drives."""
 
 
 class OmegaEnumeration:
@@ -232,11 +195,12 @@ class OmegaEnumeration:
     below its value at the last jump to pc 0, and every register a djz
     found zero since then is unchanged).  A halting class of n programs of
     length m adds n * 2^(L - m) to the Kraft sum, kept as a running
-    integer numerator over 2^L, and is checked for prefix-freeness by its
-    head in O(L).  So a stage costs O(live classes) plus O(L) per halting
-    class, and once the pool is empty omega is final and a stage costs
-    O(1).  `MAX_POOL` still bounds the programs the classes stand for,
-    counted in O(dispatch entries).
+    integer numerator over 2^L, and joins `halted`.  Its head is one of
+    the seeds, so the halts are prefix-free because the dispatch codes
+    (`ToyMachine`) and the unary counts are.  A stage costs O(live
+    classes) plus O(1) per halting class, and once the pool is empty
+    omega is final and a stage costs O(1).  `MAX_POOL` still bounds the
+    programs the classes stand for, counted in O(dispatch entries).
     """
 
     def __init__(self, machine: ToyMachine, max_length: int):
@@ -244,12 +208,7 @@ class OmegaEnumeration:
             raise ValueError(f"max_length must be >= 1, got {max_length}")
         self.machine = machine
         self.max_length = max_length
-        self.halted = HaltedPrograms()
-        # head of a halted class -> the first program of the first such
-        # class, and every proper prefix of such a head -> the same for the
-        # first halted class whose head extends it
-        self._heads: dict[str, str] = {}
-        self._head_prefixes: dict[str, str] = {}
+        self.halted = HaltedClasses()
         self._kraft = 0  # omega = _kraft / 2**max_length
         self._omega_by_stage: list[Rational] = [ZERO]  # omega(0) = 0
         self._seed_pool()
@@ -308,34 +267,17 @@ class OmegaEnumeration:
         self._omega_by_stage.append(omega)
 
     def _record_halt(self, head: str, body: list[Optional[int]]) -> None:
-        """Record the halt of the class head + body at this stage.  All its
-        programs have one length, so two classes can hold a program and
-        its prefix only if one head is a prefix of the other and their
-        (head, length) pairs differ; such a class is refused, naming the
-        earliest-discovered program whose head conflicts.  A ToyMachine's
-        heads never conflict: its dispatch codes and unary counts are
-        prefix-free."""
-        program = next(_programs(head, body))  # the class's first
-        other = self._head_prefixes.get(head)  # a halted head extends this one
-        for n in range(1, len(head) + 1):
-            first = self._heads.get(head[:n])
-            if first is not None and (n < len(head) or len(first) != len(program)):
-                other = first  # a halted head is a prefix, or this head at another length
-                break
-        if other is not None:
-            raise MachineDefinitionError(
-                f"halting programs not prefix-free: {program!r} vs {other!r}"
-            )
-        if head not in self._heads:
-            self._heads[head] = program
-            for n in range(1, len(head)):
-                self._head_prefixes.setdefault(head[:n], program)
-        self.halted.add(head, body, len(self._omega_by_stage))
-        self._kraft += 1 << (3 * body.count(None) + self.max_length - len(program))
+        """Record the halt of the class head + body at this stage: its
+        8^unset programs, each of length len(head) + 3 len(body), add
+        8^unset * 2^(L - length) to the Kraft numerator."""
+        self.halted.append((head, body, len(self._omega_by_stage)))
+        self._kraft += 1 << (3 * body.count(None) + self.max_length - len(head) - 3 * len(body))
 
     def omega(self, s: int) -> Rational:
         """omega(s); past the stage where the pool emptied, the last value
         itself."""
+        if s < 0:
+            raise ValueError(f"negative stage {s}")
         self.advance_to(s)
         return self._omega_by_stage[min(s, len(self._omega_by_stage) - 1)]
 

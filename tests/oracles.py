@@ -14,7 +14,8 @@ The machine reference routes a bit string through the dispatch table,
 decodes its tail in the self-delimiting format of `celab.omega`'s docstring
 and runs it step by step until it halts, runs off the end or its budget
 ends, with no pumping test.  It reads a machine only through `.dispatch`,
-`sub.trivial` and `sub.opcodes`.
+`sub.trivial` and `sub.opcodes`.  `halted_programs` expands the halted
+classes an enumeration keeps into the programs they stand for.
 
 Only `TraceEvent` comes from celab (`test_hygiene.py` holds it to that): an
 oracle that called a shortcut of the library would check it against itself.
@@ -259,6 +260,17 @@ def unpruned_run(opcodes, body, budget):
 
 def counter_tail(body):
     return "1" * len(body) + "0" + "".join(format(n, "03b") for n in body)
+
+
+def halted_programs(classes):
+    """program -> halting time for halted classes (head, body, stage): each
+    class stands for head followed by every opcode of its body in 3 bits,
+    big-endian, a None opcode taking every value 0..7."""
+    halts = {}
+    for head, body, stage in classes:
+        for ops in product(*[range(8) if op is None else (op,) for op in body]):
+            halts[head + "".join(format(op, "03b") for op in ops)] = stage
+    return halts
 
 
 def unpruned_halts(machine, max_length, budget):

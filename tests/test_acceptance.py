@@ -45,7 +45,7 @@ from celab.streams import (
     make_tracker,
 )
 from celab.trace import write_trace
-from oracles import route_and_decode, unpruned_run
+from oracles import halted_programs, route_and_decode, unpruned_run
 
 DATA = Path(__file__).parent / "data"
 INC = Direction.INCREASING
@@ -413,7 +413,7 @@ def test_criterion_7_omega_machine():
                 t = 1 if sub.trivial else unpruned_run(sub.opcodes, body, budget)
                 if t is not None:
                     want[code + tail] = t
-            got = {p: t for p, t in enum.halted.items() if p.startswith(code)}
+            got = {p: t for p, t in halted_programs(enum.halted).items() if p.startswith(code)}
             assert got == want, f"{name}: halts under {code!r} disagree with the reference"
 
 

@@ -4,8 +4,9 @@ uses an `assert` statement (it vanishes under `python -O`), only the
 config loader uses `parse_rational` (a check that parses trace text goes
 through `trace.rational`, which refuses bad text as a format error), only
 the trace module applies the p/q text rule, no library module imports
-another's private `_name`, and the test oracles import only `TraceEvent`
-from celab."""
+another's private `_name`, the test oracles import only `TraceEvent`
+from celab, and no test calls a private `_name` method (a check that only
+such a call can reach is dead code)."""
 
 import ast
 from pathlib import Path
@@ -174,3 +175,26 @@ def test_detects_an_oracle_import():
               "from celab.rationals import gap_below\nimport celab.streams\n\n\n"
               "def f():\n    from celab import config\n")
     assert celab_imports(source) == ["TraceEvent", "gap_below", "celab.streams", "config"]
+
+
+TESTS = sorted(p for p in ORACLES.parent.glob("*.py") if p != ORACLES)
+
+
+def private_calls(source: str) -> list[str]:
+    """Calls of a `_name` method or module function through an attribute
+    (dunder names and NamedTuple's `_replace` excepted)."""
+    return [f"line {node.lineno}: {node.func.attr}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr.startswith("_") and not node.func.attr.startswith("__")
+            and node.func.attr != "_replace"]
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_no_private_calls_in_tests(path):
+    assert private_calls(path.read_text()) == []
+
+
+def test_detects_a_private_call():
+    source = ("enum._record_halt('00', [])\nev = ev._replace(new='1')\n"
+              "super().__init__()\nstate = enum._live\nomega._seed(\n    1)\n")
+    assert private_calls(source) == ["line 1: _record_halt", "line 5: _seed"]

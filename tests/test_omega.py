@@ -25,7 +25,7 @@ from celab.omega import (
 )
 from celab.rationals import ONE, ZERO, Rational, parse_rational
 from celab.streams import Direction, make_constant_target
-from oracles import route_and_decode, unpruned_halts, unpruned_run
+from oracles import halted_programs, route_and_decode, unpruned_halts, unpruned_run
 
 INC = Direction.INCREASING
 
@@ -72,7 +72,7 @@ def run_stages(sub, tail, stages):
     halted, or None, and whether the program is still in the pool."""
     program, enum = one_code(sub, tail)
     enum.advance_to(stages)
-    return enum.halted.get(program), any(p == program for p, *_ in pool(enum))
+    return halted_programs(enum.halted).get(program), any(p == program for p, *_ in pool(enum))
 
 
 def first_answer(table, body, limit):
@@ -159,11 +159,13 @@ class TestToyMachine:
         machine = bundled_machines()["pair"]
         top = OmegaEnumeration(machine, 10)
         top.advance_to(50)
+        halts = halted_programs(top.halted)
         for code, sub in machine.dispatch:
             alone = OmegaEnumeration(ToyMachine(((code, sub),)), 10)
             alone.advance_to(50)
-            assert {p: t for p, t in top.halted.items() if p.startswith(code)} == alone.halted
-        assert top.halted["0" + "10000"] == 1 and top.halted["0" + "110111000"] == 2
+            want = halted_programs(alone.halted)
+            assert {p: t for p, t in halts.items() if p.startswith(code)} == want
+        assert halts["0" + "10000"] == 1 and halts["0" + "110111000"] == 2
 
     def test_prefix_free_dispatch_enforced(self):
         with pytest.raises(ValueError):
@@ -203,8 +205,13 @@ class TestOmegaEnumeration:
                     expected[program] = t
         enum = OmegaEnumeration(machine, L)
         enum.advance_to(budget)
-        assert enum.halted == expected
+        halts = halted_programs(enum.halted)
+        assert halts == expected
         assert_omega_sums(enum, expected, budget)
+        # the halting domain is prefix-free: in sorted order a program's
+        # extensions follow it at once, so checking neighbours suffices
+        programs = sorted(halts)
+        assert not [(a, b) for a, b in zip(programs, programs[1:]) if b.startswith(a)]
 
     def test_single_code_trivial_machine(self):
         # [DERIVED] only halting program is the code "0" itself: omega = 1/2
@@ -217,7 +224,7 @@ class TestOmegaEnumeration:
         machine = bundled_machines()["silent"]
         enum = OmegaEnumeration(machine, 12)
         assert enum.omega(40) == ZERO
-        assert enum.halted == {}
+        assert enum.halted == []
 
     def test_monotone_and_strictly_staggered(self):
         enum = OmegaEnumeration(bundled_machines()["pair"], 14)
@@ -231,33 +238,14 @@ class TestOmegaEnumeration:
         for machine in bundled_machines().values():
             assert OmegaEnumeration(machine, 12).omega(64) < ONE
 
-    def test_halting_prefix_freeness_guard(self):
-        # a dispatch whose sub halts on every tail (trivial accepts only "",
-        # but a counter halting both on "0" and nothing shorter is fine);
-        # engineer a violation by running the same trivial sub twice with
-        # nested codes is impossible (dispatch is prefix-free), so check the
-        # guard directly
-        enum = OmegaEnumeration(bundled_machines()["mini"], 6)
-        enum.advance_to(2)
-        with pytest.raises(MachineDefinitionError,
-                           match=r"^halting programs not prefix-free: '00' vs '0'$"):
-            # the class of the one program "00", head "00" and no body,
-            # extends the halted program "0"
-            enum._record_halt("00", [])
-
-    def test_halting_prefix_freeness_guard_prefix_of_a_halt(self):
-        # pair's 2-instruction programs 0 110 000 xxx halt at stage 1; a
-        # prefix of one of them conflicts with the earliest discovered
-        enum = OmegaEnumeration(bundled_machines()["pair"], 10)
-        enum.advance_to(1)
-        first = next(p for p in enum.halted if p.startswith("0110000"))
-        assert first == "0110000000"
-        with pytest.raises(MachineDefinitionError,
-                           match=r"^halting programs not prefix-free: '0110' vs '0110000000'$"):
-            enum._record_halt("0110", [])  # the head "0110" at length 4, not 10
-        with pytest.raises(MachineDefinitionError,
-                           match=r"^halting programs not prefix-free: '011' vs '0110000000'$"):
-            enum._record_halt("011", [])  # a prefix of the halted head "0110"
+    def test_negative_stage_refused(self):
+        # a stage below 0 would index back from the last stored value: after
+        # omega(40) on pair at L = 12, omega(-1) would read 85/512
+        enum = OmegaEnumeration(bundled_machines()["pair"], 12)
+        enum.omega(40)
+        for s in (-1, -3):
+            with pytest.raises(ValueError, match=rf"^negative stage {s}$"):
+                enum.omega(s)
 
 
 class TestOmegaStream:
@@ -342,8 +330,9 @@ class TestParseMachine:
         machine = parse_machine(self.GOOD)
         enum = OmegaEnumeration(machine, 10)
         enum.advance_to(5)
-        assert enum.halted["010000"] == 1
-        assert enum.halted["10"] == 1
+        halts = halted_programs(enum.halted)
+        assert halts["010000"] == 1
+        assert halts["10"] == 1
         assert enum.omega(64) > ZERO
 
     @pytest.mark.parametrize("text,fragment", [
@@ -454,7 +443,7 @@ class TestRunningKraftSum:
         enum = OmegaEnumeration(bundled_machines()[name], max_length)
         enum.advance_to(300)
         assert enum.halted
-        assert_omega_sums(enum, enum.halted, 300)
+        assert_omega_sums(enum, halted_programs(enum.halted), 300)
 
     def test_guard_fires_when_sum_reaches_one(self):
         machine = parse_machine("sub u trivial\ndispatch 0 u\ndispatch 1 u")
@@ -500,7 +489,7 @@ class TestPumpingPrune:
             return  # trivial codes covering every string: the Kraft guard fires
         enum = OmegaEnumeration(machine, max_length)
         enum.advance_to(self.STAGES)
-        assert enum.halted == expected
+        assert halted_programs(enum.halted) == expected
         for s in range(self.STAGES + 1):
             want = sum((Rational(1, 1 << len(p)) for p, t in expected.items() if t <= s),
                        start=ZERO)
@@ -514,7 +503,7 @@ class TestPumpingPrune:
         expected = unpruned_halts(machine, 18, self.STAGES)
         enum = OmegaEnumeration(machine, 18)
         enum.advance_to(self.STAGES)
-        assert enum.halted == expected
+        assert halted_programs(enum.halted) == expected
         assert_omega_sums(enum, expected, self.STAGES)
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
