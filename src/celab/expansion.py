@@ -63,7 +63,9 @@ class ExpansionConfig:
 class ExpansionEngine(StageEngine):
     """One run of the construction; single-threaded, deterministic.  Its
     per-index tables are the final record's; an index absent from one reads
-    as 0 there."""
+    as 0 there.  Stage s1 reads alpha, eta and each adversary at s1 and eta
+    at each index's last L-expansionary stage, which the engine keeps per
+    index: each stream's values before s1 are released as it is read."""
 
     def __init__(self, config: ExpansionConfig):
         super().__init__(config)
@@ -77,8 +79,10 @@ class ExpansionEngine(StageEngine):
         self.beta = ZERO
 
         a0 = self._guarded(self.alpha, 0, "alpha")
+        self._eta_0 = self._guarded(self.eta, 0, "eta")
+        self._eta_at_exp: dict[int, Rational] = {}  # i -> eta at last_exp[i]; absent: eta_0
         self._log(0, "alpha", None, fmt(a0))
-        self._log(0, "eta", None, fmt(self._guarded(self.eta, 0, "eta")))
+        self._log(0, "eta", None, fmt(self._eta_0))
         self._log(0, "beta", None, fmt(ZERO))
         self.diff_at.append(a0)
 
@@ -123,11 +127,12 @@ class ExpansionEngine(StageEngine):
             i = position // 2
             if not position % 2 and gap_below(entry_gap, v, self.c.get(i, 0)):
                 bumped = True
-                increment = self.q[i] * (e_new - self.eta.value(self.last_exp.get(i, 0)))
+                increment = self.q[i] * (e_new - self._eta_at_exp.get(i, self._eta_0))
                 self.c[i] = self.c.get(i, 0) + 1
                 self.beta_i[i] = self.beta_i.get(i, ZERO) + increment
                 self.beta += increment
                 self.last_exp[i] = s1
+                self._eta_at_exp[i] = e_new
                 self._log(s1, "c", i, str(self.c[i]))
                 self._log(s1, "beta_i", i, fmt(self.beta_i[i]))
 
@@ -140,7 +145,9 @@ class ExpansionEngine(StageEngine):
     # -- helpers -----------------------------------------------------------
 
     def _guarded(self, stream: ApproxStream, s: int, name: str) -> Rational:
+        """Stage s of alpha or eta, its earlier values released."""
         v = stream.value(s)
+        stream.release(s)
         if not 0 <= v.numerator < v.denominator:
             raise StreamError(f"{name} value {v} at stage {s} not in [0,1)")
         return v

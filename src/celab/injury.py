@@ -101,7 +101,9 @@ class InjuryConfig:
 
 
 class InjuryEngine(StageEngine):
-    """One deterministic run of the construction."""
+    """One deterministic run of the construction.  Stage s1 reads each
+    adversary at s1 and alpha - beta at s1 - 1, the history that
+    `StageEngine` keeps."""
 
     def __init__(self, config: InjuryConfig):
         super().__init__(config)
@@ -121,25 +123,27 @@ class InjuryEngine(StageEngine):
     # -- the stage function --------------------------------------------------
 
     def _stage(self, s1: int) -> Rational:
-        self._read_suite(s1, first_side=0)
-        self._serve(self._least_attention(s1), s1)
+        adversaries = self._read_suite(s1, first_side=0)
+        self._serve(self._least_attention(s1, adversaries), s1)
         self._log(s1, "alpha", None, fmt(self.alpha))
         self._log(s1, "beta", None, fmt(self.beta))
         return self.alpha - self.beta
 
-    def _least_attention(self, s1: int) -> int:
-        """Least position requiring attention at stage s1.  Positions below
-        u are defined, so only the backed ones among them can require
-        attention; u itself always does, and u <= s keeps it inside the
-        scanned range 0..2s+1.  Gap tests run in the order a scan of the
-        attention predicate over 0..2s+1 would make them; that scan is the
-        `prop3` oracle of the tests (tests/oracles.py)."""
+    def _least_attention(self, s1: int, adversaries: dict[int, Rational]) -> int:
+        """Least position requiring attention at stage s1, given the
+        adversaries' values there by position.  Positions below u are
+        defined, so only the backed ones among them can require attention;
+        u itself always does, and u <= s keeps it inside the scanned range
+        0..2s+1, where every backed position has a value.  Gap tests run in
+        the order a scan of the attention predicate over 0..2s+1 would make
+        them; that scan is the `prop3` oracle of the tests
+        (tests/oracles.py)."""
         u = len(self.params)  # parameters are defined exactly on [0, u)
         diff = self.difference(s1 - 1)
-        for position, stream in self.suite.positions.items():
+        for position in self.suite.positions:
             if position >= u:
                 break
-            if gap_below(diff, stream.value(s1), self.params[position] + 3):
+            if gap_below(diff, adversaries[position], self.params[position] + 3):
                 return position
         return u
 

@@ -47,13 +47,17 @@ class OutOfUnitInterval(StreamError):
 
 
 # Generator signature: (stage, materialized prefix) -> value at that stage.
+# The prefix holds the values not yet released (`ApproxStream.release`), the
+# last at stage - 1: a generator reads only prefix[-1].
 Generator = Callable[[int, Sequence[Rational]], Rational]
 
 
 class ApproxStream:
     """A monotone computable sequence of rationals, cached per stage.
 
-    Re-querying a stage always returns the identical Rational.
+    Re-querying a stage returns the identical Rational until its owner
+    releases the stage (`release`); a released stage is refused.  A stream
+    nobody releases keeps every value.
     """
 
     def __init__(
@@ -67,7 +71,8 @@ class ApproxStream:
         self.generator = generator
         self.unit_interval = unit_interval
         self.label = label
-        self._prefix: list[Rational] = []
+        self._prefix: list[Rational] = []  # the values of stages _base, _base + 1, ...
+        self._base = 0
         self.faults: list[str] = []
         self._last: tuple[Optional[Rational], str] = (None, "")  # see `text`
 
@@ -76,19 +81,37 @@ class ApproxStream:
 
     @property
     def materialized(self) -> int:
-        """Number of stages materialized so far."""
-        return len(self._prefix)
+        """Number of stages materialized so far, released ones included."""
+        return self._base + len(self._prefix)
 
     def value(self, s: int) -> Rational:
         """Value at stage s, materializing all earlier stages as needed."""
-        if s < 0:
-            raise ValueError(f"negative stage {s}")
-        while len(self._prefix) <= s:
+        i, prefix = s - self._base, self._prefix
+        if i < 0:
+            if s < 0:
+                raise ValueError(f"negative stage {s}")
+            raise ValueError(f"{self.label}: stage {s} released; the stages before "
+                             f"{self._base} are")
+        while len(prefix) <= i:
             self._materialize_next()
-        return self._prefix[s]
+        return prefix[i]
+
+    def release(self, s: int) -> None:
+        """Drop the values of the stages before s, a materialized stage: its
+        owner reads none of them again.  The generator then sees the values
+        from stage s on, and reads only the last.  An owner that releases
+        the stages before each stage it reads drops one value of two: O(1)
+        a stage."""
+        k = s - self._base
+        if k > 0:
+            if k >= len(self._prefix):
+                raise ValueError(f"{self.label}: stage {s} not materialized, cannot "
+                                 f"release the stages before it")
+            del self._prefix[:k]
+            self._base = s
 
     def _materialize_next(self) -> None:
-        s = len(self._prefix)
+        s = self._base + len(self._prefix)
         v = self.generator(s, self._prefix)
         # a held value, the previous value's own object (a tracker holding),
         # passed both checks when it first appeared and can break neither:
@@ -192,12 +215,14 @@ def make_tracker(
     The value at stage s+1 moves toward the engine's difference at stage
     s - lag, clamped so that monotonicity and the (0,1) bound are never
     violated; when the raw target would break monotonicity the stream holds
-    its previous value and records a fault.
+    its previous value and records a fault.  The tracker tells the view how
+    far back it reads (`EngineView.retain`).
     """
     if lag < 0:
         raise ValueError(f"negative lag {lag}")
     if not (ZERO < start < ONE):
         raise ValueError(f"start {start} not in (0,1)")
+    engine_view.retain(lag)
     faults: list[str] = []  # the stream's: gen holds no reference to the stream, no cycle
 
     def gen(s: int, prefix: Sequence[Rational]) -> Rational:
@@ -278,7 +303,12 @@ class EngineView(Protocol):
     """Read-only handle a running engine exposes to adaptive adversaries."""
 
     def difference(self, s: int) -> Rational:
-        """alpha_s - beta_s for a completed stage s."""
+        """alpha_s - beta_s for a completed stage s the view still keeps;
+        ValueError for one it has dropped."""
+        ...
+
+    def retain(self, lag: int) -> None:
+        """An adversary will read difference(t - 1 - lag) at each stage t."""
         ...
 
 
@@ -296,22 +326,40 @@ class StageEngine:
     chained kind to the last record of its kind and requirement and keeps
     it in `events` until `records()` hands it out.  Its config carries a
     `suite` (or suite factory) and a `stages` budget.
+
+    The engine keeps only the history its readers use.  A stage reads
+    each participating adversary at that stage alone, so `_read_suite`
+    releases its earlier values as it reads it.  Adversary i joins at
+    stage i + 1, and its first read there materializes stages 0..i + 1,
+    whose tracker values read alpha - beta at stages 0..i - lag: so
+    `diff_at` keeps every stage until the last adversary has joined, then
+    only the last (largest lag + 1) stages that the trackers declared
+    (`retain`), and `difference` refuses an earlier one.
     """
 
     def __init__(self, config):
         if config.stages < 0:
             raise ValueError(f"stage budget must be >= 0, got {config.stages}")
         self.config = config
+        self.s = 0
+        self.events: list[TraceEvent] = []
+        self.diff_at: list[Rational] = []  # alpha_t - beta_t, the last stages through s
+        self._depth = 1  # stages of diff_at kept: the engine reads the last
         # trackers see the engine through a weak proxy, so the engine and its
         # event log are in no cycle with the suite and free on their last use
         self.suite = config.suite(weakref.proxy(self)) if callable(config.suite) else config.suite
-        self.s = 0
-        self.events: list[TraceEvent] = []
-        self.diff_at: list[Rational] = []  # alpha_s - beta_s per completed stage
+        # the stage that the last adversary joins at
+        self._last_join = max((p // 2 + 1 for p in self.suite.positions), default=0)
         self._last_text: dict[tuple[str, Optional[int]], str] = {}  # (kind, req) -> new text
 
     def difference(self, s: int) -> Rational:
-        return self.diff_at[s]
+        base = self.s + 1 - len(self.diff_at)
+        if s < base:
+            raise ValueError(f"stage {s} of alpha - beta not kept; kept from stage {base}")
+        return self.diff_at[s - base]
+
+    def retain(self, lag: int) -> None:
+        self._depth = max(self._depth, lag + 1)
 
     def step(self) -> None:
         s1 = self.s + 1
@@ -319,6 +367,8 @@ class StageEngine:
             raise ValueError(f"stage budget {self.config.stages} exhausted")
         self.diff_at.append(self._stage(s1))
         self.s = s1
+        if s1 >= self._last_join and len(self.diff_at) > self._depth:
+            del self.diff_at[:-self._depth]
 
     def records(self) -> Iterator[TraceEvent]:
         """Each record as it is logged, stage by stage up to the budget;
@@ -337,7 +387,7 @@ class StageEngine:
         """The value at stage s1 of every participating adversary (index at
         most s), by position.  Each is read and logged once, side by side:
         `first_side` (0 for gamma, 1 for delta) first, each by ascending
-        index."""
+        index, and its values before s1 are released."""
         values = {}
         for side in (first_side, 1 - first_side):
             for position, stream in self.suite.positions.items():
@@ -345,6 +395,7 @@ class StageEngine:
                     break
                 if position % 2 == side:
                     values[position] = v = stream.value(s1)
+                    stream.release(s1)
                     self._log(s1, ("gamma", "delta")[side], position // 2, stream.text(v))
         return values
 

@@ -217,6 +217,9 @@ class TestBuildSuite:
             def difference(self, s):
                 return R("0")
 
+            def retain(self, lag):
+                pass
+
         suite = build_suite([
             {"index": 0, "role": "L", "kind": "constant_target",
              "limit": "1/3", "rate": "1/2"},

@@ -2,6 +2,7 @@
 
 import pytest
 
+import celab.injury
 from celab.injury import (
     InjuryConfig,
     InjuryEngine,
@@ -114,12 +115,19 @@ class TestHandAuditedServes:
         assert engine.beta == sum((bit_weight(n) for n in engine.b_bits), start=ZERO)
 
     def test_acted_requirement_stays_quiet(self):
-        engine = run_injury(InjuryConfig(audit_suite(), stages=30))
-        # L_0 acted at stage 2 and is never initialized; no later attention
+        engine = InjuryEngine(InjuryConfig(audit_suite(), stages=30))
+        engine.step()
+        engine.step()
+        # L_0 acted at stage 2 and is never initialized; no later attention.
+        # The engine keeps the last stage of its difference and of gamma_0,
+        # so each stage s is read as it runs
         gamma_0 = engine.suite.positions[0]
+        param = engine.params[0]
         for s in range(3, 31):
-            assert not requires_attention(engine.params[0], gamma_0.value(s),
-                                          engine.difference(s - 1))
+            diff = engine.difference(s - 1)
+            engine.step()
+            assert engine.params[0] == param
+            assert not requires_attention(param, gamma_0.value(s), diff)
 
 
 def slow_approach(offset, direction=INC):
@@ -317,11 +325,11 @@ def suite_from(specs):
 
 
 class TestLeastAttention:
-    def test_gap_tests_per_stage_bounded_by_adversaries(self):
+    def test_gap_tests_per_stage_bounded_by_adversaries(self, monkeypatch):
         specs = [(0, "L", "slow", 2), (0, "R", "constant", 13),
                  (1, "L", "tracker", 0), (1, "R", "slow", 3),
                  (2, "L", "constant", 5), (3, "R", "tracker", 1)]
-        calls = {}
+        reads, tests = {}, {}  # stage -> stream values read, gap tests made
 
         def counting(factory):
             def wrapped(engine):
@@ -330,21 +338,31 @@ class TestLeastAttention:
                     original = entry.stream.value
 
                     def value(s, original=original):
-                        calls[s] = calls.get(s, 0) + 1
+                        reads[s] = reads.get(s, 0) + 1
                         return original(s)
 
                     entry.stream.value = value
+
+                def gap_below(*args):
+                    s1 = engine.s + 1  # the stage being built
+                    tests[s1] = tests.get(s1, 0) + 1
+                    return injury_gap_below(*args)
+
+                monkeypatch.setattr(celab.injury, "gap_below", gap_below)
                 return suite
             return wrapped
 
+        injury_gap_below = celab.injury.gap_below
         stages = 1000
         engine = run_injury(InjuryConfig(counting(suite_from(specs)), stages))
         logged = {}
         for ev in engine.events:
             if ev.kind in ("gamma", "delta"):
                 logged[ev.stage] = logged.get(ev.stage, 0) + 1
-        # every stream value read at stage s is either logged or a gap test
-        gap_tests = [calls.get(s, 0) - logged.get(s, 0) for s in range(1, stages + 1)]
+        # every stream value read at stage s is logged: the gap tests read
+        # the values the stage logged
+        assert reads == logged
+        gap_tests = [tests.get(s, 0) for s in range(1, stages + 1)]
         assert max(gap_tests) <= len(specs)
         # the late stages test every adversary, no more: cost flat in T
         assert max(gap_tests[-100:]) == len(specs)

@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from celab.config import build_suite
-from celab.expansion import ExpansionConfig, run_expansion
-from celab.injury import InjuryConfig, run_injury
+from celab.expansion import ExpansionConfig, ExpansionEngine, run_expansion
+from celab.injury import InjuryConfig, InjuryEngine, run_injury
 from celab.rationals import ZERO, parse_rational
 from celab.streams import Direction, make_constant_target
 from celab.trace import TraceEvent
@@ -122,15 +122,83 @@ TRACKERS = {(0, "L"): {"kind": "tracker", "lag": 0, "start": "1/8"},
 
 @pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
 def test_difference_is_logged_alpha_minus_beta(engine_name):
+    # the engine keeps only the last stages of its difference, so each
+    # stage is compared as its records are handed out: by then it has run,
+    # and its beta record is the last of its alpha and beta records
     if engine_name == "lemma2":
-        engine = run_expansion(ExpansionConfig(
+        engine = ExpansionEngine(ExpansionConfig(
             alpha=target(("2/3", "1/2")), eta=target(("1/2", "1/2")),
             suite=factory(TRACKERS), stages=80))
     else:
-        engine = run_injury(InjuryConfig(suite=factory(TRACKERS), stages=80))
-    logged = {kind: {} for kind in ("alpha", "beta")}  # kind -> stage -> value
-    for ev in engine.events:
-        if ev.kind in logged:
-            logged[ev.kind][ev.stage] = parse_rational(ev.new)
-    for s in range(engine.s + 1):
-        assert engine.difference(s) == logged["alpha"][s] - logged["beta"][s], f"stage {s}"
+        engine = InjuryEngine(InjuryConfig(suite=factory(TRACKERS), stages=80))
+    logged = {}  # kind -> the value of the stage being read
+    compared = []
+    for ev in engine.records():
+        if ev.kind in ("alpha", "beta"):
+            logged[ev.kind] = parse_rational(ev.new)
+        if ev.kind == "beta":
+            assert engine.s == ev.stage
+            assert engine.difference(ev.stage) == logged["alpha"] - logged["beta"], \
+                f"stage {ev.stage}"
+            compared.append(ev.stage)
+    assert compared == list(range(81))
+
+
+# constant targets, and a tracker that joins at stage 6 and reads alpha -
+# beta two stages back
+HISTORY = {(0, "L"): {"kind": "constant_target", "limit": "1/3", "rate": "1/2"},
+           (1, "R"): {"kind": "constant_target", "limit": "3/4", "rate": "2/3"},
+           (5, "L"): {"kind": "tracker", "lag": 2, "start": "1/8"}}
+
+
+def history_engine(engine_name, stages, steps=None):
+    """An engine on HISTORY with a budget of `stages`, run for `steps`
+    (all of them if None)."""
+    if engine_name == "lemma2":
+        engine = ExpansionEngine(ExpansionConfig(
+            alpha=target(("2/3", "1/2")), eta=target(("1/2", "1/3")),
+            suite=factory(HISTORY), stages=stages))
+    else:
+        engine = InjuryEngine(InjuryConfig(suite=factory(HISTORY), stages=stages))
+    for _ in range(stages if steps is None else steps):
+        engine.step()
+    return engine
+
+
+def held_history(engine) -> list[int]:
+    """The values each engine-owned stream holds, then the stages of alpha -
+    beta the engine keeps."""
+    streams = list(engine.suite.positions.values())
+    if isinstance(engine, ExpansionEngine):
+        streams += [engine.alpha, engine.eta]
+    return [len(stream._prefix) for stream in streams] + [len(engine.diff_at)]
+
+
+@pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
+def test_history_does_not_grow_with_the_stage_count(engine_name):
+    # each stream holds its last value, and alpha - beta its last lag + 1
+    # stages, after 200 stages as after 800
+    short, long = history_engine(engine_name, 200), history_engine(engine_name, 800)
+    want = [1] * (5 if engine_name == "lemma2" else 3) + [3]
+    assert held_history(short) == held_history(long) == want
+    assert [long.difference(s) for s in (798, 799, 800)] == long.diff_at
+
+
+@pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
+def test_history_is_kept_whole_until_the_last_adversary_joins(engine_name):
+    engine = history_engine(engine_name, 40, steps=5)
+    assert len(engine.diff_at) == 6  # the tracker joins at stage 6 and reads stages 0..3
+    engine.step()
+    assert len(engine.diff_at) == 3
+    assert engine.suite.positions[10].materialized == 7
+
+
+@pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
+def test_dropped_difference_is_refused_by_name(engine_name):
+    engine = history_engine(engine_name, 40)
+    engine.difference(38)
+    for s in (0, 37):
+        with pytest.raises(ValueError, match=rf"stage {s} of alpha - beta not kept"):
+            engine.difference(s)
+        with pytest.raises(ValueError, match=rf"stage {s} released"):
+            engine.suite.positions[0].value(s)

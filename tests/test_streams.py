@@ -180,6 +180,52 @@ class TestApproxStream:
             fresh.value(1)
 
 
+class TestRelease:
+    """An owner releases the stages it has read for the last time."""
+
+    def test_released_stage_is_refused_by_name(self):
+        st = ApproxStream(INC, lambda s, p: Rational(s, s + 1), unit_interval=False)
+        st.value(5)
+        st.release(4)
+        assert st.value(4) == Rational(4, 5) and st.value(6) == Rational(6, 7)
+        for s in (0, 3):
+            with pytest.raises(ValueError, match=rf"stage {s} released"):
+                st.value(s)
+        with pytest.raises(ValueError, match="negative stage -1"):
+            st.value(-1)
+
+    def test_materialized_counts_released_stages(self):
+        st = ApproxStream(INC, lambda s, p: Rational(s, s + 1), unit_interval=False)
+        st.value(5)
+        st.release(5)
+        assert st.materialized == 6
+        st.release(2)  # stages before 5 are released already
+        assert st.materialized == 6
+        st.value(9)
+        assert st.materialized == 10
+
+    def test_unmaterialized_stage_cannot_be_released(self):
+        # the generator reads the last value, and a held value is the last
+        # one's own object: a release always keeps a value
+        st = ApproxStream(INC, lambda s, p: Rational(s, s + 1), unit_interval=False)
+        st.value(2)
+        with pytest.raises(ValueError, match="stage 3 not materialized"):
+            st.release(3)
+
+    def test_generator_sees_the_last_value_after_a_release(self):
+        outside = Rational(3, 2)
+        held = ApproxStream(INC, lambda s, p: p[-1] if s else outside, unit_interval=False)
+        held.value(4)
+        held.release(4)
+        held.unit_interval = True
+        # still the held object: appended unchecked, as without a release
+        assert held.value(7) is outside
+        stream = make_constant_target(R("2/3"), INC, R("1/2"))
+        for s in range(30):
+            assert stream.value(s) == closed_form(R("2/3"), INC, R("1/2"), s)
+            stream.release(s)
+
+
 class TestConstantTarget:
     # [DERIVED] closed forms: increasing limit*(1 - rate**(s+1)),
     # decreasing limit + (1-limit)*rate**(s+1); checked by hand.
@@ -317,6 +363,9 @@ class FakeView:
 
     def difference(self, s):
         return self.diffs[s]
+
+    def retain(self, lag):
+        pass
 
 
 class TestTracker:
