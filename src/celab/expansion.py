@@ -33,7 +33,8 @@ kind and requirement; a run is bit-exactly replayable from its trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import Iterable, NamedTuple, Optional
 
 from .rationals import (ONE, ZERO, Rational, dyadic_sign, format_rational as fmt, gap_below,
                         pow2_neg)
@@ -165,24 +166,11 @@ def run_expansion(config: ExpansionConfig) -> ExpansionEngine:
     return engine
 
 
-class _StageEnd:
-    """The beta and eta records a stage ends with, None where it has none;
-    each parsed once, when V8 or a pacing pair first reads it."""
-
-    def __init__(self, stage: int, beta: Optional[str], eta: Optional[str]):
-        self.stage, self.beta, self.eta = stage, beta, eta
-        self._beta: Optional[Rational] = None
-        self._eta: Optional[Rational] = None
-
-    def beta_value(self) -> Rational:
-        if self._beta is None:
-            self._beta = rational(self.beta)
-        return self._beta
-
-    def values(self) -> tuple[Rational, Rational]:
-        if self._eta is None:
-            self._eta = rational(self.eta)
-        return self.beta_value(), self._eta
+class _StageEnd(NamedTuple):
+    """The beta and eta records a stage ends with, None where it has none."""
+    stage: int
+    beta: Optional[str]
+    eta: Optional[str]
 
 
 def _is_sum(x: Rational, y: Rational, z: Rational) -> bool:
@@ -196,11 +184,13 @@ def _is_sum(x: Rational, y: Rational, z: Rational) -> bool:
     return x.numerator * yd * zd == (y.numerator * zd + z.numerator * yd) * xd
 
 
-def _dyadic_exponent(text: str) -> Optional[int]:
-    """e where p/q text holds 1/2^e, else None; no 2^e is built."""
-    v = rational(text)
+def _dyadic_exponent(v: Rational) -> Optional[int]:
+    """e where v is 1/2^e, else None; no 2^e is built."""
     d = v.denominator
     return d.bit_length() - 1 if v.numerator == 1 and not d & (d - 1) else None
+
+
+_PARSED = 64  # the p/q texts a lemma2 verify keeps parsed, the last read
 
 
 class _StageChecks:
@@ -210,21 +200,29 @@ class _StageChecks:
     order they are found: V3 and V8 as a stage closes, V4 at the later c
     record.  Requirements first seen after a stage can still fail V3
     there, with bound 2^-0: a stage whose positive growth exceeds 1 is kept
-    until the end of the trace for them."""
+    until the end of the trace for them.  Every p/q read goes through
+    `parse`, one memo of the last `_PARSED` texts: on the goldens, the
+    lemma2 battery and the cap trace, V3's read of a beta_i record's old
+    value and V4's of an earlier stage end always hit it."""
 
     def __init__(self):
+        self._parsed = lru_cache(maxsize=_PARSED)(rational)
         self.d_count: dict[int, int] = {}  # j -> d records so far
         self.known: set[int] = set()  # requirements with a d or beta_i record so far
         self.relevant: list[int] = []  # sorted(known)
         self.bump: dict[int, _StageEnd] = {}  # i -> the stage end of its last c record
         self.deferred: list[tuple[int, dict[int, Rational], frozenset[int]]] = []
         # V8: the last beta record, and the growth of beta_i records since it
-        self.beta = _StageEnd(-1, "0/1", None)
+        self.beta = "0/1"
         self.growth: Optional[Rational] = None
         self.q_exp: dict[int, Optional[int]] = {}  # i -> e if its last q record is 2^-e
         self.v3: list[str] = []
         self.v4: list[str] = []
         self.v8: list[str] = []
+
+    def parse(self, text) -> Rational:
+        """The value p/q text holds; TraceFormatError for any other value."""
+        return self._parsed(text) if isinstance(text, str) else rational(text)
 
     def close(self, stage: int, beta: Optional[str], eta: Optional[str], c_bumped: list[int],
               d_bumped: list[int], growth: dict[int, tuple[str, str]],
@@ -239,7 +237,7 @@ class _StageChecks:
             self.relevant = sorted(self.known)
         end = _StageEnd(stage, beta, eta)
         if growth:
-            incs = {i: rational(new) - rational(old) for i, (old, new) in growth.items()}
+            incs = {i: self.parse(new) - self.parse(old) for i, (old, new) in growth.items()}
             for j in self.relevant:
                 self._restrain(stage, j, incs, self.d_count.get(j, 0))
             if sum(inc for inc in incs.values() if inc > 0) > ONE:
@@ -247,7 +245,7 @@ class _StageChecks:
             total = sum(incs.values(), ZERO)
             self.growth = total if self.growth is None else self.growth + total
         if beta is not None:  # a stage without one fails V7
-            self._total(end)
+            self._total(stage, beta)
         if q or d_bumped:
             self._scales(stage, q, min(d_bumped, default=None))
         for i in c_bumped:
@@ -259,26 +257,25 @@ class _StageChecks:
         """The largest d_j over j < i, 0 if none: q_i = 2^-(i + top + 1)."""
         return max((d for j, d in self.d_count.items() if j < i), default=0)
 
-    def _total(self, end: _StageEnd) -> None:
+    def _total(self, stage: int, beta: str) -> None:
         """V8: beta is the last beta record plus the growth of the beta_i
         records since, and keeps its text where they have none."""
         last = self.beta
         if self.growth is None:
-            if end.beta != last.beta:
-                self.v8.append(f"stage {end.stage}: beta {end.beta} with no growth since "
-                               f"{last.beta}")
-                self.beta = end
+            if beta != last:
+                self.v8.append(f"stage {stage}: beta {beta} with no growth since {last}")
+                self.beta = beta
         else:
-            if not _is_sum(end.beta_value(), last.beta_value(), self.growth):
-                self.v8.append(f"stage {end.stage}: beta {end.beta} is not {last.beta} "
+            if not _is_sum(self.parse(beta), self.parse(last), self.growth):
+                self.v8.append(f"stage {stage}: beta {beta} is not {last} "
                                f"plus the growth {self.growth}")
-            self.beta, self.growth = end, None
+            self.beta, self.growth = beta, None
 
     def _scales(self, stage: int, q: dict[int, str], low: Optional[int]) -> None:
         """V8: each q_i is 2^-(i + top + 1), checked where its q record or a
         d_j, j < i, changed."""
         for i, text in q.items():
-            self.q_exp[i] = _dyadic_exponent(text)
+            self.q_exp[i] = _dyadic_exponent(self.parse(text))
         for i, e in self.q_exp.items():
             if i in q or low is not None and low < i:
                 if e != (want := i + self._top(i) + 1):
@@ -297,9 +294,9 @@ class _StageChecks:
         if gaps:
             self.v4.append(f"req {i}, stages {t1}->{t2}: no {', '.join(gaps)}")
             return
-        (beta1, eta1), (beta2, eta2) = first.values(), second.values()
         n = i + self._top(i) + 1  # q_i = 2^-n
-        lhs, growth = beta2 - beta1, eta2 - eta1
+        lhs = self.parse(second.beta) - self.parse(first.beta)
+        growth = self.parse(second.eta) - self.parse(first.eta)
         if dyadic_sign(lhs, growth, n) < 0:
             # in full up to 2^-65536, past every q_i of a run at the stage cap
             rhs = growth * pow2_neg(n) if n <= 1 << 16 else f"2^-{n} * {growth}"
@@ -407,15 +404,15 @@ def verify_expansion(events: Iterable[TraceEvent], final: dict) -> VerificationR
     T = fold.stage
     check_final_record(report, "V0 final record is the folded trace's", fold.snapshot(), final)
 
-    beta_T = rational(fold.beta)
+    beta_T = checks.parse(fold.beta)
     report.check("V1 total below one", [] if beta_T < ONE else [f"beta_T = {beta_T} >= 1"])
 
     if fold.eta_stage != T:
         v2 = [f"no eta record at final stage {T}"]
     else:
-        eta_T = rational(fold.eta)
+        eta_T = checks.parse(fold.eta)
         v2 = [f"beta_{i} = {b} > 2^-{i + 1} * eta_T" for i, text in sorted(fold.beta_i.items())
-              if dyadic_sign(b := rational(text), eta_T, i + 1) > 0]
+              if dyadic_sign(b := checks.parse(text), eta_T, i + 1) > 0]
     report.check("V2 contribution cap 2^-(i+1) * eta", v2)
 
     report.check("V3 restraint bound on lower-priority growth", checks.v3)

@@ -304,7 +304,7 @@ class EngineView(Protocol):
 
     def difference(self, s: int) -> Rational:
         """alpha_s - beta_s for a completed stage s the view still keeps;
-        ValueError for one it has dropped."""
+        ValueError for any other stage."""
         ...
 
     def retain(self, lag: int) -> None:
@@ -334,7 +334,7 @@ class StageEngine:
     whose tracker values read alpha - beta at stages 0..i - lag: so
     `diff_at` keeps every stage until the last adversary has joined, then
     only the last (largest lag + 1) stages that the trackers declared
-    (`retain`), and `difference` refuses an earlier one.
+    (`retain`), and `difference` refuses every stage it does not keep.
     """
 
     def __init__(self, config):
@@ -354,8 +354,8 @@ class StageEngine:
 
     def difference(self, s: int) -> Rational:
         base = self.s + 1 - len(self.diff_at)
-        if s < base:
-            raise ValueError(f"stage {s} of alpha - beta not kept; kept from stage {base}")
+        if not base <= s <= self.s:
+            raise ValueError(f"stage {s} of alpha - beta not kept; kept stages {base}..{self.s}")
         return self.diff_at[s - base]
 
     def retain(self, lag: int) -> None:

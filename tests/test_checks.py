@@ -11,12 +11,14 @@ from typing import Callable, NamedTuple, Optional
 
 import pytest
 
+from celab import expansion
 from celab.cli import EXIT_CHECK_FAILED, main
-from celab.expansion import replay_expansion, verify_expansion
+from celab.expansion import replay_expansion, run_expansion, verify_expansion
 from celab.injury import InjuryConfig, replay_injury, run_injury, verify_injury
 from celab.rationals import parse_rational as R
 from celab.streams import AdversarySuite, Direction, SuiteEntry, make_constant_target
-from celab.trace import TraceEvent, read_trace, write_trace
+from celab.trace import TraceEvent, TraceFormatError, read_trace, write_trace
+from test_acceptance import lemma2_config
 
 DATA = Path(__file__).parent / "data"
 ENGINES = {"lemma2": (verify_expansion, replay_expansion),
@@ -203,3 +205,37 @@ def test_every_check_fails_in_some_case():
         assert report.all_green
         listed.update(c.name.split()[0] for c in report.checks)
     assert listed - {"V5"} == {case.check for case in FAILING.values()}
+
+
+def lemma2_verifier_inputs():
+    """(events, final record) of both goldens, the prop3 one read as a
+    lemma2 trace that fails, of each lemma2 case of `FAILING`, and of one
+    lemma2 battery config."""
+    for name in ENGINES:
+        _, evs, final = read_trace(DATA / f"golden_{name}.trace.jsonl")
+        yield list(evs), final
+    for case in FAILING.values():
+        if case.engine == "lemma2":
+            yield tampered(case)
+    engine = run_expansion(lemma2_config(0)[0])
+    yield engine.events, engine.snapshot()
+
+
+def test_lemma2_reports_do_not_depend_on_memo_hits(monkeypatch):
+    """The lemma2 verifier reads every p/q text through a memo of the last
+    `_PARSED` texts; with room for one text, so that it parses nearly every
+    read again, each report is the one it gives at the bound, and a beta_i
+    record whose old value is not p/q text, hashable or not, still fails
+    to read."""
+    inputs = list(lemma2_verifier_inputs())
+    evs = golden("lemma2")()
+    n = next(n for n, ev in enumerate(evs) if ev.kind == "beta_i")
+    reports = []
+    for bound in (expansion._PARSED, 1):
+        monkeypatch.setattr(expansion, "_PARSED", bound)
+        reports.append([verify_expansion(events, final).to_dict() for events, final in inputs])
+        for old in ([1], None):
+            with pytest.raises(TraceFormatError, match="is not p/q text"):
+                verify_expansion(evs[:n] + [evs[n]._replace(old=old)] + evs[n + 1:],
+                                 replay_expansion(evs))
+    assert reports[0] == reports[1]

@@ -202,3 +202,22 @@ def test_dropped_difference_is_refused_by_name(engine_name):
             engine.difference(s)
         with pytest.raises(ValueError, match=rf"stage {s} released"):
             engine.suite.positions[0].value(s)
+
+
+@pytest.mark.parametrize("engine_name", ["lemma2", "prop3"])
+def test_difference_refuses_every_stage_it_does_not_hold(engine_name):
+    # after 5 stages with an empty suite only stage 5 is kept: a stage past
+    # the last completed one is refused by name, like a dropped one
+    if engine_name == "lemma2":
+        engine = run_expansion(ExpansionConfig(
+            alpha=target(("2/3", "1/2")), eta=target(("1/2", "1/3")),
+            suite=factory({}), stages=5))
+    else:
+        engine = run_injury(InjuryConfig(suite=factory({}), stages=5))
+    last = {ev.kind: parse_rational(ev.new) for ev in engine.events
+            if ev.kind in ("alpha", "beta")}
+    assert engine.difference(5) == last["alpha"] - last["beta"]
+    for s in (-1, 4, 6, 10**6):
+        with pytest.raises(ValueError, match=rf"stage {s} of alpha - beta not kept; "
+                                             r"kept stages 5\.\.5$"):
+            engine.difference(s)
