@@ -84,11 +84,12 @@ def config_from_dict(raw) -> RunConfig:
 
 
 def rational_arg(value, name: str) -> Rational:
-    """A "p/q" from a config field or a command-line flag."""
+    """The value of a config field's or a flag's p/q text, by
+    `parse_rational`; ConfigError naming `name` for any other value."""
     try:
-        return parse_rational(str(value))
-    except (ValueError, ZeroDivisionError) as e:
-        raise ConfigError(f"bad rational {value!r} for {name}: {e}") from None
+        return parse_rational(value)
+    except ValueError as e:
+        raise ConfigError(f"bad rational {value!r:.40} for {name}: {e}") from None
 
 
 def _rational_field(spec: dict, key: str, where: str, default: Optional[str] = None) -> Rational:

@@ -1,4 +1,4 @@
-"""Exact rational scalars and their canonical text form.
+"""Exact rational scalars and their one text form, "p/q".
 
 Every quantity in this package is a `fractions.Fraction`: arithmetic is
 exact, results are kept in lowest terms with a positive denominator, and
@@ -14,7 +14,6 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
 
 
 def coprime(n: int, d: int) -> Rational:
@@ -63,11 +62,19 @@ def format_rational(x: Rational) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def parse_rational(text: str) -> Rational:
-    """Parse "p/q" (or a bare integer "p"); the int/str digit limit of
-    `format_rational` applies likewise."""
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+def is_ratio_text(text) -> bool:
+    """Whether `text` is p/q text: an optional "-", ASCII digits, "/", and
+    ASCII digits not all zero.  Scanned by C-level methods and no int is
+    built; the digits are tested as ASCII bytes, a table lookup per byte,
+    where `str.isdigit` would look up each character's Unicode category."""
+    num, _, den = (text.encode() if type(text) is str and text.isascii() else b"").partition(b"/")
+    return num.removeprefix(b"-").isdigit() and den.isdigit() and den.lstrip(b"0") != b""
+
+
+def parse_rational(text) -> Rational:
+    """The value p/q text holds, inverse to `format_rational` and under its
+    digit limit; ValueError for all `is_ratio_text` refuses, as "5" or 5."""
+    if not is_ratio_text(text):
+        raise ValueError("not p/q text")
+    num, _, den = text.partition("/")
+    return Fraction(int(num), int(den))

@@ -26,7 +26,7 @@ from json.scanner import make_scanner
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .rationals import Rational
+from .rationals import Rational, is_ratio_text, parse_rational
 
 
 class TraceFormatError(Exception):
@@ -57,15 +57,6 @@ KINDS = {
 def _json_text(text: Optional[str]) -> str:
     """`text` as `json.dumps` writes it: an ASCII-escaped JSON string, or null."""
     return "null" if text is None else encode_basestring_ascii(text)
-
-
-def is_ratio_text(text) -> bool:
-    """Whether `text` is p/q text: an optional "-", ASCII digits, "/", and
-    ASCII digits not all zero.  Scanned by C-level methods and no int is
-    built; the digits are tested as ASCII bytes, a table lookup per byte,
-    where `str.isdigit` would look up each character's Unicode category."""
-    num, _, den = (text.encode() if type(text) is str and text.isascii() else b"").partition(b"/")
-    return num.removeprefix(b"-").isdigit() and den.isdigit() and den.lstrip(b"0") != b""
 
 
 class TraceEvent(NamedTuple):
@@ -118,13 +109,14 @@ class TraceEvent(NamedTuple):
 
 
 def rational(text) -> Rational:
-    """The value p/q text holds; TraceFormatError if `text` is not p/q
-    text.  Text past the interpreter's int digit limit raises its
-    ValueError."""
-    if not is_ratio_text(text):
-        raise TraceFormatError(f"value {text!r:.40} is not p/q text")
-    num, _, den = text.partition("/")
-    return Rational(int(num), int(den))
+    """The value p/q text holds, by `parse_rational`; TraceFormatError if
+    it is not p/q text, the interpreter's ValueError past its digit limit."""
+    try:
+        return parse_rational(text)
+    except ValueError:
+        if is_ratio_text(text):  # p/q text past the int digit limit
+            raise
+        raise TraceFormatError(f"value {text!r:.40} is not p/q text") from None
 
 
 def _record_name(kind: str, req: Optional[int]) -> str:

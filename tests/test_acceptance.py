@@ -338,7 +338,7 @@ def test_criterion_5_witness_closure():
         q = Rational(rng.randint(1, 40), rng.randint(1, 20))
         base = check(SolovayWitness(q, alpha, beta), T)
         # upward closure: a q that works keeps working for every larger q
-        for factor in (R("3/2"), R("2"), R("16")):
+        for factor in (R("3/2"), R("2/1"), R("16/1")):
             bigger = check(SolovayWitness(q * factor, alpha, beta), T)
             assert not (base.holds and not bigger.holds), (
                 f"clause {clause}: holds at {q} but not at {q * factor}")

@@ -332,9 +332,9 @@ def test_negative_stages_is_config_error(argv, capsys):
     (["solovay", "check", "--clause", "b", "--q", "1/2", "--stages", "5", "--horizon", "5",
       "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
      "--horizon must be >= 6, got 5\n"),
-    (["solovay", "check", "--clause", "a", "--q", "0",
+    (["solovay", "check", "--clause", "a", "--q", "0/1",
       "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
-     "--q must be positive, got 0\n"),
+     "--q must be positive, got 0/1\n"),
     (["solovay", "speedup", "--p=-1/2",
       "--alpha", TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA],
      "--p must be positive, got -1/2\n"),
@@ -395,6 +395,44 @@ def test_bad_rational_names_its_suite_entry(tmp_path, capsys):
     assert main(["run-prop3", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
     assert capsys.readouterr().err.startswith(
         "config error: bad rational 'x' for 'limit' in suite[1/L]: ")
+
+
+# text a lenient reader (strip, int()) once took for a rational
+NOT_P_Q_TEXT = [" 1/2 ", "+1/2", "-1/-2", "1_0/20", "\u0661/\u0662", "5"]
+
+
+@pytest.mark.parametrize("value", [*NOT_P_Q_TEXT, ["1/2"], 1], ids=repr)
+def test_only_p_q_text_is_a_rational(value, tmp_path, capsys):
+    # a config field holding anything but p/q text is refused, naming it;
+    # so is such text in --q or --p
+    cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, eta=dict(LEMMA2_CONFIG["eta"], limit=value)))
+    runs = [(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)], "'limit' in eta")]
+    if isinstance(value, str):
+        runs += [([*command, f"{flag}={value}", "--alpha", TestSolovayCommands.ALPHA,
+                   "--beta", TestSolovayCommands.BETA], flag)
+                 for command, flag in ((["solovay", "check", "--clause", "c"], "--q"),
+                                       (["solovay", "speedup"], "--p"))]
+    for argv, name in runs:
+        assert main(argv) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr() == (
+            "", f"config error: bad rational {value!r} for {name}: not p/q text\n")
+
+
+def test_bad_rational_is_quoted_in_part(tmp_path, capsys):
+    # a long value is quoted to 40 characters, as a trace value is
+    cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, eta=dict(LEMMA2_CONFIG["eta"],
+                                                               limit="1" * 10**5)))
+    assert main(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_CONFIG_ERROR
+    assert capsys.readouterr().err == (f"config error: bad rational '{'1' * 39} for "
+                                       "'limit' in eta: not p/q text\n")
+
+
+def test_p_q_text_need_not_be_in_lowest_terms(tmp_path, capsys):
+    cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, eta=dict(LEMMA2_CONFIG["eta"], limit="2/4")))
+    assert main(["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert main(["solovay", "check", "--clause", "c", "--q", "6/8", "--alpha",
+                 TestSolovayCommands.ALPHA, "--beta", TestSolovayCommands.BETA]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("clause c holds on prefix T=64 at q=6/8\n")
 
 
 def test_huge_omega_length_is_refused_at_once(tmp_path, capsys):
@@ -504,11 +542,11 @@ class TestOmegaCommand:
         # the same machine driving a config's or a flag's omega stream
         machine = tmp_path / "full.machine"
         machine.write_text("sub unit trivial\ndispatch 0 unit\ndispatch 1 unit\n")
-        spec = {"kind": "omega", "machine": str(machine), "max_length": 4, "offset": "0",
+        spec = {"kind": "omega", "machine": str(machine), "max_length": 4, "offset": "0/1",
                 "scale": "1/4"}
         cfg = write_config(tmp_path, dict(LEMMA2_CONFIG, alpha=spec))
         for argv in (["run-lemma2", "--config", cfg, "--out-dir", str(tmp_path)],
-                     ["solovay", "speedup", "--p", "1", "--stages", "3", "--alpha",
+                     ["solovay", "speedup", "--p", "1/1", "--stages", "3", "--alpha",
                       json.dumps(spec), "--beta", TestSolovayCommands.BETA]):
             assert main(argv) == EXIT_CONFIG_ERROR
             assert capsys.readouterr().err == "config error: Kraft sum reached 1\n"

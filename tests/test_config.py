@@ -154,11 +154,11 @@ class TestBuildStream:
 
     def test_omega_plus_geometric(self):
         spec = {"kind": "omega", "machine": "pair", "max_length": 8,
-                "offset": "0", "scale": "1/4",
+                "offset": "0/1", "scale": "1/4",
                 "plus": {"limit": "1/4", "rate": "1/2"}}
         st = build_stream(spec, INC)
         base = build_stream({"kind": "omega", "machine": "pair",
-                             "max_length": 8, "offset": "0",
+                             "max_length": 8, "offset": "0/1",
                              "scale": "1/4"}, INC)
         for s in range(6):
             assert st.value(s) > base.value(s)  # the geometric part moves
@@ -166,7 +166,7 @@ class TestBuildStream:
     def test_omega_plus_bad_limit_rejected(self):
         # the geometric part's own parameter check, not a raw ValueError
         spec = {"kind": "omega", "machine": "pair", "max_length": 8,
-                "plus": {"limit": "2"}}
+                "plus": {"limit": "2/1"}}
         with pytest.raises(ConfigError, match="limit 2 not in"):
             build_stream(spec, INC)
 
@@ -207,7 +207,7 @@ class TestBuildStream:
         path = tmp_path / "m.machine"
         path.write_text("sub unit trivial\ndispatch 0 unit\n")
         st = build_stream({"kind": "omega", "machine": str(path),
-                           "max_length": 4, "offset": "0", "scale": "1/2"}, INC)
+                           "max_length": 4, "offset": "0/1", "scale": "1/2"}, INC)
         assert st.value(1) == R("1/4")  # the single halt "0" has weight 1/2
 
 
@@ -215,7 +215,7 @@ class TestBuildSuite:
     def test_roles_and_indices(self):
         class View:
             def difference(self, s):
-                return R("0")
+                return R("0/1")
 
             def retain(self, lag):
                 pass

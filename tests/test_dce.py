@@ -5,7 +5,7 @@ import random
 import pytest
 
 from celab.dce import DcReal, dc_add, dc_mul, dc_neg, dc_sub, dc_zero
-from celab.rationals import HALF, ZERO, Rational, parse_rational
+from celab.rationals import ZERO, Rational, parse_rational
 from celab.streams import Direction, StreamError, make_constant_target
 from conftest import constant
 
@@ -33,7 +33,7 @@ class TestDcReal:
         assert x.value_at(1) == R("1/8")
 
     def test_components_must_increase(self):
-        dec = make_constant_target(HALF, DEC, HALF)
+        dec = make_constant_target(Rational(1, 2), DEC, Rational(1, 2))
         inc = target("1/2")
         with pytest.raises(ValueError):
             DcReal(inc, dec)
@@ -95,7 +95,7 @@ class TestOperations:
     def test_mul_checks_the_components_each_side_reads(self):
         # x.left < 0: the right component reads it as much as the left does
         x = DcReal(constant(R("-1/2")), constant(ZERO))
-        y = DcReal(constant(HALF), constant(R("1/4")))
+        y = DcReal(constant(Rational(1, 2)), constant(R("1/4")))
         for component in (lambda p: p.left, lambda p: p.right, lambda p: dc_neg(p).left):
             with pytest.raises(StreamError, match="negative x.left"):
                 component(dc_mul(x, y)).value(0)

@@ -27,6 +27,8 @@ WRONG = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4),
     st.lists(st.integers(0, 3), max_size=2), st.just({"kind": "omega"}),
     st.sampled_from(["0", "-1/2", "1/0", "x", "1/1", "2", "0.5"]),
+    # spellings that only a lenient reader took for p/q text
+    st.sampled_from([" 1/2 ", "+1/2", "-1/-2", "1_0/20", "\u0661/\u0662", ["1/2"]]),
 )
 FRACTION = st.builds(lambda k: f"{k}/16", st.integers(1, 15))
 RATE = st.sampled_from(["1/2", "1/3", "2/3", "3/4"])
@@ -40,7 +42,7 @@ TRACKER = st.fixed_dictionaries({"kind": st.just("tracker"), "start": FRACTION},
 OMEGA = st.fixed_dictionaries(
     {"kind": st.just("omega")},
     optional={"machine": MACHINE, "max_length": MAX_LENGTH,
-              "offset": st.sampled_from(["0", "1/8", "1/4", "3/4", "1/1"]),
+              "offset": st.sampled_from(["0/1", "1/8", "1/4", "3/4", "1/1"]),
               "scale": st.sampled_from(["1/2", "1/4", "-1/2", "-1/4"]),
               "plus": st.fixed_dictionaries({"limit": FRACTION}, optional={"rate": RATE})})
 STREAM = st.one_of(CONSTANT, TRACKER, OMEGA)
@@ -107,7 +109,8 @@ def test_configs_run_or_are_refused(config, command):
 
 
 STAGES = st.integers(-2, 20).map(str)
-RATIONAL_FLAG = st.sampled_from(["1/2", "3/4", "1", "2", "0", "-1/2", "1/0", "x", "0.5"])
+RATIONAL_FLAG = st.sampled_from(["1/2", "3/4", "1/1", "2/1", "1", "2", "0", "-1/2", "1/0", "x",
+                                 "0.5", " +3/1"])
 # a stream spec flag: a spec, valid or with one key set wrong, or not JSON
 SPEC_FLAG = st.one_of(
     STREAM.map(json.dumps),

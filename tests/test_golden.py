@@ -80,6 +80,19 @@ class TestBitExactRegeneration:
         assert written == (DATA / f"golden_{name}.trace.jsonl").read_bytes()
         capsys.readouterr()
 
+    def test_respelled_config_rewrites_it(self, tmp_path, capsys):
+        # p/q text need not be in lowest terms: the lemma2 golden's config
+        # with "2/6" for "1/3" and "2/4" for "1/2" still writes the golden
+        text = (DATA / "golden_lemma2.config.json").read_text()
+        respelled = text.replace('"1/3"', '"2/6"').replace('"1/2"', '"2/4"')
+        assert respelled.count('"2/6"') == 1 and respelled.count('"2/4"') == 5
+        config = tmp_path / "respelled.config.json"
+        config.write_text(respelled)
+        assert main(["run-lemma2", "--config", str(config), "--out-dir", str(tmp_path)]) == EXIT_OK
+        written = (tmp_path / "lemma2.trace.jsonl").read_bytes()
+        assert written == (DATA / "golden_lemma2.trace.jsonl").read_bytes()
+        capsys.readouterr()
+
 
 class TestHandAuditedOpenings:
     """[DERIVED by hand] the first stages of both golden files, recomputed

@@ -1,9 +1,10 @@
 """Source hygiene: every name a library module imports is used in it,
 every private top-level name it defines is read in it, no library module
-uses an `assert` statement (it vanishes under `python -O`), only the
-config loader uses `parse_rational` (a check that parses trace text goes
+uses an `assert` statement (it vanishes under `python -O`), only the two
+readers of outside p/q text use `parse_rational` (`config` for configs
+and flags, `trace` for trace records; a check that parses trace text goes
 through `trace.rational`, which refuses bad text as a format error), only
-the trace module applies the p/q text rule, no library module imports
+`rationals` defines the p/q text rule, no library module imports
 another's private `_name`, the test oracles import only `TraceEvent`
 from celab, and no test calls a private `_name` method (a check that only
 such a call can reach is dead code)."""
@@ -55,8 +56,8 @@ def unread_private_names(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
 
 
-PARSERS = {"config.py"}  # the modules that may read rationals from text leniently
-# the p/q text rule of trace records, and the name it had before
+READERS = {"config.py", "trace.py"}  # the modules that read p/q text from outside input
+# the p/q text rule, and the name it had before
 RATIO_TEXT_RULE = ("is_ratio_text", "check_ratio_text")
 
 
@@ -105,7 +106,7 @@ def test_detects_an_assert_statement():
     assert assert_statements(source) == ["line 6"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in PARSERS],
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in READERS],
                          ids=lambda p: p.name)
 def test_parse_rational_only_in_readers(path):
     assert uses(path.read_text(), "parse_rational") == []
@@ -118,16 +119,45 @@ def test_detects_a_parse_rational_use():
     assert uses(source, "parse_rational") == ["line 6", "line 9"]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "trace.py"],
-                         ids=lambda p: p.name)
-def test_ratio_text_rule_only_in_trace(path):
-    assert uses(path.read_text(), *RATIO_TEXT_RULE) == []
-
-
 def test_detects_a_ratio_text_rule_use():
     source = ("from .trace import check_ratio_text, is_ratio_text\nfrom . import trace\n\n\n"
               "def f(ev):\n    check_ratio_text(ev.new)\n    return trace.is_ratio_text(ev.old)\n")
     assert uses(source, *RATIO_TEXT_RULE) == ["line 6", "line 7"]
+
+
+def rule_definitions(source: str) -> list[str]:
+    """The top-level definitions (or "<module>") where a module states a
+    p/q text rule: a function or name of `RATIO_TEXT_RULE`, or text split
+    at "/"."""
+    found = []
+    for top in ast.parse(source).body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in RATIO_TEXT_RULE
+                    or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                    and node.id in RATIO_TEXT_RULE
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("partition", "rpartition", "split", "rsplit")
+                    and any(isinstance(arg, ast.Constant) and arg.value in ("/", b"/")
+                            for arg in node.args)):
+                found.append(where)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_ratio_text_rule_only_in_rationals(path):
+    # rationals.py states the rule once, and splits p/q text only in it and
+    # in `parse_rational`, the reader every other module goes through
+    expected = ["is_ratio_text", "is_ratio_text", "parse_rational"]
+    assert rule_definitions(path.read_text()) == (expected if path.name == "rationals.py" else [])
+
+
+def test_detects_a_ratio_text_rule_definition():
+    source = ("def is_ratio_text(text):\n    return True\n\n\n"
+              "check_ratio_text = is_ratio_text\n\n\n"
+              "def f(text, sep):\n    return text.partition('/'), text.split(sep)\n\n\n"
+              "num, den = data.rsplit(b'/', 1)\n")
+    assert rule_definitions(source) == ["is_ratio_text", "<module>", "f", "<module>"]
 
 
 def private_imports(source: str) -> list[str]:

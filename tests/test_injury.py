@@ -301,7 +301,7 @@ class TestVerifyAndReplay:
 
 LIMITS = [R(f"{k}/16") for k in range(1, 16)]
 RATES = [R("1/2"), R("1/3"), R("2/3"), R("3/4")]
-OFFSETS = ["-1/2", "-1/4", "0", "1/4", "1/2"]
+OFFSETS = ["-1/2", "-1/4", "0/1", "1/4", "1/2"]
 
 
 def suite_from(specs):

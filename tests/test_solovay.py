@@ -154,8 +154,8 @@ class TestSpeedup:
     def test_constant_beta_freezes_gamma(self):
         alpha = target("1/2")
         beta = constant(R("1/3"), INC)
-        gamma = speedup(alpha, beta, R("10"))
-        first = min(alpha.value(0), R("10") * R("1/3"))
+        gamma = speedup(alpha, beta, R("10/1"))
+        first = min(alpha.value(0), R("10/1") * R("1/3"))
         for s in range(20):
             assert gamma.value(s) == first
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import celab.streams
 from celab.config import ENGINES, config_from_dict
-from celab.rationals import HALF, ONE, ZERO, Rational, format_rational, parse_rational
+from celab.rationals import ONE, ZERO, Rational, format_rational, parse_rational
 from celab.streams import (
     AdversarySuite,
     ApproxStream,
@@ -85,8 +85,8 @@ class TestApproxStream:
             st.value(1)
 
     def test_equal_values_allowed(self):
-        st = ApproxStream(INC, lambda s, _p: HALF)
-        assert st.value(10) == HALF  # nonstrict monotone is fine
+        st = ApproxStream(INC, lambda s, _p: Rational(1, 2))
+        assert st.value(10) == Rational(1, 2)  # nonstrict monotone is fine
 
     def test_unit_interval_guard(self):
         st = ApproxStream(INC, lambda s, _p: Rational(s), unit_interval=True)
@@ -94,7 +94,7 @@ class TestApproxStream:
             st.value(0)  # 0 is outside the open interval
 
     def test_negative_stage_rejected(self):
-        st = ApproxStream(INC, lambda s, _p: HALF)
+        st = ApproxStream(INC, lambda s, _p: Rational(1, 2))
         with pytest.raises(ValueError):
             st.value(-1)
 
@@ -309,7 +309,7 @@ class TestConstantTarget:
         assert {k: g for k, g in seen.items() if g > 1} == divides
 
     def test_generator_called_out_of_order_raises(self):
-        stream = make_constant_target(R("2/3"), INC, HALF)
+        stream = make_constant_target(R("2/3"), INC, Rational(1, 2))
         with pytest.raises(ValueError, match="stage 1 asked for, stage 0 due"):
             stream.generator(1, [])
         assert stream.value(2) == R("7/12")
@@ -317,7 +317,7 @@ class TestConstantTarget:
             with pytest.raises(ValueError, match=f"stage {s} asked for, stage 3 due"):
                 stream.generator(s, [stream.value(k) for k in range(stream.materialized)])
         # a refused call moves nothing: the stream goes on from stage 3
-        assert stream.value(3) == closed_form(R("2/3"), INC, HALF, 3)
+        assert stream.value(3) == closed_form(R("2/3"), INC, Rational(1, 2), 3)
 
     def test_freed_without_collector(self):
         # the generator keeps no reference to its stream, so a dropped
@@ -350,9 +350,9 @@ class TestConstantTarget:
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
-            make_constant_target(ONE, INC, HALF)
+            make_constant_target(ONE, INC, Rational(1, 2))
         with pytest.raises(ValueError):
-            make_constant_target(HALF, INC, ZERO)
+            make_constant_target(Rational(1, 2), INC, ZERO)
 
 
 class FakeView:
@@ -405,7 +405,7 @@ class TestTracker:
     @pytest.mark.parametrize("direction", [INC, DEC], ids=["increasing", "decreasing"])
     @exact(100)
     @given(lag=st.integers(0, 2), start=non_dyadic(0, 1),
-           diffs=st.lists(st.one_of(st.sampled_from([R("-1/3"), ZERO, R("1/3"), HALF,
+           diffs=st.lists(st.one_of(st.sampled_from([R("-1/3"), ZERO, R("1/3"), Rational(1, 2),
                                                      R("2/3"), ONE, R("4/3")]),
                                     st.fractions(-2, 2, max_denominator=60)),
                           min_size=1, max_size=40))
@@ -454,22 +454,22 @@ class TestTracker:
     def test_bad_parameters_rejected(self):
         view = FakeView([])
         with pytest.raises(ValueError):
-            make_tracker(view, INC, lag=-1, start=HALF)
+            make_tracker(view, INC, lag=-1, start=Rational(1, 2))
         with pytest.raises(ValueError):
             make_tracker(view, INC, lag=0, start=ONE)
 
 
 class TestSuite:
     def test_roles_imply_directions(self):
-        inc = make_constant_target(HALF, INC, HALF)
+        inc = make_constant_target(Rational(1, 2), INC, Rational(1, 2))
         with pytest.raises(ValueError):
             SuiteEntry(0, "R", inc)  # R needs a decreasing stream
         with pytest.raises(ValueError):
             SuiteEntry(0, "X", inc)
 
     def test_lookup_and_indices(self):
-        g0 = make_constant_target(R("1/3"), INC, HALF)
-        d1 = make_constant_target(R("1/4"), DEC, HALF)
+        g0 = make_constant_target(R("1/3"), INC, Rational(1, 2))
+        d1 = make_constant_target(R("1/4"), DEC, Rational(1, 2))
         suite = AdversarySuite([SuiteEntry(0, "L", g0), SuiteEntry(1, "R", d1)])
         assert suite.positions[0] is g0  # gamma_0 at 2 * 0
         assert suite.positions[3] is d1  # delta_1 at 2 * 1 + 1
@@ -477,8 +477,8 @@ class TestSuite:
         assert len(suite) == 2
 
     def test_positions_in_priority_order(self):
-        l0, l2 = (make_constant_target(R("1/3"), INC, HALF) for _ in range(2))
-        r0, r2, extra = (make_constant_target(R("2/3"), DEC, HALF) for _ in range(3))
+        l0, l2 = (make_constant_target(R("1/3"), INC, Rational(1, 2)) for _ in range(2))
+        r0, r2, extra = (make_constant_target(R("2/3"), DEC, Rational(1, 2)) for _ in range(3))
         # listed out of order; L_0 and R_0 take two positions
         suite = AdversarySuite([SuiteEntry(2, "R", r2), SuiteEntry(0, "R", r0),
                                 SuiteEntry(2, "L", l2), SuiteEntry(0, "L", l0)])
@@ -489,8 +489,8 @@ class TestSuite:
                             SuiteEntry(0, "R", extra)])
 
     def test_duplicate_entry_rejected(self):
-        g = make_constant_target(HALF, INC, HALF)
-        h = make_constant_target(R("1/3"), INC, HALF)
+        g = make_constant_target(Rational(1, 2), INC, Rational(1, 2))
+        h = make_constant_target(R("1/3"), INC, Rational(1, 2))
         with pytest.raises(ValueError):
             AdversarySuite([SuiteEntry(0, "L", g), SuiteEntry(0, "L", h)])
 
